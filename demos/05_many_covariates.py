@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from sbgam import Dataset, Grid, fit_nw
+from sbgam.grid import trapz_weights
 
 rng = np.random.default_rng(12)
 n, d = 1500, 5
@@ -52,7 +53,7 @@ truths = [
 for j in range(d):
     xo = ds.to_original(grid.points[j], j)
     tv = truths[j](xo)
-    tv = tv - np.trapezoid(tv, xo) / 2.0
+    tv = tv - trapz_weights(xo) @ tv / 2.0
     interior = (grid.points[j] > 0.15) & (grid.points[j] < 0.85)
     err = np.abs(fit.components[j] - tv)[interior].max()
     print(f"component {j + 1}: interior max error {err:.3f}")

@@ -239,10 +239,8 @@ def _cmd_fit(opts) -> int:
         raise
 
     diag = fit.diagnostics
-    if opts["estimator"] == "nw":
-        eta0, comps, derivs = fit.eta0, fit.components, None
-    else:
-        eta0, comps = fit.eta00, fit.components0
+    comps, derivs = fit.curves, None
+    if opts["estimator"] == "ll":
         # slopes with respect to the original covariate scale
         derivs = [fit.derivative_curve(j) / (ds.hi[j] - ds.lo[j])
                   for j in range(ds.ndim)]
@@ -270,7 +268,7 @@ def _cmd_fit(opts) -> int:
         "covariates": names,
         "bandwidths": [float(v) for v in h],
         "grid_points": int(opts["grid_points"]),
-        "intercept": float(eta0),
+        "intercept": float(fit.intercept),
         "converged": bool(diag.converged),
         "outer_iterations": int(diag.outer_iterations),
         "outer_changes": [float(v) for v in diag.outer_changes],

@@ -44,7 +44,6 @@ __all__ = [
     "PoissonLog",
     "QuasiFamily",
     "get_family",
-    "family_eval",
     "FAMILY_NAMES",
 ]
 
@@ -423,9 +422,3 @@ def get_family(name) -> Family:
         raise InputError(
             f"unknown family {name!r}; choose one of {', '.join(FAMILY_NAMES)}"
         ) from None
-
-
-def family_eval(fam: Family, u, y):
-    """Evaluate (Q, q1, q2) at predictor values u and responses y."""
-    fam = get_family(fam)
-    return fam.qll(u, y), fam.q1(u, y), fam.q2(u, y)

@@ -88,10 +88,6 @@ class Grid:
     def shape(self) -> tuple:
         return tuple(p.size for p in self.points)
 
-    def integrate_curve(self, j: int, values: np.ndarray) -> float:
-        """Trapezoid integral of a curve tabulated on dimension j."""
-        return float(self.weights[j] @ np.asarray(values, dtype=float))
-
 
 def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
     """Integrate a full product-grid tensor over all dimensions not kept.

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InputError
+from .grid import trapz_weights
 
 __all__ = [
     "KernelConstants",
@@ -178,7 +179,7 @@ def kernel_rows(
     grid_points = np.asarray(grid_points, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if weights is None:
-        weights = _trapz_weights(grid_points)
+        weights = trapz_weights(grid_points)
     rows = boundary_kernel(grid_points[None, :], v[:, None], h, name)
     mass = rows @ weights
     if np.any(mass <= 0.0):
@@ -189,14 +190,6 @@ def kernel_rows(
         )
     rows /= mass[:, None]
     return rows
-
-
-def _trapz_weights(points: np.ndarray) -> np.ndarray:
-    w = np.empty_like(points)
-    w[1:-1] = 0.5 * (points[2:] - points[:-2])
-    w[0] = 0.5 * (points[1] - points[0])
-    w[-1] = 0.5 * (points[-1] - points[-2])
-    return w
 
 
 def row_windows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

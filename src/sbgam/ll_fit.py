@@ -31,28 +31,30 @@ For d <= 2 the weight moments are computed by dense blocked reductions
 over observations on the full (at most G x G) grid; for d >= 3 they are
 accumulated by streaming observations over their kernel support windows,
 so nothing of full product-grid size is ever formed.
+
+The Newton loop, the Gauss-Seidel scaffold, the damped step with
+recentering, input preparation and the fitted-model base live in
+`nw_fit`; this module supplies the moment marginals, the pointwise 2 x 2
+solve of each component block and the constraint functional above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from . import kernels
-from .errors import (
-    DegenerateWeightError,
-    InputError,
-    NonConvergenceError,
-)
-from .family import Family, get_family
+from .family import Family
 from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
 from .nw_fit import (
+    AdditiveFit,
     FitConfig,
-    FitDiagnostics,
-    WEIGHT_FLOOR,
-    _additive_sup,
-    _initial_intercept,
+    FitContext,
+    _check_weight,
+    _damped_step,
+    _gauss_seidel,
+    _newton_fit,
 )
 
 __all__ = [
@@ -64,7 +66,6 @@ __all__ = [
     "ll_inner_solve",
     "ll_outer_update",
     "fit_ll",
-    "smoothed_ql_ll",
     "ll_predictor_field",
 ]
 
@@ -75,17 +76,10 @@ BLOCK_CELLS = 2_000_000
 
 
 @dataclass
-class LlContext:
-    """Per-fit precomputations for the local linear smoother."""
+class LlContext(FitContext):
+    """Shared precomputations plus regressor offsets and kernel products."""
 
-    dataset: Dataset
-    grid: Grid
-    family: Family
-    bandwidths: np.ndarray
-    kernel: str
-    rows: list
-    windows: list
-    tvals: list
+    tvals: list | None = None
     kprod: np.ndarray | None = None
 
 
@@ -113,6 +107,22 @@ class LlMarginals:
     score00: float
     sq: float
 
+    total = property(attrgetter("mass"))
+
+    def constraint(self, grid: Grid, j: int, curve0, curve1) -> float:
+        """Constraint functional integral [c0 V00_j + c1 V0j_j] dx_j."""
+        tw = grid.weights[j]
+        return (float(tw @ (curve0 * self.v00[j]))
+                + float(tw @ (curve1 * self.v01[j])))
+
+    def residual_norm(self, grid: Grid) -> float:
+        """Size of the estimating-equation fields at this iterate."""
+        parts = self.score00 ** 2
+        for j in range(grid.ndim):
+            parts += float(grid.weights[j] @ (self.z0[j] ** 2))
+            parts += float(grid.weights[j] @ (self.z1[j] ** 2))
+        return float(np.sqrt(parts))
+
 
 def ll_prepare(
     dataset: Dataset,
@@ -122,28 +132,13 @@ def ll_prepare(
     kernel: str = "epanechnikov",
 ) -> LlContext:
     """Validate inputs and precompute rows, windows and regressor offsets."""
-    fam = get_family(family)
-    fam.validate_response(dataset.y)
+    ctx = LlContext.build(dataset, bandwidths, grid, family, kernel)
+    grid, h, rows = ctx.grid, ctx.bandwidths, ctx.rows
     d = dataset.ndim
-    if grid is None:
-        grid = Grid.uniform(d)
-    if grid.ndim != d:
-        raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
-    h = kernels.validate_bandwidths(bandwidths, d)
-    rows = [
-        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                            grid.weights[j])
-        for j in range(d)
-    ]
-    windows = [kernels.row_windows(r) for r in rows]
-    tvals = [
+    ctx.tvals = [
         (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
         for j in range(d)
     ]
-    ctx = LlContext(
-        dataset=dataset, grid=grid, family=fam, bandwidths=h,
-        kernel=kernel, rows=rows, windows=windows, tvals=tvals,
-    )
     if d == 2 and dataset.n * grid.shape[0] * grid.shape[1] <= CACHE_CELLS:
         ctx.kprod = rows[0][:, :, None] * rows[1][:, None, :]
     return ctx
@@ -166,17 +161,14 @@ def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
 
 
 def _ll_check(marg: LlMarginals, grid: Grid):
-    if marg.mass <= 0.0:
-        raise DegenerateWeightError(0, 0.0, marg.mass, 0.0)
-    for j in range(grid.ndim):
-        floor = WEIGHT_FLOOR * marg.mass / grid.shape[j]
-        tr = marg.v00[j] + marg.v11[j]
-        det = marg.v00[j] * marg.v11[j] - marg.v01[j] ** 2
-        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        k = int(np.argmin(lam_min))
-        if lam_min[k] < floor:
-            raise DegenerateWeightError(j, float(grid.points[j][k]),
-                                        float(lam_min[k]), floor)
+    # the smaller eigenvalue of each pointwise 2 x 2 moment matrix
+    lam_min = []
+    for v00, v01, v11 in zip(marg.v00, marg.v01, marg.v11):
+        tr = v00 + v11
+        det = v00 * v11 - v01 ** 2
+        lam_min.append(
+            0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))))
+    _check_weight(marg.mass, lam_min, grid)
 
 
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> LlMarginals:
@@ -328,7 +320,9 @@ def _ll_marginals_streamed(ctx, eta00, comps0, comps1):
     )
 
 
-def _solve2(v00, v01, v11, r0, r1):
+def _solve2(marg: LlMarginals, j: int, r0, r1):
+    """Pointwise solve of component j's 2 x 2 moment system."""
+    v00, v01, v11 = marg.v00[j], marg.v01[j], marg.v11[j]
     det = v00 * v11 - v01 * v01
     return (v11 * r0 - v01 * r1) / det, (v00 * r1 - v01 * r0) / det
 
@@ -341,93 +335,43 @@ def ll_inner_solve(marg: LlMarginals, grid: Grid, config: FitConfig):
     """
     d = grid.ndim
     tw = grid.weights
-    mass = marg.mass
-    xi00 = marg.score00 / mass
+    xi00 = marg.score00 / marg.mass
 
-    def center(j, a0, a1):
-        c = (float(tw[j] @ (a0 * marg.v00[j]))
-             + float(tw[j] @ (a1 * marg.v01[j]))) / mass
-        return a0 - c, a1
+    def rhs(j):
+        return (marg.z0[j] - xi00 * marg.v00[j],
+                marg.z1[j] - xi00 * marg.v01[j])
 
-    xi0 = [None] * d
-    xi1 = [None] * d
-    for j in range(d):
-        a0, a1 = _solve2(
-            marg.v00[j], marg.v01[j], marg.v11[j],
-            marg.z0[j] - xi00 * marg.v00[j],
-            marg.z1[j] - xi00 * marg.v01[j],
-        )
-        xi0[j], xi1[j] = center(j, a0, a1)
-    changes = []
-    for _ in range(config.max_inner):
-        delta = 0.0
-        for j in range(d):
-            r0 = marg.z0[j] - xi00 * marg.v00[j]
-            r1 = marg.z1[j] - xi00 * marg.v01[j]
-            for l in range(d):
-                if l == j:
-                    continue
-                g0 = tw[l] * xi0[l]
-                g1 = tw[l] * xi1[l]
-                if j < l:
-                    r0 = r0 - marg.p00[(j, l)] @ g0 - marg.p0b[(j, l)] @ g1
-                    r1 = r1 - marg.p0a[(j, l)] @ g0 - marg.p11[(j, l)] @ g1
-                else:
-                    r0 = r0 - g0 @ marg.p00[(l, j)] - g1 @ marg.p0a[(l, j)]
-                    r1 = r1 - g0 @ marg.p0b[(l, j)] - g1 @ marg.p11[(l, j)]
-            a0, a1 = _solve2(marg.v00[j], marg.v01[j], marg.v11[j], r0, r1)
-            a0, a1 = center(j, a0, a1)
-            delta = max(
-                delta,
-                float(np.max(np.abs(a0 - xi0[j]))),
-                float(np.max(np.abs(a1 - xi1[j]))),
-            )
-            xi0[j], xi1[j] = a0, a1
-        changes.append(delta)
-        if delta < config.tol_inner:
-            break
-    else:
-        raise NonConvergenceError(
-            f"backfitting sweeps did not converge in {config.max_inner} "
-            f"iterations (last change {changes[-1]:.3e})",
-            history=changes,
-        )
-    contraction = 0.0
-    if len(changes) >= 2 and changes[-2] > 0.0:
-        contraction = changes[-1] / changes[-2]
-    return xi00, xi0, xi1, len(changes), contraction, changes
+    def update(j, xi0, xi1):
+        r0, r1 = rhs(j)
+        for l in range(d):
+            if l == j:
+                continue
+            g0 = tw[l] * xi0[l]
+            g1 = tw[l] * xi1[l]
+            if j < l:
+                r0 = r0 - marg.p00[(j, l)] @ g0 - marg.p0b[(j, l)] @ g1
+                r1 = r1 - marg.p0a[(j, l)] @ g0 - marg.p11[(j, l)] @ g1
+            else:
+                r0 = r0 - g0 @ marg.p00[(l, j)] - g1 @ marg.p0a[(l, j)]
+                r1 = r1 - g0 @ marg.p0b[(l, j)] - g1 @ marg.p11[(l, j)]
+        return _solve2(marg, j, r0, r1)
+
+    return (xi00, *_gauss_seidel(marg, grid, config,
+                                 lambda j: _solve2(marg, j, *rhs(j)), update))
 
 
 def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,
                     xi00: float, xi0, xi1, config: FitConfig):
-    """Apply one damped Newton step and recenter at the new iterate."""
-    d = ctx.grid.ndim
-    tw = ctx.grid.weights
-    step00 = config.damping * xi00
-    steps0 = [config.damping * xi0[j] for j in range(d)]
-    steps1 = [config.damping * xi1[j] for j in range(d)]
-    change = _additive_sup(step00, steps0)
-    new_eta00 = eta00 + step00
-    new_comps0 = [comps0[j] + steps0[j] for j in range(d)]
-    new_comps1 = [comps1[j] + steps1[j] for j in range(d)]
-    marg = ll_marginals(ctx, new_eta00, new_comps0, new_comps1)
-    shifts = [
-        (float(tw[j] @ (new_comps0[j] * marg.v00[j]))
-         + float(tw[j] @ (new_comps1[j] * marg.v01[j]))) / marg.mass
-        for j in range(d)
-    ]
-    new_comps0 = [new_comps0[j] - shifts[j] for j in range(d)]
-    new_eta00 = new_eta00 + sum(shifts)
-    residual = max(
-        abs(float(tw[j] @ (new_comps0[j] * marg.v00[j]))
-            + float(tw[j] @ (new_comps1[j] * marg.v01[j])))
-        for j in range(d)
-    )
-    return new_eta00, new_comps0, new_comps1, marg, residual, change
+    """Apply one damped Newton step and recenter at the new iterate.
+
+    Returns (eta00, comps0, comps1, marginals, constraint_residual, change).
+    """
+    return _damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
+                        config, ll_marginals)
 
 
 @dataclass
-class LlFit:
+class LlFit(AdditiveFit):
     """Fitted additive predictor with local linear components.
 
     components0[j] tabulates the centered component curve on
@@ -439,37 +383,13 @@ class LlFit:
     eta00: float
     components0: list
     components1: list
-    grid: Grid
-    bandwidths: np.ndarray
-    family: str
-    kernel: str
-    lo: np.ndarray
-    hi: np.ndarray
-    diagnostics: FitDiagnostics
+
+    intercept = property(attrgetter("eta00"))
+    curves = property(attrgetter("components0"))
 
     def derivative_curve(self, j: int) -> np.ndarray:
         """Component derivative in rescaled coordinates."""
         return self.components1[j] / self.bandwidths[j]
-
-    def component_at(self, j: int, u: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(u, dtype=float),
-                         self.grid.points[j], self.components0[j])
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Additive predictor at covariate rows (n, d), original scale.
-
-        Points outside the training support are clamped to its edges.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.full(x.shape[0], self.eta00)
-        for j in range(self.grid.ndim):
-            u = (x[:, j] - self.lo[j]) / (self.hi[j] - self.lo[j])
-            out += self.component_at(j, np.clip(u, 0.0, 1.0))
-        return out
-
-    def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        """Fitted response mean at original-scale covariate rows."""
-        return get_family(self.family).mean(self.predict(x))
 
 
 def fit_ll(
@@ -489,62 +409,6 @@ def fit_ll(
     ------
     InitializerError, DegenerateWeightError, NonConvergenceError
     """
-    config = config or FitConfig()
     ctx = ll_prepare(dataset, bandwidths, grid, family, kernel)
-    grid = ctx.grid
-    eta00 = _initial_intercept(ctx.family, dataset.y)
-    comps0 = [np.zeros(g) for g in grid.shape]
-    comps1 = [np.zeros(g) for g in grid.shape]
-    marg = ll_marginals(ctx, eta00, comps0, comps1)
-    diag = FitDiagnostics(sq_path=[marg.sq])
-    for _ in range(config.max_outer):
-        xi00, xi0, xi1, sweeps, contraction, history = ll_inner_solve(
-            marg, grid, config
-        )
-        eta00, comps0, comps1, marg, resid, change = ll_outer_update(
-            ctx, eta00, comps0, comps1, xi00, xi0, xi1, config
-        )
-        rel = change / max(1.0, _additive_sup(eta00, comps0))
-        diag.outer_iterations += 1
-        diag.outer_changes.append(rel)
-        diag.inner_sweep_counts.append(sweeps)
-        diag.inner_contractions.append(contraction)
-        diag.inner_change_histories.append(history)
-        diag.constraint_residuals.append(resid)
-        diag.sq_path.append(marg.sq)
-        if rel < config.tol_outer:
-            diag.converged = True
-            break
-    if not diag.converged:
-        raise NonConvergenceError(
-            f"no convergence in {config.max_outer} Newton steps "
-            f"(last relative change {diag.outer_changes[-1]:.3e})",
-            history=diag.outer_changes,
-        )
-    diag.weight_total = marg.mass
-    diag.residual_norm = _ll_residual(marg, grid)
-    return LlFit(
-        eta00=eta00,
-        components0=comps0,
-        components1=comps1,
-        grid=grid,
-        bandwidths=ctx.bandwidths,
-        family=ctx.family.name,
-        kernel=ctx.kernel,
-        lo=ctx.dataset.lo,
-        hi=ctx.dataset.hi,
-        diagnostics=diag,
-    )
-
-
-def _ll_residual(marg: LlMarginals, grid: Grid) -> float:
-    parts = marg.score00 ** 2
-    for j in range(grid.ndim):
-        parts += float(grid.weights[j] @ (marg.z0[j] ** 2))
-        parts += float(grid.weights[j] @ (marg.z1[j] ** 2))
-    return float(np.sqrt(parts))
-
-
-def smoothed_ql_ll(ctx: LlContext, eta00: float, comps0, comps1) -> float:
-    """Smoothed quasi-likelihood of a local linear predictor."""
-    return ll_marginals(ctx, eta00, comps0, comps1).sq
+    return _newton_fit(ctx, config, LlFit, 2, ll_marginals, ll_inner_solve,
+                       ll_outer_update)

@@ -30,11 +30,19 @@ After every Newton step the components are recentered against the weight
 marginals of the updated iterate, and the intercept absorbs the shifts,
 which leaves the fitted predictor untouched and the constraints satisfied
 to machine precision.
+
+Both smoothers run the same algorithm, held here once and reused by
+`ll_fit`: `FitContext.build` (inputs, kernel rows), `_newton_fit` (outer
+loop and diagnostics), `_gauss_seidel` (inner sweeps), `_damped_step`
+(step and recentering) and `AdditiveFit` (prediction).  A smoother
+supplies only its marginals, its per-component inner block update and
+its constraint functional, the `constraint` method of its marginals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,6 +59,8 @@ from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
 __all__ = [
     "FitConfig",
     "FitDiagnostics",
+    "FitContext",
+    "AdditiveFit",
     "NwContext",
     "NwMarginals",
     "NwFit",
@@ -59,8 +69,6 @@ __all__ = [
     "nw_inner_solve",
     "nw_outer_update",
     "fit_nw",
-    "smoothed_ql_nw",
-    "nw_residual_norm",
 ]
 
 # positivity floor for smoothed weight marginals, relative to mass per cell
@@ -115,8 +123,8 @@ class FitDiagnostics:
 
 
 @dataclass
-class NwContext:
-    """Per-fit precomputations: kernel rows, windows and data smooths."""
+class FitContext:
+    """Per-fit precomputations both smoothers share: kernel rows, windows."""
 
     dataset: Dataset
     grid: Grid
@@ -125,6 +133,32 @@ class NwContext:
     kernel: str
     rows: list
     windows: list
+
+    @classmethod
+    def build(cls, dataset: Dataset, bandwidths, grid, family, kernel: str):
+        """Validate the inputs and compute the kernel rows and windows."""
+        fam = get_family(family)
+        fam.validate_response(dataset.y)
+        d = dataset.ndim
+        if grid is None:
+            grid = Grid.uniform(d)
+        if grid.ndim != d:
+            raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
+        h = kernels.validate_bandwidths(bandwidths, d)
+        rows = [
+            kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
+                                grid.weights[j])
+            for j in range(d)
+        ]
+        windows = [kernels.row_windows(r) for r in rows]
+        return cls(dataset=dataset, grid=grid, family=fam, bandwidths=h,
+                   kernel=kernel, rows=rows, windows=windows)
+
+
+@dataclass
+class NwContext(FitContext):
+    """Shared precomputations plus the data smooths of the d <= 2 path."""
+
     phat: np.ndarray | None = None
     rhat: np.ndarray | None = None
 
@@ -140,6 +174,22 @@ class NwMarginals:
     score_curves: list
     sq: float
 
+    def constraint(self, grid: Grid, j: int, curve) -> float:
+        """Constraint functional integral curve w_j dx_j of component j."""
+        return float(grid.weights[j] @ (curve * self.weight_curves[j]))
+
+    def residual_norm(self, grid: Grid) -> float:
+        """Size of the estimating-equation fields at this iterate.
+
+        The square root of score_total^2 plus the integrated squared score
+        curves; identically zero exactly at a solution of the estimating
+        equations.
+        """
+        parts = self.score_total ** 2
+        for j, s in enumerate(self.score_curves):
+            parts += float(grid.weights[j] @ (s * s))
+        return float(np.sqrt(parts))
+
 
 def nw_prepare(
     dataset: Dataset,
@@ -150,25 +200,10 @@ def nw_prepare(
 ) -> NwContext:
     """Validate inputs and precompute everything that does not change
     across Newton iterations."""
-    fam = get_family(family)
-    fam.validate_response(dataset.y)
-    d = dataset.ndim
-    if grid is None:
-        grid = Grid.uniform(d)
-    if grid.ndim != d:
-        raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
-    h = kernels.validate_bandwidths(bandwidths, d)
-    rows = [
-        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                            grid.weights[j])
-        for j in range(d)
-    ]
-    windows = [kernels.row_windows(r) for r in rows]
-    ctx = NwContext(
-        dataset=dataset, grid=grid, family=fam, bandwidths=h,
-        kernel=kernel, rows=rows, windows=windows,
-    )
+    ctx = NwContext.build(dataset, bandwidths, grid, family, kernel)
+    rows = ctx.rows
     n = dataset.n
+    d = dataset.ndim
     if d == 1:
         ctx.phat = rows[0].sum(axis=0) / n
         ctx.rhat = dataset.y @ rows[0] / n
@@ -178,7 +213,11 @@ def nw_prepare(
     return ctx
 
 
-def _check_weight_curves(curves, total, grid):
+def _check_weight(total, curves, grid):
+    """Raise DegenerateWeightError unless the mass and every curve clear
+    the positivity floor."""
+    if total <= 0.0:
+        raise DegenerateWeightError(0, 0.0, total, 0.0)
     for j, w in enumerate(curves):
         floor = WEIGHT_FLOOR * total / grid.shape[j]
         k = int(np.argmin(w))
@@ -200,9 +239,7 @@ def nw_marginals(ctx: NwContext, eta0: float, components) -> NwMarginals:
         marg = _nw_marginals_dense(ctx, eta0, components)
     else:
         marg = _nw_marginals_streamed(ctx, eta0, components)
-    if marg.total <= 0.0:
-        raise DegenerateWeightError(0, 0.0, marg.total, 0.0)
-    _check_weight_curves(marg.weight_curves, marg.total, grid)
+    _check_weight(marg.total, marg.weight_curves, grid)
     return marg
 
 
@@ -281,41 +318,31 @@ def _nw_marginals_streamed(ctx, eta0, components):
     )
 
 
-def nw_inner_solve(marg: NwMarginals, grid: Grid, config: FitConfig):
-    """Solve the linearized backfitting system by Gauss-Seidel sweeps.
 
-    Returns (xi0, xi, sweeps, contraction, change_history) where xi0 is the
-    intercept step, xi the component step curves (each centered against the
-    weight marginals), sweeps the number of sweeps used, and contraction
-    the ratio of the last two sweep-change norms.
+
+def _gauss_seidel(marg, grid: Grid, config: FitConfig, start, update):
+    """Gauss-Seidel sweeps over the components of a linearized system.
+
+    start(j) is component j's uncoupled block and update(j, *xi) its block
+    given the current step curves; a block is a tuple of curves, component
+    curve first, centered against marg.constraint before it is stored.
+    Returns (*xi, sweeps, contraction, change_history), one list of d
+    curves in xi per block entry.
     """
-    total = marg.total
-    tw = grid.weights
     d = grid.ndim
-    xi0 = marg.score_total / total
-    xit = [marg.score_curves[j] / marg.weight_curves[j] for j in range(d)]
 
-    def center(j, v):
-        return v - (tw[j] @ (v * marg.weight_curves[j])) / total
+    def center(j, block):
+        shift = marg.constraint(grid, j, *block) / marg.total
+        return (block[0] - shift, *block[1:])
 
-    xi = [center(j, xit[j]) for j in range(d)]
+    xi = [list(c) for c in zip(*(center(j, start(j)) for j in range(d)))]
     changes = []
     for _ in range(config.max_inner):
         delta = 0.0
         for j in range(d):
-            acc = xit[j] - xi0
-            for l in range(d):
-                if l == j:
-                    continue
-                g = tw[l] * xi[l]
-                if j < l:
-                    cross = marg.weight_pairs[(j, l)] @ g
-                else:
-                    cross = g @ marg.weight_pairs[(l, j)]
-                acc = acc - cross / marg.weight_curves[j]
-            new = center(j, acc)
-            delta = max(delta, float(np.max(np.abs(new - xi[j]))))
-            xi[j] = new
+            for curves, new in zip(xi, center(j, update(j, *xi))):
+                delta = max(delta, float(np.abs(new - curves[j]).max()))
+                curves[j] = new
         changes.append(delta)
         if delta < config.tol_inner:
             break
@@ -328,7 +355,37 @@ def nw_inner_solve(marg: NwMarginals, grid: Grid, config: FitConfig):
     contraction = 0.0
     if len(changes) >= 2 and changes[-2] > 0.0:
         contraction = changes[-1] / changes[-2]
-    return xi0, xi, len(changes), contraction, changes
+    return (*xi, len(changes), contraction, changes)
+
+
+def nw_inner_solve(marg: NwMarginals, grid: Grid, config: FitConfig):
+    """Solve the linearized backfitting system by Gauss-Seidel sweeps.
+
+    Returns (xi0, xi, sweeps, contraction, change_history) where xi0 is the
+    intercept step, xi the component step curves (each centered against the
+    weight marginals), sweeps the number of sweeps used, and contraction
+    the ratio of the last two sweep-change norms.
+    """
+    tw = grid.weights
+    d = grid.ndim
+    xi0 = marg.score_total / marg.total
+    xit = [marg.score_curves[j] / marg.weight_curves[j] for j in range(d)]
+
+    def update(j, xi):
+        acc = xit[j] - xi0
+        for l in range(d):
+            if l == j:
+                continue
+            g = tw[l] * xi[l]
+            if j < l:
+                cross = marg.weight_pairs[(j, l)] @ g
+            else:
+                cross = g @ marg.weight_pairs[(l, j)]
+            acc = acc - cross / marg.weight_curves[j]
+        return (acc,)
+
+    return (xi0, *_gauss_seidel(marg, grid, config, lambda j: (xit[j],),
+                                update))
 
 
 def _additive_sup(const: float, curves) -> float:
@@ -336,6 +393,31 @@ def _additive_sup(const: float, curves) -> float:
     hi = const + sum(float(c.max()) for c in curves)
     lo = const + sum(float(c.min()) for c in curves)
     return max(abs(hi), abs(lo))
+
+
+def _damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
+                 config: FitConfig, marginals):
+    """Damped Newton step, then recentering against marg.constraint.
+
+    blocks and xi hold one list of d curves per block entry, component
+    curves first; only those are shifted, and the intercept absorbs the
+    shifts.  Returns (eta0, *blocks, marginals, residual, change).
+    """
+    grid = ctx.grid
+    d = grid.ndim
+    step0 = config.damping * xi0
+    steps = [[config.damping * s[j] for j in range(d)] for s in xi]
+    change = _additive_sup(step0, steps[0])
+    new_eta0 = eta0 + step0
+    new = [[b[j] + s[j] for j in range(d)] for b, s in zip(blocks, steps)]
+    marg = marginals(ctx, new_eta0, *new)
+    shifts = [marg.constraint(grid, j, *(b[j] for b in new)) / marg.total
+              for j in range(d)]
+    new[0] = [new[0][j] - shifts[j] for j in range(d)]
+    new_eta0 = new_eta0 + sum(shifts)
+    residual = max(abs(marg.constraint(grid, j, *(b[j] for b in new)))
+                   for j in range(d))
+    return (new_eta0, *new, marg, residual, change)
 
 
 def nw_outer_update(ctx: NwContext, eta0: float, components, xi0: float, xi,
@@ -348,37 +430,18 @@ def nw_outer_update(ctx: NwContext, eta0: float, components, xi0: float, xi,
     constraint integral after recentering, and change is the exact sup-norm
     of the predictor update over the grid.
     """
-    d = ctx.grid.ndim
-    tw = ctx.grid.weights
-    step0 = config.damping * xi0
-    steps = [config.damping * xi[j] for j in range(d)]
-    change = _additive_sup(step0, steps)
-    new_eta0 = eta0 + step0
-    new_comps = [components[j] + steps[j] for j in range(d)]
-    marg = nw_marginals(ctx, new_eta0, new_comps)
-    shifts = [
-        float(tw[j] @ (new_comps[j] * marg.weight_curves[j])) / marg.total
-        for j in range(d)
-    ]
-    new_comps = [new_comps[j] - shifts[j] for j in range(d)]
-    new_eta0 = new_eta0 + sum(shifts)
-    residual = max(
-        abs(float(tw[j] @ (new_comps[j] * marg.weight_curves[j])))
-        for j in range(d)
-    )
-    return new_eta0, new_comps, marg, residual, change
+    return _damped_step(ctx, eta0, [components], xi0, [xi], config,
+                        nw_marginals)
 
 
-@dataclass
-class NwFit:
-    """Fitted additive predictor with local constant components.
+@dataclass(kw_only=True)
+class AdditiveFit:
+    """Fitted additive predictor: the part both smoothers share.
 
-    components[j] tabulates the centered component on grid.points[j] in
-    rescaled coordinates; eta0 is the intercept.
+    Subclasses name their intercept and centered component curves and
+    expose them as `intercept` and `curves`.
     """
 
-    eta0: float
-    components: list
     grid: Grid
     bandwidths: np.ndarray
     family: str
@@ -389,8 +452,8 @@ class NwFit:
 
     def predictor_on_grid(self) -> np.ndarray:
         """Full additive predictor on the product grid (small d only)."""
-        out = np.full(self.grid.shape, self.eta0)
-        for j, comp in enumerate(self.components):
+        out = np.full(self.grid.shape, self.intercept)
+        for j, comp in enumerate(self.curves):
             shape = [1] * self.grid.ndim
             shape[j] = comp.size
             out = out + comp.reshape(shape)
@@ -399,7 +462,7 @@ class NwFit:
     def component_at(self, j: int, u: np.ndarray) -> np.ndarray:
         """Linear interpolation of component j at rescaled coordinates."""
         return np.interp(np.asarray(u, dtype=float),
-                         self.grid.points[j], self.components[j])
+                         self.grid.points[j], self.curves[j])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Additive predictor at covariate rows (n, d), original scale.
@@ -407,7 +470,7 @@ class NwFit:
         Points outside the training support are clamped to its edges.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.full(x.shape[0], self.eta0)
+        out = np.full(x.shape[0], self.intercept)
         for j in range(self.grid.ndim):
             u = (x[:, j] - self.lo[j]) / (self.hi[j] - self.lo[j])
             out += self.component_at(j, np.clip(u, 0.0, 1.0))
@@ -418,15 +481,72 @@ class NwFit:
         return get_family(self.family).mean(self.predict(x))
 
 
-def _initial_intercept(fam: Family, y: np.ndarray) -> float:
+@dataclass
+class NwFit(AdditiveFit):
+    """Fitted additive predictor with local constant components.
+
+    components[j] tabulates the centered component on grid.points[j] in
+    rescaled coordinates; eta0 is the intercept.
+    """
+
+    eta0: float
+    components: list
+
+    intercept = property(attrgetter("eta0"))
+    curves = property(attrgetter("components"))
+
+
+def _newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
+                n_blocks: int, marginals, inner_solve, outer_update):
+    """Newton steps over smoothed backfitting, shared by both smoothers.
+
+    Starts from eta_0 = g(mean(y)) and n_blocks lists of zero curves and
+    stops when the relative sup-norm change of the fitted predictor falls
+    below tol_outer.  Returns fit_class(eta0, *blocks, ...).
+    """
+    config = config or FitConfig()
+    grid = ctx.grid
+    fam = ctx.family
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eta0 = float(np.asarray(fam.link(np.mean(y))))
+        eta0 = float(np.asarray(fam.link(np.mean(ctx.dataset.y))))
     if not np.isfinite(eta0):
         raise InitializerError(
             f"constant-model start g(mean(y)) is not finite for family "
             f"{fam.name!r}; the response is degenerate"
         )
-    return eta0
+    blocks = [[np.zeros(g) for g in grid.shape] for _ in range(n_blocks)]
+    marg = marginals(ctx, eta0, *blocks)
+    diag = FitDiagnostics(sq_path=[marg.sq])
+    for _ in range(config.max_outer):
+        xi0, *xi, sweeps, contraction, history = inner_solve(marg, grid,
+                                                             config)
+        eta0, *blocks, marg, resid, change = outer_update(
+            ctx, eta0, *blocks, xi0, *xi, config
+        )
+        rel = change / max(1.0, _additive_sup(eta0, blocks[0]))
+        diag.outer_iterations += 1
+        diag.outer_changes.append(rel)
+        diag.inner_sweep_counts.append(sweeps)
+        diag.inner_contractions.append(contraction)
+        diag.inner_change_histories.append(history)
+        diag.constraint_residuals.append(resid)
+        diag.sq_path.append(marg.sq)
+        if rel < config.tol_outer:
+            diag.converged = True
+            break
+    if not diag.converged:
+        raise NonConvergenceError(
+            f"no convergence in {config.max_outer} Newton steps "
+            f"(last relative change {diag.outer_changes[-1]:.3e})",
+            history=diag.outer_changes,
+        )
+    diag.weight_total = marg.total
+    diag.residual_norm = marg.residual_norm(grid)
+    return fit_class(
+        eta0, *blocks, grid=grid, bandwidths=ctx.bandwidths,
+        family=fam.name, kernel=ctx.kernel, lo=ctx.dataset.lo,
+        hi=ctx.dataset.hi, diagnostics=diag,
+    )
 
 
 def fit_nw(
@@ -447,70 +567,6 @@ def fit_nw(
     ------
     InitializerError, DegenerateWeightError, NonConvergenceError
     """
-    config = config or FitConfig()
     ctx = nw_prepare(dataset, bandwidths, grid, family, kernel)
-    grid = ctx.grid
-    eta0 = _initial_intercept(ctx.family, dataset.y)
-    comps = [np.zeros(g) for g in grid.shape]
-    marg = nw_marginals(ctx, eta0, comps)
-    diag = FitDiagnostics(sq_path=[marg.sq])
-    for _ in range(config.max_outer):
-        xi0, xi, sweeps, contraction, history = nw_inner_solve(
-            marg, grid, config
-        )
-        eta0, comps, marg, resid, change = nw_outer_update(
-            ctx, eta0, comps, xi0, xi, config
-        )
-        rel = change / max(1.0, _additive_sup(eta0, comps))
-        diag.outer_iterations += 1
-        diag.outer_changes.append(rel)
-        diag.inner_sweep_counts.append(sweeps)
-        diag.inner_contractions.append(contraction)
-        diag.inner_change_histories.append(history)
-        diag.constraint_residuals.append(resid)
-        diag.sq_path.append(marg.sq)
-        if rel < config.tol_outer:
-            diag.converged = True
-            break
-    if not diag.converged:
-        raise NonConvergenceError(
-            f"no convergence in {config.max_outer} Newton steps "
-            f"(last relative change {diag.outer_changes[-1]:.3e})",
-            history=diag.outer_changes,
-        )
-    diag.weight_total = marg.total
-    diag.residual_norm = _residual_from_marginals(marg, grid)
-    return NwFit(
-        eta0=eta0,
-        components=comps,
-        grid=grid,
-        bandwidths=ctx.bandwidths,
-        family=ctx.family.name,
-        kernel=ctx.kernel,
-        lo=ctx.dataset.lo,
-        hi=ctx.dataset.hi,
-        diagnostics=diag,
-    )
-
-
-def _residual_from_marginals(marg: NwMarginals, grid: Grid) -> float:
-    parts = marg.score_total ** 2
-    for j, s in enumerate(marg.score_curves):
-        parts += float(grid.weights[j] @ (s * s))
-    return float(np.sqrt(parts))
-
-
-def smoothed_ql_nw(ctx: NwContext, eta0: float, components) -> float:
-    """Smoothed quasi-likelihood of an additive predictor."""
-    return nw_marginals(ctx, eta0, components).sq
-
-
-def nw_residual_norm(ctx: NwContext, eta0: float, components) -> float:
-    """Size of the estimating-equation fields at a predictor.
-
-    The square root of score_total^2 plus the integrated squared score
-    curves; identically zero exactly at a solution of the estimating
-    equations.
-    """
-    return _residual_from_marginals(nw_marginals(ctx, eta0, components),
-                                    ctx.grid)
+    return _newton_fit(ctx, config, NwFit, 1, nw_marginals, nw_inner_solve,
+                       nw_outer_update)

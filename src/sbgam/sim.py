@@ -380,20 +380,16 @@ def _study_rep(model: SimModel, estimator: str, bandwidths,
             np.asarray(bandwidths, dtype=float) * bandwidth_scale, (d,)
         ).copy()
     grid = Grid.uniform(d, grid_points)
+    fitter = fit_nw if estimator == "nw" else fit_ll
     try:
-        if estimator == "nw":
-            fit = fit_nw(ds, h, grid=grid, family=model.response,
-                         kernel=kernel, config=config)
-            eta0_hat, curves = fit.eta0, fit.components
-        else:
-            fit = fit_ll(ds, h, grid=grid, family=model.response,
-                         kernel=kernel, config=config)
-            eta0_hat, curves = fit.eta00, fit.components0
+        fit = fitter(ds, h, grid=grid, family=model.response, kernel=kernel,
+                     config=config)
     except FitError as exc:
         return rep, np.nan, None, np.inf, str(exc)
 
     # squared L2 distance of the full predictor over the original box,
     # via the exact additive decomposition (unit-cube integrals times 2^d)
+    eta0_hat, curves = fit.intercept, fit.curves
     tw = grid.weights
     delta0 = eta0_hat - truth_eta0
     mu = 0.0

@@ -251,8 +251,8 @@ def test_criterion_10_bias_shape_correlation():
 
 def test_criterion_11_kernel_suite():
     g = np.linspace(0.0, 1.0, 41)
-    from sbgam.kernels import _trapz_weights
-    tw = _trapz_weights(g)
+    from sbgam.grid import trapz_weights
+    tw = trapz_weights(g)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, size=60)
     rows = kernel_rows(g, pts, 0.2, "epanechnikov", tw)

@@ -1,0 +1,26 @@
+"""The quick demos run end to end against the installed sources.
+
+Demos 01 and 02 exercise the public fit objects (intercepts, component
+curves, `predict`, `predict_mean`, `derivative_curve`) in about a second
+each.  Demo 03 writes into the working directory and demos 04 and 05 take
+seconds to minutes, so they are left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("demo", ["01_fit_one_covariate.py",
+                                  "02_additive_decomposition.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sbgam import kernels
 from sbgam.errors import InputError
+from sbgam.grid import trapz_weights
 
 KERNELS = ("epanechnikov", "quartic", "triangular")
 
@@ -61,7 +62,7 @@ def test_boundary_kernel_interior_reduction():
 
 def test_row_normalization_exact():
     g = np.linspace(0, 1, 41)
-    w = kernels._trapz_weights(g)
+    w = trapz_weights(g)
     probes = np.array([0.0, 0.013, 0.2, 0.499, 0.75, 0.988, 1.0])
     rows = kernels.kernel_rows(g, probes, 0.07, "epanechnikov", w)
     assert np.abs(rows @ w - 1.0).max() < 1e-14
@@ -70,7 +71,7 @@ def test_row_normalization_exact():
 def test_row_translation_invariance_interior():
     # two interior evaluation points a grid step apart give shifted rows
     g = np.linspace(0, 1, 41)
-    w = kernels._trapz_weights(g)
+    w = trapz_weights(g)
     rows = kernels.kernel_rows(g, np.array([0.400, 0.425]), 0.08,
                                "epanechnikov", w)
     assert np.abs(rows[0][16:20] - rows[1][17:21]).max() < 1e-12
@@ -78,14 +79,14 @@ def test_row_translation_invariance_interior():
 
 def test_rows_reject_tiny_bandwidth():
     g = np.linspace(0, 1, 11)
-    w = kernels._trapz_weights(g)
+    w = trapz_weights(g)
     with pytest.raises(InputError):
         kernels.kernel_rows(g, np.array([0.55]), 0.01, "epanechnikov", w)
 
 
 def test_row_windows():
     g = np.linspace(0, 1, 41)
-    w = kernels._trapz_weights(g)
+    w = trapz_weights(g)
     rows = kernels.kernel_rows(g, np.array([0.0, 0.5, 1.0]), 0.1,
                                "epanechnikov", w)
     lo, hi = kernels.row_windows(rows)
@@ -163,7 +164,7 @@ def test_base_kernel_symmetry_property(name, t):
        st.floats(min_value=0.0, max_value=1.0))
 def test_row_mass_property(name, h, v):
     g = np.linspace(0, 1, 61)
-    w = kernels._trapz_weights(g)
+    w = trapz_weights(g)
     rows = kernels.kernel_rows(g, np.array([v]), h, name, w)
     assert rows[0] @ w == pytest.approx(1.0, abs=1e-13)
     assert (rows >= 0).all()
