@@ -9,7 +9,7 @@ Bandwidths follow the deviation rule h ~ sd * n^{-1/5}, so both bias and
 variance shrink with n and the MISE should track the one-dimensional
 n^{-4/5} rate that additive models retain in any dimension.
 
-Run:  python3 demos/03_monte_carlo_study.py          (about a minute)
+Run:  python3 demos/03_monte_carlo_study.py          (a few seconds)
 """
 
 import numpy as np

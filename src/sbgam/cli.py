@@ -31,7 +31,7 @@ from .grid import Dataset, Grid, default_bandwidths
 from .ll_fit import fit_ll
 from .nw_fit import FitConfig, fit_nw
 from .sim import SimModel, gen_covariates, gen_response, run_study, \
-    write_study_csv, write_study_json
+    write_study_csv
 
 __all__ = ["main", "build_parser"]
 

@@ -8,11 +8,13 @@ as "the integral of a one-dimensional marginal equals the integral of the
 full field" hold exactly, not just up to quadrature error.  The fitting
 code leans on that.
 
-The streaming helpers at the bottom let the fitters accumulate totals,
-one-dimensional curves and two-dimensional surfaces of per-observation
-fields without ever materializing a full d-dimensional tensor: each
-observation's kernel product vanishes outside a small window per dimension,
-so only window-sized blocks are ever formed.
+The streaming helpers at the bottom accumulate totals, one-dimensional
+curves and two-dimensional surfaces of per-observation fields without
+ever materializing a full d-dimensional tensor: each observation's kernel
+product vanishes outside a small window per dimension, so only
+window-sized blocks are ever formed.  They serve the local constant
+smoother for d >= 3; the local linear smoother batches observations on
+the same windows itself (see `ll_fit`).
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ class Grid:
 def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
     """Integrate a full product-grid tensor over all dimensions not kept.
 
-    Intended for small problems (tests, oracles, the d <= 2 fast paths);
-    the fitters use the streaming accumulator for anything larger.
+    Intended for small problems (tests, oracles); the fitters never form
+    full product-grid tensors beyond d = 2.
 
     Parameters
     ----------

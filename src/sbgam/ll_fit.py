@@ -27,10 +27,13 @@ systems pointwise; the outer loop updates the predictor, recenters each
 and absorbs the shifts into the intercept, leaving the fitted predictor
 unchanged.
 
-For d <= 2 the weight moments are computed by dense blocked reductions
-over observations on the full (at most G x G) grid; for d >= 3 they are
-accumulated by streaming observations over their kernel support windows,
-so nothing of full product-grid size is ever formed.
+Every moment is a sum over observations of a field supported on the
+product of that observation's one-dimensional kernel windows, and the
+regressors t_j enter only as per-observation, per-axis factors.  One
+engine serves every d: blocks of observations are evaluated on their
+windows, each field is integrated down to window curves and pair
+surfaces, the t_j are multiplied in there, and the results are
+scattered onto the grid.  Nothing of full product-grid size is formed.
 
 The Newton loop, the Gauss-Seidel scaffold, the damped step with
 recentering, input preparation and the fitted-model base live in
@@ -40,13 +43,15 @@ solve of each component block and the constraint functional above.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
 
 from .family import Family
-from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
+from .grid import Dataset, Grid
 from .nw_fit import (
     AdditiveFit,
     FitConfig,
@@ -69,18 +74,22 @@ __all__ = [
     "ll_predictor_field",
 ]
 
-# cap, in scalar cells, for caching the full (n, G1, G2) kernel product
-CACHE_CELLS = 4_000_000
-# cap, in scalar cells, for one block of observation-by-grid workspaces
-BLOCK_CELLS = 2_000_000
+# cap, in scalar cells, for one block of observation-by-window workspaces;
+# about six such arrays are alive at once, so a block peaks near 5 MB
+BLOCK_CELLS = 100_000
 
 
 @dataclass
 class LlContext(FitContext):
-    """Shared precomputations plus regressor offsets and kernel products."""
+    """Shared precomputations plus regressor offsets and kernel windows.
+
+    tvals[j] holds t_j on the grid, (n, G_j); gather[j] the grid indices,
+    kernel values, t_j and trapezoid weights on each observation's window,
+    each (n, W_j) for the widest window W_j, padded with zero kernel cells.
+    """
 
     tvals: list | None = None
-    kprod: np.ndarray | None = None
+    gather: list | None = None
 
 
 @dataclass
@@ -133,14 +142,18 @@ def ll_prepare(
 ) -> LlContext:
     """Validate inputs and precompute rows, windows and regressor offsets."""
     ctx = LlContext.build(dataset, bandwidths, grid, family, kernel)
-    grid, h, rows = ctx.grid, ctx.bandwidths, ctx.rows
-    d = dataset.ndim
+    grid, h = ctx.grid, ctx.bandwidths
     ctx.tvals = [
         (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
-        for j in range(d)
+        for j in range(dataset.ndim)
     ]
-    if d == 2 and dataset.n * grid.shape[0] * grid.shape[1] <= CACHE_CELLS:
-        ctx.kprod = rows[0][:, :, None] * rows[1][:, None, :]
+    ctx.gather = []
+    for j, (lo, hi) in enumerate(ctx.windows):
+        width = int((hi - lo).max())
+        idx = np.minimum(lo, grid.shape[j] - width)[:, None] + np.arange(width)
+        ctx.gather.append((idx, np.take_along_axis(ctx.rows[j], idx, 1),
+                           np.take_along_axis(ctx.tvals[j], idx, 1),
+                           grid.weights[j][idx]))
     return ctx
 
 
@@ -148,8 +161,8 @@ def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
                        i: int) -> np.ndarray:
     """The local linear predictor eta(X_i, x) on the full product grid.
 
-    Meant for small problems (tests, diagnostics); the fitting code never
-    forms these fields beyond d = 2.
+    Meant for small problems (tests, diagnostics); the fitting code forms
+    these fields only on kernel windows.
     """
     grid = ctx.grid
     out = np.full(grid.shape, float(eta00))
@@ -171,153 +184,86 @@ def _ll_check(marg: LlMarginals, grid: Grid):
     _check_weight(marg.mass, lam_min, grid)
 
 
+def _integrate_out(field, wts, keep):
+    """Integrate a (B, W_1, ..., W_d) block over the window axes not kept.
+
+    wts[j] holds each observation's trapezoid weights on its window of
+    dimension j, shape (B, W_j); the kept axes stay in increasing order.
+    """
+    axes = list(range(len(wts) + 1))
+    for j in reversed(range(len(wts))):
+        if j not in keep:
+            rest = [a for a in axes if a != j + 1]
+            field = np.einsum(field, axes, wts[j], [0, j + 1], rest)
+            axes = rest
+    return field
+
+
+def _window_marginals(field, wts, pairs):
+    """Window curves (B, W_j) and pair surfaces (B, W_j, W_l) of a block.
+
+    pairs must hold every (0, j): the curves are integrated from those.
+    """
+    if len(wts) == 1:
+        return [field], {}
+    surf = {p: _integrate_out(field, wts, p) for p in pairs}
+    curves = [np.einsum("zab,zb->za", surf[0, 1], wts[1])]
+    curves += [np.einsum("zab,za->zb", surf[0, j], wts[0])
+               for j in range(1, len(wts))]
+    return curves, surf
+
+
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> LlMarginals:
-    """Weight moments and score marginals at the given iterate."""
-    if ctx.grid.ndim <= 2:
-        marg = _ll_marginals_dense(ctx, eta00, comps0, comps1)
-    else:
-        marg = _ll_marginals_streamed(ctx, eta00, comps0, comps1)
-    _ll_check(marg, ctx.grid)
-    return marg
+    """Weight moments and score marginals at the given iterate.
 
-
-def _ll_marginals_dense(ctx, eta00, comps0, comps1):
+    Blocks of B observations are evaluated on their kernel windows,
+    (B, W_1, ..., W_d), with one call each of q2, q1 and qll; see the
+    module docstring.
+    """
     grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    n = ctx.dataset.n
-    tw = grid.weights
-    if grid.ndim == 1:
-        t = ctx.tvals[0]
-        k = ctx.rows[0]
-        u = eta00 + comps0[0][None, :] + t * comps1[0][None, :]
-        wk = -fam.q2(u, y[:, None]) * k
-        sk = fam.q1(u, y[:, None]) * k
-        sq = float(tw[0] @ (fam.qll(u, y[:, None]) * k).sum(axis=0)) / n
-        v00 = wk.sum(axis=0) / n
-        v01 = (t * wk).sum(axis=0) / n
-        v11 = (t * t * wk).sum(axis=0) / n
-        z0 = sk.sum(axis=0) / n
-        z1 = (t * sk).sum(axis=0) / n
-        return LlMarginals(
-            mass=float(tw[0] @ v00), v00=[v00], v01=[v01], v11=[v11],
-            p00={}, p0a={}, p0b={}, p11={},
-            z0=[z0], z1=[z1], score00=float(tw[0] @ z0), sq=sq,
-        )
-    g1, g2 = grid.shape
-    block = max(1, BLOCK_CELLS // (g1 * g2))
-    t1f, t2f = ctx.tvals
-    p00 = np.zeros((g1, g2))
-    p0a = np.zeros((g1, g2))
-    p0b = np.zeros((g1, g2))
-    p11s = np.zeros((g1, g2))
-    v11_1 = np.zeros(g1)
-    v11_2 = np.zeros(g2)
-    z0_1 = np.zeros(g1)
-    z0_2 = np.zeros(g2)
-    z1_1 = np.zeros(g1)
-    z1_2 = np.zeros(g2)
+    n, d, shape = ctx.dataset.n, grid.ndim, grid.shape
+    # combinations lists the pairs (0, 1), ..., (0, d - 1) first
+    pairs = list(combinations(range(d), 2))
+    block = max(1, BLOCK_CELLS // int(np.prod([g[0].shape[1]
+                                               for g in ctx.gather])))
+    acc = defaultdict(float)
     sq = 0.0
     for s in range(0, n, block):
-        e = min(n, s + block)
-        t1 = t1f[s:e]
-        t2 = t2f[s:e]
-        yb = y[s:e, None, None]
-        if ctx.kprod is not None:
-            kp = ctx.kprod[s:e]
-        else:
-            kp = ctx.rows[0][s:e, :, None] * ctx.rows[1][s:e, None, :]
-        u = (eta00
-             + (comps0[0][None, :] + t1 * comps1[0][None, :])[:, :, None]
-             + (comps0[1][None, :] + t2 * comps1[1][None, :])[:, None, :])
-        wk = -fam.q2(u, yb) * kp
-        sk = fam.q1(u, yb) * kp
-        sq += float(np.einsum("igh,g,h->", fam.qll(u, yb) * kp, tw[0], tw[1]))
-        p00 += np.einsum("igh->gh", wk)
-        p0a += np.einsum("ig,igh->gh", t1, wk)
-        p0b += np.einsum("ih,igh->gh", t2, wk)
-        p11s += np.einsum("ig,ih,igh->gh", t1, t2, wk)
-        v11_1 += np.einsum("ig,igh,h->g", t1 * t1, wk, tw[1])
-        v11_2 += np.einsum("ih,igh,g->h", t2 * t2, wk, tw[0])
-        z0_1 += np.einsum("igh,h->g", sk, tw[1])
-        z0_2 += np.einsum("igh,g->h", sk, tw[0])
-        z1_1 += np.einsum("ig,igh,h->g", t1, sk, tw[1])
-        z1_2 += np.einsum("ih,igh,g->h", t2, sk, tw[0])
-    for arr in (p00, p0a, p0b, p11s, v11_1, v11_2, z0_1, z0_2, z1_1, z1_2):
-        arr /= n
-    sq /= n
-    v00 = [p00 @ tw[1], tw[0] @ p00]
-    v01 = [p0a @ tw[1], tw[0] @ p0b]
-    return LlMarginals(
-        mass=float(tw[0] @ v00[0]),
-        v00=v00, v01=v01, v11=[v11_1, v11_2],
-        p00={(0, 1): p00}, p0a={(0, 1): p0a},
-        p0b={(0, 1): p0b}, p11={(0, 1): p11s},
-        z0=[z0_1, z0_2], z1=[z1_1, z1_2],
-        score00=float(tw[0] @ z0_1), sq=sq,
-    )
-
-
-def _ll_marginals_streamed(ctx, eta00, comps0, comps1):
-    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    d = grid.ndim
-    n = ctx.dataset.n
-    dims = range(d)
-    pairs = [(j, l) for j in dims for l in dims if j < l]
-    w_acc = MarginalAccumulator(grid, curve_dims=dims, pair_dims=pairs)
-    wt_acc = [
-        MarginalAccumulator(
-            grid, curve_dims=[j],
-            pair_dims=[p for p in pairs if j in p],
-        )
-        for j in dims
-    ]
-    wtt_acc = [MarginalAccumulator(grid, curve_dims=[j]) for j in dims]
-    wpp_acc = {p: MarginalAccumulator(grid, pair_dims=[p]) for p in pairs}
-    s_acc = MarginalAccumulator(grid, curve_dims=dims)
-    st_acc = [MarginalAccumulator(grid, curve_dims=[j]) for j in dims]
-    sq_acc = 0.0
-    for i in range(n):
-        lo = [ctx.windows[j][0][i] for j in dims]
-        hi = [ctx.windows[j][1][i] for j in dims]
-        kprod = window_tensor([ctx.rows[j][i, lo[j]:hi[j]] for j in dims])
-        tseg = []
-        u = eta00
-        for j in dims:
-            shape = [1] * d
-            shape[j] = hi[j] - lo[j]
-            tj = ctx.tvals[j][i, lo[j]:hi[j]].reshape(shape)
-            tseg.append(tj)
-            u = u + (comps0[j][lo[j]:hi[j]]
-                     + ctx.tvals[j][i, lo[j]:hi[j]] * comps1[j][lo[j]:hi[j]]
-                     ).reshape(shape)
-        wk = -fam.q2(u, y[i]) * kprod
-        sk = fam.q1(u, y[i]) * kprod
-        w_acc.add(lo, hi, wk)
-        s_acc.add(lo, hi, sk)
-        for j in dims:
-            wt_acc[j].add(lo, hi, tseg[j] * wk)
-            wtt_acc[j].add(lo, hi, tseg[j] * tseg[j] * wk)
-            st_acc[j].add(lo, hi, tseg[j] * sk)
-        for (a, b) in pairs:
-            wpp_acc[(a, b)].add(lo, hi, tseg[a] * tseg[b] * wk)
-        qfield = fam.qll(u, y[i]) * kprod
-        for ax in reversed(dims):
-            qfield = np.tensordot(qfield, grid.weights[ax][lo[ax]:hi[ax]],
-                                  axes=([ax], [0]))
-        sq_acc += float(qfield)
-    return LlMarginals(
-        mass=w_acc.total / n,
-        v00=[w_acc.curves[j] / n for j in dims],
-        v01=[wt_acc[j].curves[j] / n for j in dims],
-        v11=[wtt_acc[j].curves[j] / n for j in dims],
-        p00={p: v / n for p, v in w_acc.pairs.items()},
-        p0a={(a, b): wt_acc[a].pairs[(a, b)] / n for (a, b) in pairs},
-        p0b={(a, b): wt_acc[b].pairs[(a, b)] / n for (a, b) in pairs},
-        p11={p: wpp_acc[p].pairs[p] / n for p in pairs},
-        z0=[s_acc.curves[j] / n for j in dims],
-        z1=[st_acc[j].curves[j] / n for j in dims],
-        score00=s_acc.total / n,
-        sq=sq_acc / n,
-    )
+        idx, k, t, w = zip(*([a[s:s + block] for a in g] for g in ctx.gather))
+        yb = y[s:s + block].reshape(-1, *[1] * d)
+        u, kp = eta00, 1.0
+        for j in range(d):
+            axes = [len(yb)] + [1] * d
+            axes[j + 1] = -1
+            u = u + (comps0[j][idx[j]]
+                     + t[j] * comps1[j][idx[j]]).reshape(axes)
+            kp = kp * k[j].reshape(axes)
+        wc, ws = _window_marginals(-fam.q2(u, yb) * kp, w, pairs)
+        sc, _ = _window_marginals(fam.q1(u, yb) * kp, w, pairs[:d - 1])
+        sq += float(_integrate_out(fam.qll(u, yb) * kp, w, ()).sum())
+        for j in range(d):
+            for nm, vals in (("v00", wc[j]), ("v01", t[j] * wc[j]),
+                             ("v11", t[j] * t[j] * wc[j]), ("z0", sc[j]),
+                             ("z1", t[j] * sc[j])):
+                acc[nm, j] += np.bincount(idx[j].ravel(), vals.ravel(),
+                                          shape[j])
+        for j, l in pairs:
+            flat = (idx[j][:, :, None] * shape[l] + idx[l][:, None, :]).ravel()
+            tj, tl, surf = t[j][:, :, None], t[l][:, None, :], ws[j, l]
+            for nm, vals in (("p00", surf), ("p0a", tj * surf),
+                             ("p0b", tl * surf), ("p11", tj * tl * surf)):
+                acc[nm, (j, l)] += np.bincount(flat, vals.ravel(),
+                                               shape[j] * shape[l])
+    curves = {nm: [acc[nm, j] / n for j in range(d)]
+              for nm in ("v00", "v01", "v11", "z0", "z1")}
+    surfaces = {nm: {(j, l): acc[nm, (j, l)].reshape(shape[j], shape[l]) / n
+                     for j, l in pairs} for nm in ("p00", "p0a", "p0b", "p11")}
+    tw0 = grid.weights[0]
+    marg = LlMarginals(mass=float(tw0 @ curves["v00"][0]),
+                       score00=float(tw0 @ curves["z0"][0]), sq=sq / n,
+                       **curves, **surfaces)
+    _ll_check(marg, grid)
+    return marg
 
 
 def _solve2(marg: LlMarginals, j: int, r0, r1):

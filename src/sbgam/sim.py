@@ -364,7 +364,7 @@ class StudyResult:
 def _study_rep(model: SimModel, estimator: str, bandwidths,
                bandwidth_scale: float, grid_points: int, kernel: str,
                config: FitConfig | None, rep: int, truth_eta0: float,
-               truth_curves: list, bad_threshold: float):
+               truth_curves: list):
     """One replication: simulate, fit, compare to truth.
 
     Returns (rep, eta0_hat, curves, l2, error_message); curves is None
@@ -445,7 +445,7 @@ def run_study(
 
     args = [
         (model, estimator, bandwidths, bandwidth_scale, grid_points, kernel,
-         config, rep, truth.eta0_star, truth_curves, bad_threshold)
+         config, rep, truth.eta0_star, truth_curves)
         for rep in range(reps)
     ]
     if n_jobs == 1:

@@ -2,8 +2,10 @@
 
 Demos 01 and 02 exercise the public fit objects (intercepts, component
 curves, `predict`, `predict_mean`, `derivative_curve`) in about a second
-each.  Demo 03 writes into the working directory and demos 04 and 05 take
-seconds to minutes, so they are left to manual runs.
+each.  Demo 03 runs a small Monte Carlo study in a few seconds; it writes
+`study_demo.csv` into the working directory, which here is a temporary
+one.  Demos 04 and 05 take seconds to minutes, so they are left to manual
+runs.
 """
 
 import os
@@ -16,7 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("demo", ["01_fit_one_covariate.py",
-                                  "02_additive_decomposition.py"])
+                                  "02_additive_decomposition.py",
+                                  "03_monte_carlo_study.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

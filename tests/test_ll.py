@@ -1,13 +1,17 @@
 """Local linear fitter: predictor field, marginals, solver, oracles."""
 
+from functools import reduce
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from sbgam import ll_fit
 from sbgam.errors import DegenerateWeightError, NonConvergenceError
 from sbgam.family import get_family
-from sbgam.grid import Dataset, Grid
-from sbgam.ll_fit import (_ll_marginals_dense, _ll_marginals_streamed,
-                          fit_ll, ll_predictor_field, ll_prepare)
+from sbgam.grid import Dataset, Grid, integrate_tensor
+from sbgam.ll_fit import (fit_ll, ll_marginals, ll_predictor_field,
+                          ll_prepare)
 from sbgam.nw_fit import FitConfig, fit_nw, nw_prepare, _nw_marginals_dense
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
 
@@ -42,27 +46,87 @@ def test_predictor_field_evaluation():
     assert np.abs(field - expect).max() < 1e-12
 
 
-def test_dense_and_streamed_marginals_agree():
-    ds = _sim_dataset(1, 60, 2, "bernoulli")
-    grid = Grid.uniform(2, 13)
-    ctx = ll_prepare(ds, [0.25, 0.3], grid, "bernoulli")
-    c0 = [0.4 * np.sin(2 * np.pi * grid.points[0]),
-          0.2 * grid.points[1] - 0.1]
-    c1 = [0.1 * np.ones(13), -0.05 * np.ones(13)]
-    md = _ll_marginals_dense(ctx, -0.1, c0, c1)
-    ms = _ll_marginals_streamed(ctx, -0.1, c0, c1)
-    assert md.mass == pytest.approx(ms.mass, abs=1e-13)
-    assert md.score00 == pytest.approx(ms.score00, abs=1e-13)
-    assert md.sq == pytest.approx(ms.sq, abs=1e-12)
-    for j in range(2):
-        for nm in ("v00", "v01", "v11", "z0", "z1"):
-            a = np.asarray(getattr(md, nm)[j])
-            b = np.asarray(getattr(ms, nm)[j])
-            assert np.abs(a - b).max() < 1e-13, nm
-    for nm in ("p00", "p0a", "p0b", "p11"):
-        a = getattr(md, nm)[(0, 1)]
-        b = getattr(ms, nm)[(0, 1)]
-        assert np.abs(a - b).max() < 1e-13, nm
+def _reference_marginals(ctx, eta00, c0, c1):
+    """LlMarginals fields times n, summed over observations on the full
+    product grid."""
+    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
+    d, n = grid.ndim, ctx.dataset.n
+    pairs = list(combinations(range(d), 2))
+    ref = {nm: 0.0 for nm in ("mass", "score00", "sq")}
+    ref.update({nm: [0.0] * d for nm in ("v00", "v01", "v11", "z0", "z1")})
+    ref.update({nm: dict.fromkeys(pairs, 0.0)
+                for nm in ("p00", "p0a", "p0b", "p11")})
+    for i in range(n):
+        u = ll_predictor_field(ctx, eta00, c0, c1, i)
+        kp = reduce(np.multiply.outer, [ctx.rows[j][i] for j in range(d)])
+        t = []
+        for j in range(d):
+            shape = [1] * d
+            shape[j] = grid.shape[j]
+            t.append(ctx.tvals[j][i].reshape(shape))
+        wk = -fam.q2(u, y[i]) * kp
+        sk = fam.q1(u, y[i]) * kp
+        ref["mass"] += integrate_tensor(wk, grid)
+        ref["score00"] += integrate_tensor(sk, grid)
+        ref["sq"] += integrate_tensor(fam.qll(u, y[i]) * kp, grid)
+        for j in range(d):
+            for nm, field in (("v00", wk), ("v01", t[j] * wk),
+                              ("v11", t[j] * t[j] * wk), ("z0", sk),
+                              ("z1", t[j] * sk)):
+                ref[nm][j] += integrate_tensor(field, grid, (j,))
+        for j, l in pairs:
+            for nm, field in (("p00", wk), ("p0a", t[j] * wk),
+                              ("p0b", t[l] * wk), ("p11", t[j] * t[l] * wk)):
+                ref[nm][(j, l)] += integrate_tensor(field, grid, (j, l))
+    return ref
+
+
+def _assert_matches_reference(ctx, eta00, c0, c1):
+    marg = ll_marginals(ctx, eta00, c0, c1)
+    n = ctx.dataset.n
+    for nm, want in _reference_marginals(ctx, eta00, c0, c1).items():
+        got = getattr(marg, nm)
+        if isinstance(want, float):
+            assert got == pytest.approx(want / n, abs=1e-13), nm
+            continue
+        keys = range(len(want)) if isinstance(want, list) else want.keys()
+        for key in keys:
+            assert np.abs(got[key] - want[key] / n).max() < 1e-13, (nm, key)
+
+
+MARGINAL_CASES = {
+    "1-bernoulli": (1, "bernoulli", 13, [0.25]),
+    "2-bernoulli": (2, "bernoulli", 13, [0.25, 0.3]),
+    "2-poisson": (2, "poisson", 13, [0.35, 0.2]),
+    "3-bernoulli": (3, "bernoulli", 9, [0.3, 0.45, 0.35]),
+    "3-poisson": (3, "poisson", 9, [0.4, 0.3, 0.25]),
+}
+
+
+def _marginal_case(name):
+    d, family, g, h = MARGINAL_CASES[name]
+    ds = _sim_dataset(1, 61, d, family)
+    grid = Grid.uniform(d, g)
+    ctx = ll_prepare(ds, h, grid, family)
+    p = grid.points[0]
+    c0 = [0.4 * np.sin(2 * np.pi * p), 0.2 * p - 0.1, 0.3 * p ** 2][:d]
+    c1 = [0.1 * np.ones(g), -0.05 * np.ones(g), 0.1 * p][:d]
+    return ctx, c0, c1
+
+
+@pytest.mark.parametrize("case", sorted(MARGINAL_CASES))
+def test_marginals_match_full_grid_reference(case):
+    ctx, c0, c1 = _marginal_case(case)
+    _assert_matches_reference(ctx, -0.1, c0, c1)
+
+
+@pytest.mark.parametrize("case", ["1-bernoulli", "2-poisson", "3-poisson"])
+def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
+    # blocks of 7 observations: 61 = 8 * 7 + 5 leaves a ragged last block
+    ctx, c0, c1 = _marginal_case(case)
+    cells = int(np.prod([idx.shape[1] for idx, *_ in ctx.gather]))
+    monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 7 * cells + cells // 2)
+    _assert_matches_reference(ctx, -0.1, c0, c1)
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():
@@ -75,7 +139,7 @@ def test_zero_slope_smoothed_ql_equals_local_constant():
     comps = [0.2 * np.sin(2 * np.pi * grid.points[0]),
              0.3 * grid.points[1] - 0.15]
     zeros = [np.zeros(11), np.zeros(11)]
-    mll = _ll_marginals_dense(llctx, 0.1, comps, zeros)
+    mll = ll_marginals(llctx, 0.1, comps, zeros)
     mnw = _nw_marginals_dense(nwctx, 0.1, comps)
     assert mll.sq == pytest.approx(mnw.sq, abs=1e-12)
     assert mll.mass == pytest.approx(mnw.total, abs=1e-13)
@@ -182,8 +246,8 @@ def test_nonconvergence_raises_with_history():
 
 
 def test_streamed_path_used_for_three_dims():
-    # d >= 3 exercises the per-observation window accumulation; the fit
-    # must still satisfy its constraints and converge
+    # d = 3 fields are only ever formed on kernel windows; the fit must
+    # still satisfy its constraints and converge
     rng = np.random.default_rng(13)
     x = rng.uniform(-1, 1, size=(120, 3))
     y = (np.sin(np.pi * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * x[:, 2]

@@ -3,7 +3,10 @@
 Relabelling the data must not change a fit: permuting the observations
 leaves it unchanged, permuting the covariate columns permutes its
 components, and shifting a Gaussian response moves only the intercept.
-A fit that fails must fail the same way after the relabelling.
+Neither may restating it: duplicating every observation leaves the fit
+unchanged, and so does an increasing affine map of the covariates when
+they are rescaled by their observed range.  A fit that fails must fail
+the same way after the change.
 """
 
 import numpy as np
@@ -35,9 +38,14 @@ def _data(seed, n, d, family):
     return x, y
 
 
-def _fit(estimator, x, y, h, grid, family, config=None):
-    """(intercept, curves) of a fit, or the type of the error it raised."""
-    ds = Dataset.with_support(x, y, -1.0, 1.0)
+def _fit(estimator, x, y, h, grid, family, config=None, ds=None):
+    """(intercept, curves) of a fit, or the type of the error it raised.
+
+    The covariates are rescaled by the support [-1, 1] unless a dataset
+    is given.
+    """
+    if ds is None:
+        ds = Dataset.with_support(x, y, -1.0, 1.0)
     try:
         fit = FITTERS[estimator](ds, h, grid=grid, family=family,
                                  config=config)
@@ -82,6 +90,20 @@ def _shifted_response(estimator, x, y, h, grid, shift):
     assert _gap((a[0] + shift, a[1]), b) <= 1e-10
 
 
+def _duplicated_rows(estimator, x, y, h, grid, family):
+    # doubling n also changes how the LL marginals split into blocks
+    _check_same(_fit(estimator, x, y, h, grid, family),
+                _fit(estimator, np.tile(x, (2, 1)), np.tile(y, 2), h, grid,
+                     family), 1e-10)
+
+
+def _affine_covariates(estimator, x, y, h, grid, family, scale, offset):
+    a = _fit(estimator, x, y, h, grid, family, ds=Dataset.from_raw(x, y))
+    b = _fit(estimator, x, y, h, grid, family,
+             ds=Dataset.from_raw(scale * x + offset, y))
+    _check_same(a, b, 1e-10)
+
+
 small = dict(
     estimator=st.sampled_from(sorted(FITTERS)),
     seed=st.integers(0, 10_000),
@@ -120,7 +142,7 @@ def test_gaussian_shift_moves_only_intercept(estimator, seed, n, g, h, d,
 
 @pytest.mark.parametrize("estimator", sorted(FITTERS))
 def test_streamed_d3_metamorphic(estimator):
-    # d = 3 takes the streamed marginal path of both smoothers
+    # d = 3 takes the streamed marginal path of the NW smoother
     x, y = _data(3, 60, 3, "poisson")
     h = np.array([0.3, 0.35, 0.4])
     grid = Grid.uniform(3, 11)
@@ -128,3 +150,31 @@ def test_streamed_d3_metamorphic(estimator):
     _permuted_columns(estimator, x, y, h, grid, "poisson", 3)
     xg, yg = _data(4, 60, 3, "gaussian")
     _shifted_response(estimator, xg, yg, h, grid, 2.5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(FAMILIES), d=st.integers(1, 2), **small)
+def test_duplicating_observations_leaves_fit_unchanged(estimator, seed, n, g,
+                                                       h, family, d):
+    x, y = _data(seed, n, d, family)
+    _duplicated_rows(estimator, x, y, np.full(d, h), Grid.uniform(d, g),
+                     family)
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(FAMILIES), d=st.integers(1, 2),
+       scale=st.floats(0.1, 10.0), offset=st.floats(-10.0, 10.0), **small)
+def test_affine_covariate_map_leaves_fit_unchanged(estimator, seed, n, g, h,
+                                                   family, d, scale, offset):
+    x, y = _data(seed, n, d, family)
+    _affine_covariates(estimator, x, y, np.full(d, h), Grid.uniform(d, g),
+                       family, scale, offset)
+
+
+@pytest.mark.parametrize("estimator", sorted(FITTERS))
+def test_d3_duplicated_and_affine_metamorphic(estimator):
+    x, y = _data(5, 60, 3, "poisson")
+    h = np.array([0.3, 0.35, 0.4])
+    grid = Grid.uniform(3, 11)
+    _duplicated_rows(estimator, x, y, h, grid, "poisson")
+    _affine_covariates(estimator, x, y, h, grid, "poisson", 2.5, -1.5)
