@@ -227,10 +227,10 @@ def _cmd_fit(opts) -> int:
         fit = fitter(ds, h, grid=grid, family=opts["family"],
                      kernel=opts["kernel"], config=config)
     except NonConvergenceError as exc:
-        # record the outer iteration history before reraising
+        # record the history of the loop that stopped before reraising
         _write_json(os.path.join(out_dir, "fit.json"), {
             "converged": False,
-            "outer_changes": [float(v) for v in exc.history],
+            f"{exc.loop}_changes": [float(v) for v in exc.history],
             "estimator": opts["estimator"],
             "family": opts["family"],
             "kernel": opts["kernel"],

@@ -41,12 +41,16 @@ class NonConvergenceError(FitError):
     """Iteration limit reached before the convergence test was met.
 
     Carries the recorded change norms so callers can inspect how the
-    iteration was behaving when it was cut off.
+    iteration was behaving when it was cut off, and which loop stopped:
+    ``loop`` is "outer" for the Newton steps and "inner" for the
+    backfitting sweeps of one step.
     """
 
-    def __init__(self, message: str, history: list | None = None):
+    def __init__(self, message: str, history: list | None = None,
+                 loop: str = "outer"):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+        self.loop = loop
 
 
 class DegenerateWeightError(FitError):

@@ -22,9 +22,18 @@ using only the weight's one- and two-dimensional marginals.  Because q1
 and q2 are affine in y (see `family`), score and weight are combinations
 of two data smooths: the kernel density smooth and the kernel smooth of
 the response.  For d <= 2 both are precomputed once per fit, making each
-Newton step a handful of dense G x G operations.  For d >= 3 the marginals
-are accumulated by streaming over observations on their kernel support
-windows; no d-dimensional tensor is ever materialized.
+Newton step a handful of dense G x G operations.
+
+For d >= 3 no d-dimensional tensor is ever materialized.  With the
+Gaussian identity link q2 = -1, so the weight field is the density smooth
+itself and the score is affine in the components: every marginal is then
+an exact linear function of the one- and two-dimensional smooths
+P_j = n^{-1} sum_i K_j(x_j, X_ij), P_jl = n^{-1} sum_i K_j K_l and
+R_j = n^{-1} sum_i Y_i K_j, precomputed once per fit.  This is the smooth
+backfitting system of Mammen, Linton and Nielsen (1999); it is exact on
+the grid because every kernel row integrates to one under the trapezoid
+rule.  For other families the marginals are accumulated by streaming over
+observations on their kernel support windows.
 
 After every Newton step the components are recentered against the weight
 marginals of the updated iterate, and the intercept absorbs the shifts,
@@ -53,7 +62,7 @@ from .errors import (
     InputError,
     NonConvergenceError,
 )
-from .family import Family, get_family
+from .family import Family, GaussianIdentity, get_family
 from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
 
 __all__ = [
@@ -157,10 +166,21 @@ class FitContext:
 
 @dataclass
 class NwContext(FitContext):
-    """Shared precomputations plus the data smooths of the d <= 2 path."""
+    """Shared precomputations plus the data smooths of the closed forms.
+
+    phat and rhat are the full density and response smooths (d <= 2).
+    For the Gaussian identity link at d >= 3, p_curves, p_pairs and
+    r_curves hold the one- and two-dimensional density smooths and the
+    response smooths, y_mean and y2_mean the first two response moments.
+    """
 
     phat: np.ndarray | None = None
     rhat: np.ndarray | None = None
+    p_curves: list | None = None
+    p_pairs: dict | None = None
+    r_curves: list | None = None
+    y_mean: float = 0.0
+    y2_mean: float = 0.0
 
 
 @dataclass
@@ -210,6 +230,17 @@ def nw_prepare(
     elif d == 2:
         ctx.phat = rows[0].T @ rows[1] / n
         ctx.rhat = (rows[0] * dataset.y[:, None]).T @ rows[1] / n
+    elif isinstance(ctx.family, GaussianIdentity):
+        y = dataset.y
+        ctx.p_curves = [r.sum(axis=0) / n for r in rows]
+        ctx.p_pairs = {(j, l): rows[j].T @ rows[l] / n
+                       for j in range(d) for l in range(j + 1, d)}
+        ctx.r_curves = [y @ r / n for r in rows]
+        ctx.y_mean = float(np.mean(y))
+        ctx.y2_mean = float(np.mean(y * y))
+        # the weights do not depend on the iterate: check them once
+        _check_weight(float(ctx.grid.weights[0] @ ctx.p_curves[0]),
+                      ctx.p_curves, ctx.grid)
     return ctx
 
 
@@ -234,12 +265,13 @@ def nw_marginals(ctx: NwContext, eta0: float, components) -> NwMarginals:
     with j < l, together with the score total and curves and the smoothed
     quasi-likelihood value.
     """
-    grid = ctx.grid
-    if grid.ndim <= 2:
+    if ctx.p_curves is not None:
+        return _nw_marginals_identity(ctx, eta0, components)
+    if ctx.grid.ndim <= 2:
         marg = _nw_marginals_dense(ctx, eta0, components)
     else:
         marg = _nw_marginals_streamed(ctx, eta0, components)
-    _check_weight(marg.total, marg.weight_curves, grid)
+    _check_weight(marg.total, marg.weight_curves, ctx.grid)
     return marg
 
 
@@ -280,6 +312,41 @@ def _nw_marginals_dense(ctx, eta0, components):
         score_total=float(tw[0] @ s1),
         score_curves=[s1, s2],
         sq=sq,
+    )
+
+
+def _nw_marginals_identity(ctx, eta0, components):
+    """Closed-form marginals for the Gaussian identity link.
+
+    With g_l = w_l eta_l the score curves are
+    R_j - (eta0 + eta_j) P_j - sum_{l != j} P_jl g_l, and SQ is -1/2 times
+    the expanded integral of n^{-1} sum_i (Y_i - eta)^2 K_i.
+    """
+    d = ctx.grid.ndim
+    P, Ppair, R = ctx.p_curves, ctx.p_pairs, ctx.r_curves
+    g = [w * c for w, c in zip(ctx.grid.weights, components)]
+    scurves = []
+    for j in range(d):
+        s = R[j] - (eta0 + components[j]) * P[j]
+        for l in range(d):
+            if l < j:
+                s -= g[l] @ Ppair[(l, j)]
+            elif l > j:
+                s -= Ppair[(j, l)] @ g[l]
+        scurves.append(s)
+    gP = sum(float(g[l] @ P[l]) for l in range(d))
+    gR = sum(float(g[l] @ R[l]) for l in range(d))
+    geP = sum(float((g[l] * components[l]) @ P[l]) for l in range(d))
+    cross = sum(float(g[j] @ Ppair[(j, l)] @ g[l]) for j, l in Ppair)
+    square = (ctx.y2_mean - 2.0 * (ctx.y_mean * eta0 + gR) + eta0 * eta0
+              + 2.0 * eta0 * gP + geP + 2.0 * cross)
+    return NwMarginals(
+        total=float(ctx.grid.weights[0] @ P[0]),
+        weight_curves=P,
+        weight_pairs=Ppair,
+        score_total=ctx.y_mean - eta0 - gP,
+        score_curves=scurves,
+        sq=-0.5 * square,
     )
 
 
@@ -350,7 +417,7 @@ def _gauss_seidel(marg, grid: Grid, config: FitConfig, start, update):
         raise NonConvergenceError(
             f"backfitting sweeps did not converge in {config.max_inner} "
             f"iterations (last change {changes[-1]:.3e})",
-            history=changes,
+            history=changes, loop="inner",
         )
     contraction = 0.0
     if len(changes) >= 2 and changes[-2] > 0.0:
@@ -538,7 +605,7 @@ def _newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
         raise NonConvergenceError(
             f"no convergence in {config.max_outer} Newton steps "
             f"(last relative change {diag.outer_changes[-1]:.3e})",
-            history=diag.outer_changes,
+            history=diag.outer_changes, loop="outer",
         )
     diag.weight_total = marg.total
     diag.residual_norm = marg.residual_norm(grid)

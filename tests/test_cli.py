@@ -147,6 +147,21 @@ def test_fit_nonconvergence_exits_3(tmp_path):
     assert len(info["outer_changes"]) == 1
 
 
+def test_fit_inner_nonconvergence_records_inner_changes(tmp_path):
+    data = _simulate(tmp_path, model="1,1", n=200, seed=3)
+    out = tmp_path / "innerstop"
+    code = _run(["fit", "--data", data, "--response", "y",
+                 "--max-inner", 1, "--out-dir", out])
+    assert code == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 3
+    # the sweeps of the first Newton step stopped: no step completed
+    info = json.loads((out / "fit.json").read_text())
+    assert info["converged"] is False
+    assert "outer_changes" not in info
+    assert len(info["inner_changes"]) == 1
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     data = _simulate(tmp_path, model="1,1", n=150, seed=7)
     cfg = tmp_path / "cfg.json"

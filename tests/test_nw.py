@@ -8,8 +8,8 @@ from sbgam.errors import (DegenerateWeightError, InitializerError,
 from sbgam.family import get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.nw_fit import (FitConfig, NwMarginals, _nw_marginals_dense,
-                          _nw_marginals_streamed, fit_nw, nw_inner_solve,
-                          nw_prepare)
+                          _nw_marginals_identity, _nw_marginals_streamed,
+                          fit_nw, nw_inner_solve, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -45,6 +45,65 @@ def test_dense_and_streamed_marginals_agree():
         assert np.abs(md.score_curves[j] - ms.score_curves[j]).max() < 1e-13
     assert np.abs(md.weight_pairs[(0, 1)] - ms.weight_pairs[(0, 1)]
                   ).max() < 1e-13
+
+
+def _random_grid(rng, d):
+    """Product grid with random interior points, 8 to 13 per axis."""
+    pts = []
+    for _ in range(d):
+        inner = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(6, 12))))
+        pts.append(np.concatenate([[0.0], inner, [1.0]]))
+    return Grid(tuple(pts))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kernel", ["epanechnikov", "quartic", "triangular"])
+def test_identity_closed_form_matches_streamed(d, kernel):
+    # the streamed path stays the reference: it serves every other link
+    rng = np.random.default_rng(100 * d + len(kernel))
+    x = rng.uniform(-1, 1, size=(50, d))
+    y = 1.0 + 2.0 * rng.normal(size=50)
+    ds = Dataset.with_support(x, y, -1.0, 1.0)
+    grid = _random_grid(rng, d)
+    h = rng.uniform(0.3, 0.5, size=d)
+    ctx = nw_prepare(ds, h, grid, "gaussian", kernel)
+    comps = [rng.normal(size=g) for g in grid.shape]
+    eta0 = float(rng.normal())
+    mc = _nw_marginals_identity(ctx, eta0, comps)
+    ms = _nw_marginals_streamed(ctx, eta0, comps)
+    assert abs(mc.total - ms.total) < 1e-13
+    assert abs(mc.score_total - ms.score_total) < 1e-13
+    assert abs(mc.sq - ms.sq) < 1e-13
+    for j in range(d):
+        assert np.abs(mc.weight_curves[j] - ms.weight_curves[j]).max() < 1e-13
+        assert np.abs(mc.score_curves[j] - ms.score_curves[j]).max() < 1e-13
+    assert mc.weight_pairs.keys() == ms.weight_pairs.keys()
+    for key in ms.weight_pairs:
+        assert np.abs(mc.weight_pairs[key] - ms.weight_pairs[key]
+                      ).max() < 1e-13
+
+
+def test_only_gaussian_at_three_dims_takes_the_closed_form():
+    grid = Grid.uniform(3, 9)
+    for fam, closed in (("gaussian", True), ("poisson", False),
+                        ("bernoulli", False)):
+        ds = _sim_dataset(15, 60, 3, fam)
+        ctx = nw_prepare(ds, 0.4, grid, fam)
+        assert (ctx.p_curves is not None) is closed
+    ctx = nw_prepare(_sim_dataset(15, 60, 2), 0.4, Grid.uniform(2, 9))
+    assert ctx.p_curves is None and ctx.phat is not None
+
+
+def test_gaussian_fit_d3_matches_dense_oracle():
+    ds = _sim_dataset(16, 200, 3)
+    grid = Grid.uniform(3, 11)
+    fit = fit_nw(ds, 0.3, grid=grid)
+    c0, curves = dense_backfit_nw(ds, 0.3, grid=grid)
+    gap = max(abs(fit.eta0 - c0),
+              max(np.abs(fit.components[j] - curves[j]).max()
+                  for j in range(3)))
+    assert gap < 1e-8, gap
+    assert fit.diagnostics.outer_changes[1] < 1e-9
 
 
 def test_gaussian_weight_total_is_one():
@@ -210,6 +269,17 @@ def test_nonconvergence_raises_with_history():
     with pytest.raises(NonConvergenceError) as info:
         fit_nw(ds, 0.3, family="bernoulli", config=FitConfig(max_outer=1))
     assert len(info.value.history) == 1
+
+
+def test_nonconvergence_names_the_loop_that_stopped():
+    ds = _sim_dataset(13, 150, 2, "bernoulli")
+    with pytest.raises(NonConvergenceError) as outer:
+        fit_nw(ds, 0.3, family="bernoulli", config=FitConfig(max_outer=1))
+    assert outer.value.loop == "outer"
+    with pytest.raises(NonConvergenceError) as inner:
+        fit_nw(ds, 0.3, family="bernoulli", config=FitConfig(max_inner=1))
+    assert inner.value.loop == "inner"
+    assert len(inner.value.history) == 1
 
 
 def test_initializer_error_for_degenerate_mean():
