@@ -31,7 +31,7 @@ from .grid import Dataset, Grid, default_bandwidths
 from .ll_fit import fit_ll
 from .nw_fit import FitConfig, fit_nw
 from .sim import SimModel, gen_covariates, gen_response, run_study, \
-    write_study_csv
+    write_study_csv, write_study_json
 
 __all__ = ["main", "build_parser"]
 
@@ -316,15 +316,7 @@ def _cmd_study(opts) -> int:
     )
     out_dir = opts["out_dir"]
     write_study_csv([result], os.path.join(out_dir, "study.csv"))
-    # strip wall time so identical configurations give identical bytes
-    payload = result.to_dict()
-    del payload["elapsed_seconds"]
-    payload["mean_curves"] = [[float(v) for v in c]
-                              for c in result.mean_curves]
-    payload["truth_curves"] = [[float(v) for v in c]
-                               for c in result.truth_curves]
-    payload["axes"] = [[float(v) for v in a] for a in result.axes]
-    _write_json(os.path.join(out_dir, "study.json"), payload)
+    write_study_json(result, os.path.join(out_dir, "study.json"))
     return 0
 
 

@@ -25,6 +25,10 @@ the four coefficient functions.  The same structure holds for Q itself up
 to an additive term that depends on y alone, exposed by `qll_pieces` and
 `qll_offset`.
 
+The local linear engine needs the weight, the score and Q on the same
+cells; `fields` returns all three from one clamp and one evaluation of
+the mean.
+
 Links are clamped before any evaluation: the logit predictor to [-30, 30]
 and the log predictor to at most 30.  That keeps weights strictly positive
 and bounded without changing anything in the numerically relevant range.
@@ -114,6 +118,19 @@ class Family:
         m = self.mean(u)
         return 1.0 / (self.variance(m) * self.link_deriv(m))
 
+    def fields(self, u: np.ndarray, y):
+        """Weight, score and quasi-likelihood (-q2, q1, Q) at (u, y).
+
+        Each is a new float array of the broadcast shape of u and y, so
+        callers may scale it in place.  This generic version calls q2, q1
+        and qll; the built-in families clamp once and evaluate the mean
+        once.
+        """
+        shape = np.broadcast(u, y).shape
+        return tuple(np.broadcast_to(f, shape).astype(float)
+                     for f in (-self.q2(u, y), self.q1(u, y),
+                               self.qll(u, y)))
+
     # ---- affine-in-y decompositions ------------------------------------
 
     def score_weight_pieces(self, u: np.ndarray):
@@ -191,6 +208,10 @@ class GaussianIdentity(Family):
     def psi(self, u):
         return np.ones_like(np.asarray(u, dtype=float))
 
+    def fields(self, u, y):
+        r = y - np.asarray(u, dtype=float)
+        return np.ones(r.shape), r, -0.5 * r * r
+
     def score_weight_pieces(self, u):
         u = np.asarray(u, dtype=float)
         one = np.ones_like(u)
@@ -251,6 +272,19 @@ class BernoulliLogit(Family):
     def psi(self, u):
         return self.mean_d1(u)
 
+    def fields(self, u, y):
+        u = self.clamp(u)
+        m = expit(u)
+        m1 = 1.0 - m
+        # log(1 + e^u) = max(u, 0) - log(m or 1 - m, whichever is >= 1/2);
+        # exact to rounding up to the clamp, unlike log1p(-m) for u >> 0
+        q = np.log(np.where(u > 0.0, m, m1))
+        q -= np.maximum(u, 0.0)
+        q += y * u
+        # weight and score overwrite m1 and m: fewer block-sized arrays
+        m1 *= m
+        return m1, np.subtract(y, m, out=m), q
+
     def score_weight_pieces(self, u):
         m = self.mean(u)
         one = np.ones_like(m)
@@ -310,6 +344,13 @@ class PoissonLog(Family):
 
     def psi(self, u):
         return self.mean(u)
+
+    def fields(self, u, y):
+        u = self.clamp(u)
+        m = np.exp(u)
+        q = y * u
+        q -= m
+        return m, y - m, q
 
     def score_weight_pieces(self, u):
         m = self.mean(u)

@@ -30,10 +30,13 @@ unchanged.
 Every moment is a sum over observations of a field supported on the
 product of that observation's one-dimensional kernel windows, and the
 regressors t_j enter only as per-observation, per-axis factors.  One
-engine serves every d: blocks of observations are evaluated on their
-windows, each field is integrated down to window curves and pair
-surfaces, the t_j are multiplied in there, and the results are
-scattered onto the grid.  Nothing of full product-grid size is formed.
+engine serves every d.  `ll_prepare` orders the observations by their
+window widths and splits them into blocks once per fit, each padded only
+to its own widest windows.  Per iterate, one family call per block gives
+the weight, score and quasi-likelihood fields on the block's windows;
+each field is integrated down to window curves and pair surfaces, the
+t_j are multiplied in there, and the results are scattered onto the
+grid.  Nothing of full product-grid size is formed.
 
 The Newton loop, the Gauss-Seidel scaffold, the damped step with
 recentering, input preparation and the fitted-model base live in
@@ -74,22 +77,28 @@ __all__ = [
     "ll_predictor_field",
 ]
 
-# cap, in scalar cells, for one block of observation-by-window workspaces;
-# about six such arrays are alive at once, so a block peaks near 5 MB
-BLOCK_CELLS = 100_000
+# cap, in scalar cells, on one block of observations times their padded
+# windows; ll_prepare splits the data by it.  About seven such arrays are
+# alive at once in ll_marginals (the predictor, the kernel product and the
+# family's fields), so a block peaks near 3 MB; 100k cells raised the peak
+# resident set by 5 MB and ran no faster
+BLOCK_CELLS = 50_000
 
 
 @dataclass
 class LlContext(FitContext):
     """Shared precomputations plus regressor offsets and kernel windows.
 
-    tvals[j] holds t_j on the grid, (n, G_j); gather[j] the grid indices,
-    kernel values, t_j and trapezoid weights on each observation's window,
-    each (n, W_j) for the widest window W_j, padded with zero kernel cells.
+    tvals[j] holds t_j on the grid, (n, G_j).  blocks holds one
+    (obs, gathered) pair per block of observations: obs their indices,
+    (B,), and gathered[j] the grid indices, kernel values, t_j and
+    trapezoid weights on each observation's window of dimension j, each
+    (B, W_j) for the block's widest window W_j, padded with zero kernel
+    cells.
     """
 
     tvals: list | None = None
-    gather: list | None = None
+    blocks: list | None = None
 
 
 @dataclass
@@ -147,14 +156,37 @@ def ll_prepare(
         (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
         for j in range(dataset.ndim)
     ]
-    ctx.gather = []
-    for j, (lo, hi) in enumerate(ctx.windows):
-        width = int((hi - lo).max())
-        idx = np.minimum(lo, grid.shape[j] - width)[:, None] + np.arange(width)
-        ctx.gather.append((idx, np.take_along_axis(ctx.rows[j], idx, 1),
-                           np.take_along_axis(ctx.tvals[j], idx, 1),
-                           grid.weights[j][idx]))
+    ctx.blocks = []
+    for obs, widths in _block_split(
+            np.stack([hi - lo for lo, hi in ctx.windows], axis=1)):
+        gathered = []
+        for j, width in enumerate(widths):
+            lo = np.minimum(ctx.windows[j][0][obs], grid.shape[j] - width)
+            idx = lo[:, None] + np.arange(width)
+            gathered.append((idx,
+                             np.take_along_axis(ctx.rows[j][obs], idx, 1),
+                             np.take_along_axis(ctx.tvals[j][obs], idx, 1),
+                             grid.weights[j][idx]))
+        ctx.blocks.append((obs, gathered))
     return ctx
+
+
+def _block_split(widths):
+    """Blocks of observations, each with its widest window per dimension.
+
+    widths is (n, d), each observation's window width per dimension.
+    Observations are ordered by their widths, lexicographically, and
+    taken greedily while a block's padded cells stay within BLOCK_CELLS.
+    """
+    order = np.lexsort(widths.T[::-1])
+    blocks, start = [], 0
+    while start < len(order):
+        top = np.maximum.accumulate(widths[order[start:]], axis=0)
+        cells = np.arange(1, len(top) + 1) * top.prod(axis=1)
+        size = max(1, int(np.searchsorted(cells, BLOCK_CELLS, "right")))
+        blocks.append((order[start:start + size], top[size - 1].tolist()))
+        start += size
+    return blocks
 
 
 def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
@@ -216,31 +248,33 @@ def _window_marginals(field, wts, pairs):
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> LlMarginals:
     """Weight moments and score marginals at the given iterate.
 
-    Blocks of B observations are evaluated on their kernel windows,
-    (B, W_1, ..., W_d), with one call each of q2, q1 and qll; see the
-    module docstring.
+    Each block of B observations is evaluated on its kernel windows,
+    (B, W_1, ..., W_d), with one call of the family's `fields`, whose
+    weight, score and quasi-likelihood fields are scaled in place by the
+    kernel product; see the module docstring.
     """
     grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
     n, d, shape = ctx.dataset.n, grid.ndim, grid.shape
     # combinations lists the pairs (0, 1), ..., (0, d - 1) first
     pairs = list(combinations(range(d), 2))
-    block = max(1, BLOCK_CELLS // int(np.prod([g[0].shape[1]
-                                               for g in ctx.gather])))
     acc = defaultdict(float)
     sq = 0.0
-    for s in range(0, n, block):
-        idx, k, t, w = zip(*([a[s:s + block] for a in g] for g in ctx.gather))
-        yb = y[s:s + block].reshape(-1, *[1] * d)
+    for obs, gathered in ctx.blocks:
+        idx, k, t, w = zip(*gathered)
         u, kp = eta00, 1.0
         for j in range(d):
-            axes = [len(yb)] + [1] * d
+            axes = [len(obs)] + [1] * d
             axes[j + 1] = -1
             u = u + (comps0[j][idx[j]]
                      + t[j] * comps1[j][idx[j]]).reshape(axes)
             kp = kp * k[j].reshape(axes)
-        wc, ws = _window_marginals(-fam.q2(u, yb) * kp, w, pairs)
-        sc, _ = _window_marginals(fam.q1(u, yb) * kp, w, pairs[:d - 1])
-        sq += float(_integrate_out(fam.qll(u, yb) * kp, w, ()).sum())
+        fields = fam.fields(u, y[obs].reshape(-1, *[1] * d))
+        for f in fields:
+            f *= kp
+        wfield, sfield, qfield = fields
+        wc, ws = _window_marginals(wfield, w, pairs)
+        sc, _ = _window_marginals(sfield, w, pairs[:d - 1])
+        sq += float(_integrate_out(qfield, w, ()).sum())
         for j in range(d):
             for nm, vals in (("v00", wc[j]), ("v01", t[j] * wc[j]),
                              ("v11", t[j] * t[j] * wc[j]), ("z0", sc[j]),

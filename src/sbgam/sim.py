@@ -337,6 +337,11 @@ class StudyResult:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
+        """The deterministic `study.json` payload.
+
+        Wall time is left out, so identical configurations give identical
+        bytes.
+        """
         return {
             "model": self.model_label,
             "estimator": self.estimator,
@@ -357,7 +362,10 @@ class StudyResult:
             "reps_used": self.reps_used,
             "eta0_mean": float(self.eta0_mean),
             "eta0_star": float(self.eta0_star),
-            "elapsed_seconds": round(float(self.elapsed_seconds), 3),
+            "mean_curves": [[float(v) for v in c] for c in self.mean_curves],
+            "truth_curves": [[float(v) for v in c]
+                             for c in self.truth_curves],
+            "axes": [[float(v) for v in a] for a in self.axes],
         }
 
 
@@ -546,10 +554,10 @@ def write_study_csv(results, path) -> None:
                 wr.writerow(row)
 
 
-def write_study_json(results, path) -> None:
+def write_study_json(result, path) -> None:
+    """Write one study cell's `StudyResult.to_dict` as `study.json`."""
     import json
 
-    payload = [r.to_dict() for r in results]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

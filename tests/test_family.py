@@ -4,11 +4,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from sbgam import family
 from sbgam.errors import InputError
 
 FAMILIES = ("gaussian", "bernoulli", "poisson")
+
+
+def _quasi_gamma():
+    """Log link with variance m^2: a non-canonical pair whose weight
+    -q2 = y exp(-u) depends on the response."""
+    return family.QuasiFamily(
+        name="quasi-gamma", link=np.log, mean=np.exp,
+        link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,
+        q2=lambda u, y: -y * np.exp(-u),
+        qll=lambda u, y: -y * np.exp(-u) - u,
+        clamp_lo=-30.0, clamp_hi=30.0)
+
+
+# responses at the boundaries of each family's range and inside it
+FIELD_CASES = {
+    "gaussian": (family.get_family("gaussian"), (-2.0, 0.0, 1.7)),
+    "bernoulli": (family.get_family("bernoulli"), (0.0, 0.3, 1.0)),
+    "poisson": (family.get_family("poisson"), (0.0, 1.0, 4.0)),
+    "quasi-gamma": (_quasi_gamma(), (0.5, 1.0, 3.0)),
+}
 
 
 def test_probe_values():
@@ -145,3 +166,41 @@ def test_q2_negative_property(name, u, y):
         y = min(y / 4.0, 1.0)
     val = fam.q2(np.array([u]), np.array([y]))[0]
     assert val < 0
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_fields_equal_separate_calls(name):
+    # u covers both clamp edges and 0; y is a column, as the LL engine
+    # passes it, so every field must come back with the broadcast shape
+    fam, ys = FIELD_CASES[name]
+    u = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0]])
+    u = np.tile(u, (len(ys), 1))
+    y = np.array(ys)[:, None]
+    weight, score, q = fam.fields(u, y)
+    for got, want in ((weight, -fam.q2(u, y)), (score, fam.q1(u, y)),
+                      (q, fam.qll(u, y))):
+        assert got.shape == u.shape and got.dtype == float
+        assert not np.shares_memory(got, u)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    if name != "bernoulli":
+        # one mean evaluation, same arithmetic: bit-identical
+        assert np.array_equal(q, fam.qll(u, y))
+    assert np.array_equal(weight, -fam.q2(u, y))
+    assert np.array_equal(score, fam.q1(u, y))
+
+
+def test_bernoulli_fields_quasi_likelihood_is_exact():
+    b = family.get_family("bernoulli")
+    u = np.linspace(-30.0, 30.0, 6001)
+    for y in (0.0, 0.3, 1.0):
+        exact = y * u - np.logaddexp(0.0, u)
+        assert np.abs(b.fields(u, y)[2] - exact).max() < 1e-14
+
+
+def test_softplus_through_log1p_of_expit_misses_the_bound():
+    # why fields branches on the sign of u: 1 - expit(u) has lost almost
+    # all its digits by u = 30
+    u = np.linspace(-30.0, 30.0, 6001)
+    exact = u - np.logaddexp(0.0, u)
+    naive = u + np.log1p(-expit(u))
+    assert np.abs(naive - exact).max() > 1e-4

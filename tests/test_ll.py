@@ -2,14 +2,17 @@
 
 from functools import reduce
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sbgam import ll_fit
 from sbgam.errors import DegenerateWeightError, NonConvergenceError
-from sbgam.family import get_family
+from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
+from sbgam.kernels import KERNEL_NAMES
 from sbgam.ll_fit import (fit_ll, ll_marginals, ll_predictor_field,
                           ll_prepare)
 from sbgam.nw_fit import FitConfig, fit_nw, nw_prepare, _nw_marginals_dense
@@ -120,13 +123,77 @@ def test_marginals_match_full_grid_reference(case):
     _assert_matches_reference(ctx, -0.1, c0, c1)
 
 
+def _assert_blocks_partition(ctx):
+    obs = np.concatenate([b for b, _ in ctx.blocks])
+    assert np.array_equal(np.sort(obs), np.arange(ctx.dataset.n))
+
+
 @pytest.mark.parametrize("case", ["1-bernoulli", "2-poisson", "3-poisson"])
 def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
-    # blocks of 7 observations: 61 = 8 * 7 + 5 leaves a ragged last block
-    ctx, c0, c1 = _marginal_case(case)
-    cells = int(np.prod([idx.shape[1] for idx, *_ in ctx.gather]))
+    # no block pads beyond the data's widest windows, so every block but
+    # the ragged last one holds at least 7 of the 61 observations
+    ctx, *_ = _marginal_case(case)
+    cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 7 * cells + cells // 2)
+    ctx, c0, c1 = _marginal_case(case)
+    sizes = [len(b) for b, _ in ctx.blocks]
+    assert len(sizes) > 1 and min(sizes[:-1]) >= 7
+    _assert_blocks_partition(ctx)
     _assert_matches_reference(ctx, -0.1, c0, c1)
+
+
+def _quasi_gamma():
+    """Log link with variance m^2; the weight -q2 = y exp(-u) depends on
+    the response, and the family takes the generic `fields`."""
+    return QuasiFamily(
+        name="quasi-gamma", link=np.log, mean=np.exp,
+        link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,
+        q2=lambda u, y: -y * np.exp(-u),
+        qll=lambda u, y: -y * np.exp(-u) - u,
+        clamp_lo=-30.0, clamp_hi=30.0)
+
+
+def _random_grid(rng, d):
+    """Product grid with random interior points, 9 to 14 per axis."""
+    pts = []
+    for _ in range(d):
+        inner = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(7, 13))))
+        pts.append(np.concatenate([[0.0], inner, [1.0]]))
+    return Grid(tuple(pts))
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian",
+                                    "quasi-gamma"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_marginals_match_reference_on_random_grids(d, kernel, family,
+                                                   monkeypatch):
+    rng = np.random.default_rng([d, len(kernel), len(family)])
+    # a quarter of the points sit near the edges, where windows are cut,
+    # and the random grids make interior windows differ in width too
+    n = 40
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    eta = 0.5 * np.sin(np.pi * x[:, 0])
+    y = {"bernoulli": (rng.random(n) < expit(eta)).astype(float),
+         "poisson": rng.poisson(np.exp(eta)).astype(float),
+         "gaussian": eta + rng.normal(size=n),
+         "quasi-gamma": np.exp(eta) * rng.gamma(4.0, 0.25, n)}[family]
+    fam = _quasi_gamma() if family == "quasi-gamma" else family
+    ds = Dataset.with_support(x, y, -1.0, 1.0)
+    grid = _random_grid(rng, d)
+    h = rng.uniform(0.25, 0.45, size=d)
+    ctx = ll_prepare(ds, h, grid, fam, kernel)
+    cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
+    monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 6 * cells)
+    ctx = ll_prepare(ds, h, grid, fam, kernel)
+    widths = {tuple(g[0].shape[1] for g in gathered)
+              for _, gathered in ctx.blocks}
+    assert len(widths) > 1
+    _assert_blocks_partition(ctx)
+    c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
+    c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
+    _assert_matches_reference(ctx, 0.2, c0, c1)
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():

@@ -249,7 +249,7 @@ def test_write_study_outputs(tmp_path):
     csv_path = tmp_path / "study.csv"
     json_path = tmp_path / "study.json"
     write_study_csv([r1, r2], csv_path)
-    write_study_json([r1, r2], json_path)
+    write_study_json(r2, json_path)
 
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -259,7 +259,8 @@ def test_write_study_outputs(tmp_path):
     assert float(rows[3][2]) == pytest.approx(r2.mise_avg, abs=1e-6)
 
     payload = json.loads(json_path.read_text())
-    assert len(payload) == 2
-    assert payload[0]["estimator"] == "nw"
-    assert payload[0]["mise"] == [float(v) for v in r1.mise]
-    assert payload[1]["bandwidths"] == [0.35, 0.35]
+    assert payload["estimator"] == "ll"
+    assert payload["mise"] == [float(v) for v in r2.mise]
+    assert payload["bandwidths"] == [0.35, 0.35]
+    assert "elapsed_seconds" not in payload
+    assert len(payload["mean_curves"]) == len(payload["axes"]) == 2
