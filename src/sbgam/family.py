@@ -14,20 +14,19 @@ linear predictor u = g(m):
 For the built-in canonical pairs (identity/Gaussian, logit/Bernoulli,
 log/Poisson) these reduce to y - g^{-1}(u) and -(g^{-1})'(u).
 
-Because dQ/dm is linear in y, both derivatives are affine in y for every
-family:
+A family implements one method, `fields(u, y)`: the weight -q2, the score
+q1 and Q on the same cells, from one clamp and one evaluation of the mean.
+`q1`, `q2`, `qll` and `psi` derive from it.
 
-    q1(u, y) = y * c(u) - d(u),      q2(u, y) = y * c'(u) - d'(u).
+Because dQ/dm is linear in y, all three are affine in y, Q up to a term in
+y alone (Wedderburn 1974), so a weighted sum over observations is one
+evaluation at the weighted mean response ybar = sum_i a_i y_i / sum_i a_i:
 
-The fitters exploit this to reduce kernel-weighted sums over observations
-to two precomputed smooths (of 1 and of y); `score_weight_pieces` exposes
-the four coefficient functions.  The same structure holds for Q itself up
-to an additive term that depends on y alone, exposed by `qll_pieces` and
-`qll_offset`.
+    sum_i a_i f(u, y_i) = (sum_i a_i) f(u, ybar),
 
-The local linear engine needs the weight, the score and Q on the same
-cells; `fields` returns all three from one clamp and one evaluation of
-the mean.
+for Q after the y-only term is removed.  The local constant fitter uses
+this with the kernel weights a_i = K_h(x, X_i); `score_weight_pieces` and
+`qll_pieces` give the affine coefficient functions.
 
 Links are clamped before any evaluation: the logit predictor to [-30, 30]
 and the log predictor to at most 30.  That keeps weights strictly positive
@@ -53,7 +52,7 @@ __all__ = [
 
 
 class Family:
-    """Base class; subclasses define the link, variance and derivatives."""
+    """Base class; subclasses define the link, variance and `fields`."""
 
     name: str = ""
     response_description: str = ""
@@ -100,36 +99,37 @@ class Family:
 
     # ---- quasi-likelihood on the predictor scale -----------------------
 
-    def q1(self, u: np.ndarray, y) -> np.ndarray:
-        u = self.clamp(u)
-        m = self.mean(u)
-        return (y - m) / (self.variance(m) * self.link_deriv(m))
-
-    def q2(self, u: np.ndarray, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def qll(self, u: np.ndarray, y) -> np.ndarray:
-        """Quasi-likelihood Q(g^{-1}(u), y), up to terms constant in u."""
-        raise NotImplementedError
-
-    def psi(self, u: np.ndarray) -> np.ndarray:
-        """The weight function -q2(u, g^{-1}(u)) = 1 / [V(m) g'(m)]."""
-        u = self.clamp(u)
-        m = self.mean(u)
-        return 1.0 / (self.variance(m) * self.link_deriv(m))
-
     def fields(self, u: np.ndarray, y):
         """Weight, score and quasi-likelihood (-q2, q1, Q) at (u, y).
 
         Each is a new float array of the broadcast shape of u and y, so
-        callers may scale it in place.  This generic version calls q2, q1
-        and qll; the built-in families clamp once and evaluate the mean
-        once.
+        callers may scale it in place.  This is the one method a family
+        implements; everything below derives from it.
         """
-        shape = np.broadcast(u, y).shape
-        return tuple(np.broadcast_to(f, shape).astype(float)
-                     for f in (-self.q2(u, y), self.q1(u, y),
-                               self.qll(u, y)))
+        raise NotImplementedError
+
+    def _clamped(self, u: np.ndarray, y) -> np.ndarray:
+        """Clamped u, broadcast against y when its shape differs."""
+        u = self.clamp(u)
+        shape = np.broadcast_shapes(u.shape, np.shape(y))
+        return u if u.shape == shape else np.broadcast_to(u, shape)
+
+    def q1(self, u: np.ndarray, y) -> np.ndarray:
+        """Score q1(u, y) = d/du Q(g^{-1}(u), y)."""
+        return self.fields(u, y)[1]
+
+    def q2(self, u: np.ndarray, y) -> np.ndarray:
+        """q2(u, y) = d^2/du^2 Q(g^{-1}(u), y), strictly negative."""
+        return -self.fields(u, y)[0]
+
+    def qll(self, u: np.ndarray, y) -> np.ndarray:
+        """Quasi-likelihood Q(g^{-1}(u), y), up to terms constant in u."""
+        return self.fields(u, y)[2]
+
+    def psi(self, u: np.ndarray) -> np.ndarray:
+        """The weight at the mean response,
+        -q2(u, g^{-1}(u)) = 1 / [V(m) g'(m)^2]."""
+        return self.fields(u, self.mean(u))[0]
 
     # ---- affine-in-y decompositions ------------------------------------
 
@@ -138,8 +138,8 @@ class Family:
 
         q1(u, y) = y c(u) - d(u) and q2(u, y) = y cp(u) - dp(u).
 
-        The generic implementation extracts them by evaluating at y = 0 and
-        y = 1, which is exact because both derivatives are affine in y.
+        They are extracted by evaluating at y = 0 and y = 1, which is exact
+        because both derivatives are affine in y.
         """
         u = self.clamp(u)
         q10 = self.q1(u, 0.0)
@@ -148,16 +148,10 @@ class Family:
 
     def qll_pieces(self, u: np.ndarray):
         """Coefficient functions (A, B) with Q(g^{-1}(u), y) = y A(u) - B(u)
-        plus a term depending on y alone (see `qll_offset`)."""
+        plus a term depending on y alone."""
         u = self.clamp(u)
         q0 = self.qll(u, 0.0)
         return self.qll(u, 1.0) - q0, -q0
-
-    def qll_offset(self, y) -> np.ndarray:
-        """The y-only term of Q; drops out of all differences in u."""
-        y = np.asarray(y, dtype=float)
-        a, b = self.qll_pieces(np.zeros(1))
-        return self.qll(np.zeros(1), y) - y * a[0] + b[0]
 
     # ---- data validation ------------------------------------------------
 
@@ -194,36 +188,9 @@ class GaussianIdentity(Family):
     def variance(self, m):
         return np.ones_like(np.asarray(m, dtype=float))
 
-    def q1(self, u, y):
-        return y - np.asarray(u, dtype=float)
-
-    def q2(self, u, y):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(-1.0, np.broadcast(u, y).shape).copy()
-
-    def qll(self, u, y):
-        r = y - np.asarray(u, dtype=float)
-        return -0.5 * r * r
-
-    def psi(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))
-
     def fields(self, u, y):
         r = y - np.asarray(u, dtype=float)
         return np.ones(r.shape), r, -0.5 * r * r
-
-    def score_weight_pieces(self, u):
-        u = np.asarray(u, dtype=float)
-        one = np.ones_like(u)
-        return one, u.copy(), np.zeros_like(u), one
-
-    def qll_pieces(self, u):
-        u = np.asarray(u, dtype=float)
-        return u.copy(), 0.5 * u * u
-
-    def qll_offset(self, y):
-        y = np.asarray(y, dtype=float)
-        return -0.5 * y * y
 
 
 class BernoulliLogit(Family):
@@ -257,23 +224,8 @@ class BernoulliLogit(Family):
         m = np.asarray(m, dtype=float)
         return m * (1.0 - m)
 
-    def q1(self, u, y):
-        return y - self.mean(u)
-
-    def q2(self, u, y):
-        m = self.mean(u)
-        res = -m * (1.0 - m)
-        return np.broadcast_to(res, np.broadcast(res, y).shape).copy()
-
-    def qll(self, u, y):
-        u = self.clamp(u)
-        return y * u - np.logaddexp(0.0, u)
-
-    def psi(self, u):
-        return self.mean_d1(u)
-
     def fields(self, u, y):
-        u = self.clamp(u)
+        u = self._clamped(u, y)
         m = expit(u)
         m1 = 1.0 - m
         # log(1 + e^u) = max(u, 0) - log(m or 1 - m, whichever is >= 1/2);
@@ -284,18 +236,6 @@ class BernoulliLogit(Family):
         # weight and score overwrite m1 and m: fewer block-sized arrays
         m1 *= m
         return m1, np.subtract(y, m, out=m), q
-
-    def score_weight_pieces(self, u):
-        m = self.mean(u)
-        one = np.ones_like(m)
-        return one, m, np.zeros_like(m), m * (1.0 - m)
-
-    def qll_pieces(self, u):
-        u = self.clamp(u)
-        return u.copy(), np.logaddexp(0.0, u)
-
-    def qll_offset(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -331,38 +271,12 @@ class PoissonLog(Family):
     def variance(self, m):
         return np.asarray(m, dtype=float)
 
-    def q1(self, u, y):
-        return y - self.mean(u)
-
-    def q2(self, u, y):
-        res = -self.mean(u)
-        return np.broadcast_to(res, np.broadcast(res, y).shape).copy()
-
-    def qll(self, u, y):
-        u = self.clamp(u)
-        return y * u - np.exp(u)
-
-    def psi(self, u):
-        return self.mean(u)
-
     def fields(self, u, y):
-        u = self.clamp(u)
+        u = self._clamped(u, y)
         m = np.exp(u)
         q = y * u
         q -= m
         return m, y - m, q
-
-    def score_weight_pieces(self, u):
-        m = self.mean(u)
-        one = np.ones_like(m)
-        return one, m, np.zeros_like(m), m.copy()
-
-    def qll_pieces(self, u):
-        u = self.clamp(u)
-        return u.copy(), np.exp(u)
-
-    def qll_offset(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -391,9 +305,9 @@ class QuasiFamily(Family):
     validate : callable, optional
         Response-range check; raises InputError on violation.
 
-    q1 is derived from the defining relation (y - m) / [V(m) g'(m)]; the
-    affine coefficient functions come from the generic two-point
-    extraction, which is exact because q1 and q2 are affine in y.
+    The score in `fields` comes from the defining relation
+    q1 = (y - m) / [V(m) g'(m)]; the weight and Q from the q2 and qll
+    callables.
     """
 
     def __init__(
@@ -432,11 +346,13 @@ class QuasiFamily(Family):
     def variance(self, m):
         return np.asarray(self._variance(np.asarray(m, dtype=float)))
 
-    def q2(self, u, y):
-        return np.asarray(self._q2(self.clamp(u), y))
-
-    def qll(self, u, y):
-        return np.asarray(self._qll(self.clamp(u), y))
+    def fields(self, u, y):
+        u = self._clamped(u, y)
+        m = np.asarray(self._mean(u))
+        score = (y - m) / (self.variance(m) * self.link_deriv(m))
+        return tuple(np.broadcast_to(f, u.shape).astype(float)
+                     for f in (-np.asarray(self._q2(u, y)), score,
+                               self._qll(u, y)))
 
     def validate_response(self, y):
         super().validate_response(y)

@@ -18,11 +18,11 @@ smoothed fields,
     weight(x) = n^{-1} sum_i -q2(eta(x), Y_i) K_h(x, X_i),
 
 and that inner problem is solved by Gauss-Seidel sweeps over components
-using only the weight's one- and two-dimensional marginals.  Because q1
-and q2 are affine in y (see `family`), score and weight are combinations
-of two data smooths: the kernel density smooth and the kernel smooth of
-the response.  For d <= 2 both are precomputed once per fit, making each
-Newton step a handful of dense G x G operations.
+using only the weight's one- and two-dimensional marginals.  Because q1,
+q2 and Q are affine in y (see `family`), each smoothed field is the kernel
+density smooth times the family's field at the kernel-local mean response.
+For d <= 2 both smooths are precomputed once per fit, so each evaluation
+is one family call on the dense G x G grid.
 
 For d >= 3 no d-dimensional tensor is ever materialized.  With the
 Gaussian identity link q2 = -1, so the weight field is the density smooth
@@ -168,14 +168,18 @@ class FitContext:
 class NwContext(FitContext):
     """Shared precomputations plus the data smooths of the closed forms.
 
-    phat and rhat are the full density and response smooths (d <= 2).
+    For d <= 2, phat is the density smooth n^{-1} sum_i K_i on the full
+    grid, ybar the kernel-local mean response (the response smooth over
+    phat; mean(y) where phat is 0) and sq_offset the y-only term of SQ,
+    mean_i Q(0, Y_i) - integral phat Q(0, ybar).
     For the Gaussian identity link at d >= 3, p_curves, p_pairs and
     r_curves hold the one- and two-dimensional density smooths and the
     response smooths, y_mean and y2_mean the first two response moments.
     """
 
     phat: np.ndarray | None = None
-    rhat: np.ndarray | None = None
+    ybar: np.ndarray | None = None
+    sq_offset: float = 0.0
     p_curves: list | None = None
     p_pairs: dict | None = None
     r_curves: list | None = None
@@ -224,14 +228,24 @@ def nw_prepare(
     rows = ctx.rows
     n = dataset.n
     d = dataset.ndim
-    if d == 1:
-        ctx.phat = rows[0].sum(axis=0) / n
-        ctx.rhat = dataset.y @ rows[0] / n
-    elif d == 2:
-        ctx.phat = rows[0].T @ rows[1] / n
-        ctx.rhat = (rows[0] * dataset.y[:, None]).T @ rows[1] / n
+    y = dataset.y
+    if d <= 2:
+        if d == 1:
+            ctx.phat = rows[0].sum(axis=0) / n
+            rhat = y @ rows[0] / n
+        else:
+            ctx.phat = rows[0].T @ rows[1] / n
+            rhat = (rows[0] * y[:, None]).T @ rows[1] / n
+        ctx.ybar = np.full(ctx.phat.shape, np.mean(y))
+        np.divide(rhat, ctx.phat, out=ctx.ybar, where=ctx.phat != 0.0)
+        # SQ is integral phat Q(u, ybar) plus the y-only part of Q, a
+        # constant because every kernel row integrates to one; at_zero.sq
+        # is the first term at u = 0, taken while sq_offset is still 0
+        at_zero = _nw_marginals_dense(ctx, 0.0, [np.zeros(g) for g in
+                                                 ctx.grid.shape])
+        ctx.sq_offset = float(np.mean(ctx.family.fields(0.0, y)[2])
+                              - at_zero.sq)
     elif isinstance(ctx.family, GaussianIdentity):
-        y = dataset.y
         ctx.p_curves = [r.sum(axis=0) / n for r in rows]
         ctx.p_pairs = {(j, l): rows[j].T @ rows[l] / n
                        for j in range(d) for l in range(j + 1, d)}
@@ -275,43 +289,32 @@ def nw_marginals(ctx: NwContext, eta0: float, components) -> NwMarginals:
     return marg
 
 
+def _dense_curves(field, tw):
+    """One-dimensional marginals of a field on a 1-D or 2-D grid."""
+    if field.ndim == 1:
+        return [field]
+    return [field @ tw[1], tw[0] @ field]
+
+
 def _nw_marginals_dense(ctx, eta0, components):
-    grid, fam = ctx.grid, ctx.family
-    tw = grid.weights
-    if grid.ndim == 1:
-        u = eta0 + components[0]
-        c, dd, cp, dp = fam.score_weight_pieces(u)
-        wcurve = dp * ctx.phat - cp * ctx.rhat
-        scurve = c * ctx.rhat - dd * ctx.phat
-        qa, qb = fam.qll_pieces(u)
-        sq = float(tw[0] @ (qa * ctx.rhat - qb * ctx.phat))
-        sq += float(np.mean(fam.qll_offset(ctx.dataset.y)))
-        return NwMarginals(
-            total=float(tw[0] @ wcurve),
-            weight_curves=[wcurve],
-            weight_pairs={},
-            score_total=float(tw[0] @ scurve),
-            score_curves=[scurve],
-            sq=sq,
-        )
-    u = eta0 + components[0][:, None] + components[1][None, :]
-    c, dd, cp, dp = fam.score_weight_pieces(u)
-    wfield = dp * ctx.phat - cp * ctx.rhat
-    sfield = c * ctx.rhat - dd * ctx.phat
-    qa, qb = fam.qll_pieces(u)
-    sq = float(tw[0] @ ((qa * ctx.rhat - qb * ctx.phat) @ tw[1]))
-    sq += float(np.mean(fam.qll_offset(ctx.dataset.y)))
-    w1 = wfield @ tw[1]
-    w2 = tw[0] @ wfield
-    s1 = sfield @ tw[1]
-    s2 = tw[0] @ sfield
+    """Marginals for d <= 2: each smoothed field is phat times the family's
+    field at the kernel-local mean response, plus sq_offset for SQ."""
+    tw = ctx.grid.weights
+    u = eta0 + components[0]
+    if len(components) == 2:
+        u = u[:, None] + components[1]
+    wfield, sfield, qfield = ctx.family.fields(u, ctx.ybar)
+    for f in (wfield, sfield, qfield):
+        f *= ctx.phat
+    wcurves = _dense_curves(wfield, tw)
+    scurves = _dense_curves(sfield, tw)
     return NwMarginals(
-        total=float(tw[0] @ w1),
-        weight_curves=[w1, w2],
-        weight_pairs={(0, 1): wfield},
-        score_total=float(tw[0] @ s1),
-        score_curves=[s1, s2],
-        sq=sq,
+        total=float(tw[0] @ wcurves[0]),
+        weight_curves=wcurves,
+        weight_pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
+        score_total=float(tw[0] @ scurves[0]),
+        score_curves=scurves,
+        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + ctx.sq_offset,
     )
 
 

@@ -78,10 +78,11 @@ def test_q2_strictly_negative(name):
         assert (fam.q2(u, np.full_like(u, y)) < 0).all()
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
 def test_psi_identity(name):
-    # psi(u) = -q2(u, g^{-1}(u)) = 1 / (V(m) g'(m)^2)
-    fam = family.get_family(name)
+    # psi(u) = -q2(u, g^{-1}(u)) = 1 / (V(m) g'(m)^2); the quasi-gamma
+    # pair is not canonical, so 1 / (V(m) g'(m)) would be e^{-u}, not 1
+    fam = FIELD_CASES[name][0]
     u = np.linspace(-5, 5, 41)
     m = fam.mean(u)
     direct = 1.0 / (fam.variance(m) * fam.link_deriv(m) ** 2)
@@ -89,18 +90,39 @@ def test_psi_identity(name):
     assert np.abs(fam.psi(u) + fam.q2(u, m)).max() < 1e-12
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
 def test_affine_decompositions(name):
-    fam = family.get_family(name)
+    fam = FIELD_CASES[name][0]
     u = np.linspace(-6, 6, 31)
     for y in (0.0, 1.0, 2.5):
         yv = np.full_like(u, y)
         c, d, cp, dp = fam.score_weight_pieces(u)
         assert np.abs(fam.q1(u, yv) - (yv * c - d)).max() < 1e-12
         assert np.abs(fam.q2(u, yv) - (yv * cp - dp)).max() < 1e-12
+        # what Q leaves over is the same at every u: a term in y alone
         A, B = fam.qll_pieces(u)
-        off = fam.qll_offset(yv)
-        assert np.abs(fam.qll(u, yv) - (yv * A - B + off)).max() < 1e-10
+        rest = fam.qll(u, yv) - (yv * A - B)
+        assert np.abs(rest - rest[0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_fields_at_the_weighted_mean_response(name):
+    # the dense local constant path evaluates each field once, at the
+    # kernel-local mean response: sum_i a_i f(u, y_i) = A f(u, ybar)
+    fam, ys = FIELD_CASES[name]
+    rng = np.random.default_rng(len(name))
+    y = rng.choice(ys, size=25)[:, None]
+    a = rng.uniform(0.0, 2.0, size=y.shape)
+    total = a.sum()
+    ybar = np.array([(a * y).sum() / total])
+    u = np.linspace(-6, 6, 31)[None, :]
+    summed = [(a * f).sum(axis=0) for f in fam.fields(u, y)]
+    at_mean = [total * f for f in fam.fields(u, ybar)]
+    # Q after its y-only term is removed by differencing at u = 0
+    summed[2] -= (a * fam.fields(0.0, y)[2]).sum()
+    at_mean[2] -= total * fam.fields(0.0, ybar)[2]
+    for got, want in zip(summed, at_mean):
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_mean_link_roundtrip():
@@ -181,12 +203,17 @@ def test_fields_equal_separate_calls(name):
                       (q, fam.qll(u, y))):
         assert got.shape == u.shape and got.dtype == float
         assert not np.shares_memory(got, u)
-        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
-    if name != "bernoulli":
-        # one mean evaluation, same arithmetic: bit-identical
-        assert np.array_equal(q, fam.qll(u, y))
-    assert np.array_equal(weight, -fam.q2(u, y))
-    assert np.array_equal(score, fam.q1(u, y))
+        assert np.array_equal(got, want)
+    # a scalar u against a vector of responses, and a row of u against a
+    # column of responses, as the oracles pass them: the fields equal
+    # those at u broadcast by hand
+    for u_in, y_in in ((np.array(0.3), np.array(ys)), (u[:1], y)):
+        shape = np.broadcast_shapes(u_in.shape, y_in.shape)
+        full = fam.fields(np.broadcast_to(u_in, shape).copy(), y_in)
+        for got, want in zip(fam.fields(u_in, y_in), full):
+            assert got.shape == shape and got.dtype == float
+            assert np.array_equal(got, want)
+        assert fam.q1(u_in, y_in).shape == fam.q2(u_in, y_in).shape == shape
 
 
 def test_bernoulli_fields_quasi_likelihood_is_exact():

@@ -144,7 +144,7 @@ def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
 
 def _quasi_gamma():
     """Log link with variance m^2; the weight -q2 = y exp(-u) depends on
-    the response, and the family takes the generic `fields`."""
+    the response, and the family builds `fields` from its callables."""
     return QuasiFamily(
         name="quasi-gamma", link=np.log, mean=np.exp,
         link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,

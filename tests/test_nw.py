@@ -1,12 +1,16 @@
 """Local constant fitter: marginals, inner solver, outer loop, oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sbgam.errors import (DegenerateWeightError, InitializerError,
                           NonConvergenceError)
-from sbgam.family import get_family
+from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
+from sbgam.kernels import KERNEL_NAMES
 from sbgam.nw_fit import (FitConfig, NwMarginals, _nw_marginals_dense,
                           _nw_marginals_identity, _nw_marginals_streamed,
                           fit_nw, nw_inner_solve, nw_prepare)
@@ -29,22 +33,52 @@ def _sim_dataset(seed, n, d, family="gaussian"):
     return Dataset.with_support(x, y, -1.0, 1.0)
 
 
+def _quasi_gamma():
+    """Log link with variance m^2: the weight -q2 = y exp(-u) depends on
+    the response, so the dense path needs ybar in the weight too."""
+    return QuasiFamily(
+        name="quasi-gamma", link=np.log, mean=np.exp,
+        link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,
+        q2=lambda u, y: -y * np.exp(-u),
+        qll=lambda u, y: -y * np.exp(-u) - u,
+        clamp_lo=-30.0, clamp_hi=30.0)
+
+
 def test_dense_and_streamed_marginals_agree():
-    ds = _sim_dataset(0, 80, 2, "poisson")
-    grid = Grid.uniform(2, 17)
-    ctx = nw_prepare(ds, [0.2, 0.25], grid, "poisson")
-    comps = [0.3 * np.sin(2 * np.pi * grid.points[0]),
-             0.1 * grid.points[1] - 0.05]
-    md = _nw_marginals_dense(ctx, 0.2, comps)
-    ms = _nw_marginals_streamed(ctx, 0.2, comps)
-    assert md.total == pytest.approx(ms.total, abs=1e-13)
-    assert md.score_total == pytest.approx(ms.score_total, abs=1e-13)
-    assert md.sq == pytest.approx(ms.sq, abs=1e-12)
-    for j in range(2):
-        assert np.abs(md.weight_curves[j] - ms.weight_curves[j]).max() < 1e-13
-        assert np.abs(md.score_curves[j] - ms.score_curves[j]).max() < 1e-13
-    assert np.abs(md.weight_pairs[(0, 1)] - ms.weight_pairs[(0, 1)]
-                  ).max() < 1e-13
+    # the streamed path stays the reference; sparse data on random grids
+    # leave cells where phat is 0 and ybar falls back to mean(y)
+    for d, kernel, family in product((1, 2), KERNEL_NAMES, (
+            "gaussian", "bernoulli", "poisson", "quasi-gamma")):
+        case = (d, kernel, family)
+        rng = np.random.default_rng([d, len(kernel), len(family)])
+        n = 12
+        x = rng.uniform(-1.0, 0.2, size=(n, d))
+        eta = 0.5 * np.sin(np.pi * x[:, 0])
+        y = {"gaussian": eta + rng.normal(size=n),
+             "bernoulli": (rng.random(n) < expit(eta)).astype(float),
+             "poisson": rng.poisson(np.exp(eta)).astype(float),
+             "quasi-gamma": np.exp(eta) * rng.gamma(4.0, 0.25, n)}[family]
+        fam = _quasi_gamma() if family == "quasi-gamma" else family
+        grid = _random_grid(rng, d)
+        h = rng.uniform(0.25, 0.3, size=d)
+        ctx = nw_prepare(Dataset.with_support(x, y, -1.0, 1.0), h, grid,
+                         fam, kernel)
+        assert (ctx.phat == 0.0).any() and (ctx.phat > 0.0).any(), case
+        comps = [0.5 * rng.normal(size=g) for g in grid.shape]
+        eta0 = float(rng.normal())
+        md = _nw_marginals_dense(ctx, eta0, comps)
+        ms = _nw_marginals_streamed(ctx, eta0, comps)
+        for got, want in ((md.total, ms.total), (md.sq, ms.sq),
+                          (md.score_total, ms.score_total)):
+            assert abs(got - want) < 1e-13, case
+        for j in range(d):
+            for got, want in ((md.weight_curves[j], ms.weight_curves[j]),
+                              (md.score_curves[j], ms.score_curves[j])):
+                assert np.abs(got - want).max() < 1e-13, (case, j)
+        assert md.weight_pairs.keys() == ms.weight_pairs.keys(), case
+        for key in ms.weight_pairs:
+            assert np.abs(md.weight_pairs[key] - ms.weight_pairs[key]
+                          ).max() < 1e-13, case
 
 
 def _random_grid(rng, d):
