@@ -273,6 +273,7 @@ def _cmd_fit(opts) -> int:
         "outer_iterations": int(diag.outer_iterations),
         "outer_changes": [float(v) for v in diag.outer_changes],
         "inner_sweep_counts": [int(v) for v in diag.inner_sweep_counts],
+        "inner_contractions": [float(v) for v in diag.inner_contractions],
         "residual_norm": float(diag.residual_norm),
         "smoothed_ql_path": [float(v) for v in diag.sq_path],
         "constraint_residuals": [float(v)

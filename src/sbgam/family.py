@@ -108,11 +108,22 @@ class Family:
         """
         raise NotImplementedError
 
-    def _clamped(self, u: np.ndarray, y) -> np.ndarray:
-        """Clamped u, broadcast against y when its shape differs."""
+    def _clamped(self, u: np.ndarray, y):
+        """Clamped u broadcast against y, and the broadcast shape.
+
+        A 0-d shape is evaluated on one cell, since ufuncs turn 0-d arrays
+        into numpy scalars, which cannot be written in place; `_shaped`
+        gives the fields their shape back.
+        """
         u = self.clamp(u)
         shape = np.broadcast_shapes(u.shape, np.shape(y))
-        return u if u.shape == shape else np.broadcast_to(u, shape)
+        cells = shape or (1,)
+        return (u if u.shape == cells else np.broadcast_to(u, cells)), shape
+
+    @staticmethod
+    def _shaped(shape, *fields):
+        """The fields with the broadcast shape from `_clamped`."""
+        return fields if shape else tuple(f.reshape(()) for f in fields)
 
     def q1(self, u: np.ndarray, y) -> np.ndarray:
         """Score q1(u, y) = d/du Q(g^{-1}(u), y)."""
@@ -189,8 +200,9 @@ class GaussianIdentity(Family):
         return np.ones_like(np.asarray(m, dtype=float))
 
     def fields(self, u, y):
-        r = y - np.asarray(u, dtype=float)
-        return np.ones(r.shape), r, -0.5 * r * r
+        u, shape = self._clamped(u, y)
+        r = y - u
+        return self._shaped(shape, np.ones(r.shape), r, -0.5 * r * r)
 
 
 class BernoulliLogit(Family):
@@ -225,7 +237,7 @@ class BernoulliLogit(Family):
         return m * (1.0 - m)
 
     def fields(self, u, y):
-        u = self._clamped(u, y)
+        u, shape = self._clamped(u, y)
         m = expit(u)
         m1 = 1.0 - m
         # log(1 + e^u) = max(u, 0) - log(m or 1 - m, whichever is >= 1/2);
@@ -235,7 +247,7 @@ class BernoulliLogit(Family):
         q += y * u
         # weight and score overwrite m1 and m: fewer block-sized arrays
         m1 *= m
-        return m1, np.subtract(y, m, out=m), q
+        return self._shaped(shape, m1, np.subtract(y, m, out=m), q)
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -272,11 +284,11 @@ class PoissonLog(Family):
         return np.asarray(m, dtype=float)
 
     def fields(self, u, y):
-        u = self._clamped(u, y)
+        u, shape = self._clamped(u, y)
         m = np.exp(u)
         q = y * u
         q -= m
-        return m, y - m, q
+        return self._shaped(shape, m, y - m, q)
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -347,12 +359,12 @@ class QuasiFamily(Family):
         return np.asarray(self._variance(np.asarray(m, dtype=float)))
 
     def fields(self, u, y):
-        u = self._clamped(u, y)
+        u, shape = self._clamped(u, y)
         m = np.asarray(self._mean(u))
         score = (y - m) / (self.variance(m) * self.link_deriv(m))
-        return tuple(np.broadcast_to(f, u.shape).astype(float)
-                     for f in (-np.asarray(self._q2(u, y)), score,
-                               self._qll(u, y)))
+        return self._shaped(shape, *(
+            np.broadcast_to(f, u.shape).astype(float)
+            for f in (-np.asarray(self._q2(u, y)), score, self._qll(u, y))))
 
     def validate_response(self, y):
         super().validate_response(y)

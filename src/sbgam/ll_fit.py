@@ -17,10 +17,11 @@ The curvature enters through the observation weights
     w_i(x) = -q2(eta(X_i, x), Y_i) K_h(x, X_i)
 
 whose moments against the regressors (1, t_j) form, per component j, a
-2 x 2 matrix field M_j(x_j) and, per pair (j, l), cross moment surfaces.
-The inner Gauss-Seidel loop sweeps over components solving the 2 x 2
-systems pointwise; the outer loop updates the predictor, recenters each
-(eta_0j, eta_j) pair against the constraint
+2 x 2 matrix field M_j(x_j) and, per pair (j, l), cross moment surfaces:
+the order-1 case of `nw_fit.Marginals`, whose order 0 is the local
+constant smoother.  The inner Gauss-Seidel loop sweeps over components,
+each update applying M_j^-1 pointwise; the outer loop updates the
+predictor, recenters each (eta_0j, eta_j) pair against the constraint
 
     integral [ eta_0j V00_j + eta_j V0j_j ] dx_j = 0,
 
@@ -38,10 +39,10 @@ each field is integrated down to window curves and pair surfaces, the
 t_j are multiplied in there, and the results are scattered onto the
 grid.  Nothing of full product-grid size is formed.
 
-The Newton loop, the Gauss-Seidel scaffold, the damped step with
+The Newton loop, the one block Gauss-Seidel solver, the marginals type
+with its constraint functional and weight check, the damped step with
 recentering, input preparation and the fitted-model base live in
-`nw_fit`; this module supplies the moment marginals, the pointwise 2 x 2
-solve of each component block and the constraint functional above.
+`nw_fit`; this module supplies only the order-1 moment marginals.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ from .nw_fit import (
     AdditiveFit,
     FitConfig,
     FitContext,
-    _check_weight,
+    Marginals,
     _damped_step,
-    _gauss_seidel,
     _newton_fit,
+    inner_solve,
 )
 
 __all__ = [
     "LlContext",
-    "LlMarginals",
     "LlFit",
     "ll_prepare",
     "ll_marginals",
@@ -99,47 +99,6 @@ class LlContext(FitContext):
 
     tvals: list | None = None
     blocks: list | None = None
-
-
-@dataclass
-class LlMarginals:
-    """Weight moments and score marginals at one iterate.
-
-    Curves (per dimension j): v00, v01 and v11 are the moments of the
-    observation weights against 1, t_j and t_j^2 marginalized to x_j, and
-    z0, z1 the score smooths against 1 and t_j.  Surfaces (per pair
-    (j, l), j < l, on the (x_j, x_l) grid): p00, p0a, p0b, p11 are the
-    moments against 1, t_j, t_l and t_j t_l.
-    """
-
-    mass: float
-    v00: list
-    v01: list
-    v11: list
-    p00: dict
-    p0a: dict
-    p0b: dict
-    p11: dict
-    z0: list
-    z1: list
-    score00: float
-    sq: float
-
-    total = property(attrgetter("mass"))
-
-    def constraint(self, grid: Grid, j: int, curve0, curve1) -> float:
-        """Constraint functional integral [c0 V00_j + c1 V0j_j] dx_j."""
-        tw = grid.weights[j]
-        return (float(tw @ (curve0 * self.v00[j]))
-                + float(tw @ (curve1 * self.v01[j])))
-
-    def residual_norm(self, grid: Grid) -> float:
-        """Size of the estimating-equation fields at this iterate."""
-        parts = self.score00 ** 2
-        for j in range(grid.ndim):
-            parts += float(grid.weights[j] @ (self.z0[j] ** 2))
-            parts += float(grid.weights[j] @ (self.z1[j] ** 2))
-        return float(np.sqrt(parts))
 
 
 def ll_prepare(
@@ -205,17 +164,6 @@ def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
     return out
 
 
-def _ll_check(marg: LlMarginals, grid: Grid):
-    # the smaller eigenvalue of each pointwise 2 x 2 moment matrix
-    lam_min = []
-    for v00, v01, v11 in zip(marg.v00, marg.v01, marg.v11):
-        tr = v00 + v11
-        det = v00 * v11 - v01 ** 2
-        lam_min.append(
-            0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))))
-    _check_weight(marg.mass, lam_min, grid)
-
-
 def _integrate_out(field, wts, keep):
     """Integrate a (B, W_1, ..., W_d) block over the window axes not kept.
 
@@ -245,7 +193,7 @@ def _window_marginals(field, wts, pairs):
     return curves, surf
 
 
-def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> LlMarginals:
+def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
     """Weight moments and score marginals at the given iterate.
 
     Each block of B observations is evaluated on its kernel windows,
@@ -276,68 +224,38 @@ def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> LlMarginals:
         sc, _ = _window_marginals(sfield, w, pairs[:d - 1])
         sq += float(_integrate_out(qfield, w, ()).sum())
         for j in range(d):
-            for nm, vals in (("v00", wc[j]), ("v01", t[j] * wc[j]),
-                             ("v11", t[j] * t[j] * wc[j]), ("z0", sc[j]),
-                             ("z1", t[j] * sc[j])):
-                acc[nm, j] += np.bincount(idx[j].ravel(), vals.ravel(),
-                                          shape[j])
+            for (kind, power), vals in (
+                    (("w", 0), wc[j]), (("w", 1), t[j] * wc[j]),
+                    (("w", 2), t[j] * t[j] * wc[j]),
+                    (("z", 0), sc[j]), (("z", 1), t[j] * sc[j])):
+                acc[kind, power, j] += np.bincount(idx[j].ravel(),
+                                                   vals.ravel(), shape[j])
         for j, l in pairs:
             flat = (idx[j][:, :, None] * shape[l] + idx[l][:, None, :]).ravel()
             tj, tl, surf = t[j][:, :, None], t[l][:, None, :], ws[j, l]
-            for nm, vals in (("p00", surf), ("p0a", tj * surf),
-                             ("p0b", tl * surf), ("p11", tj * tl * surf)):
-                acc[nm, (j, l)] += np.bincount(flat, vals.ravel(),
-                                               shape[j] * shape[l])
-    curves = {nm: [acc[nm, j] / n for j in range(d)]
-              for nm in ("v00", "v01", "v11", "z0", "z1")}
-    surfaces = {nm: {(j, l): acc[nm, (j, l)].reshape(shape[j], shape[l]) / n
-                     for j, l in pairs} for nm in ("p00", "p0a", "p0b", "p11")}
+            for (a, b), vals in (((0, 0), surf), ((1, 0), tj * surf),
+                                 ((0, 1), tl * surf),
+                                 ((1, 1), tj * tl * surf)):
+                acc["p", a, b, j, l] += np.bincount(flat, vals.ravel(),
+                                                    shape[j] * shape[l])
+    weight = [np.stack([acc["w", k, j] for k in range(3)]) / n
+              for j in range(d)]
+    score = [np.stack([acc["z", a, j] for a in range(2)]) / n
+             for j in range(d)]
+    # block (a, b) of a pair's matrix is the moment against t_j^a t_l^b
+    blocks = {(j, l): np.block([[acc["p", a, b, j, l].reshape(shape[j],
+                                                              shape[l])
+                                 for b in range(2)] for a in range(2)]) / n
+              for j, l in pairs}
     tw0 = grid.weights[0]
-    marg = LlMarginals(mass=float(tw0 @ curves["v00"][0]),
-                       score00=float(tw0 @ curves["z0"][0]), sq=sq / n,
-                       **curves, **surfaces)
-    _ll_check(marg, grid)
-    return marg
+    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
+                     score=score, pairs=blocks,
+                     score_total=float(tw0 @ score[0][0]),
+                     sq=sq / n).check_weight(grid)
 
 
-def _solve2(marg: LlMarginals, j: int, r0, r1):
-    """Pointwise solve of component j's 2 x 2 moment system."""
-    v00, v01, v11 = marg.v00[j], marg.v01[j], marg.v11[j]
-    det = v00 * v11 - v01 * v01
-    return (v11 * r0 - v01 * r1) / det, (v00 * r1 - v01 * r0) / det
-
-
-def ll_inner_solve(marg: LlMarginals, grid: Grid, config: FitConfig):
-    """Gauss-Seidel sweeps over the pointwise 2 x 2 component systems.
-
-    Returns (xi00, xi0, xi1, sweeps, contraction, change_history); each
-    (xi0[j], xi1[j]) pair is centered against the constraint functional.
-    """
-    d = grid.ndim
-    tw = grid.weights
-    xi00 = marg.score00 / marg.mass
-
-    def rhs(j):
-        return (marg.z0[j] - xi00 * marg.v00[j],
-                marg.z1[j] - xi00 * marg.v01[j])
-
-    def update(j, xi0, xi1):
-        r0, r1 = rhs(j)
-        for l in range(d):
-            if l == j:
-                continue
-            g0 = tw[l] * xi0[l]
-            g1 = tw[l] * xi1[l]
-            if j < l:
-                r0 = r0 - marg.p00[(j, l)] @ g0 - marg.p0b[(j, l)] @ g1
-                r1 = r1 - marg.p0a[(j, l)] @ g0 - marg.p11[(j, l)] @ g1
-            else:
-                r0 = r0 - g0 @ marg.p00[(l, j)] - g1 @ marg.p0a[(l, j)]
-                r1 = r1 - g0 @ marg.p0b[(l, j)] - g1 @ marg.p11[(l, j)]
-        return _solve2(marg, j, r0, r1)
-
-    return (xi00, *_gauss_seidel(marg, grid, config,
-                                 lambda j: _solve2(marg, j, *rhs(j)), update))
+# the one solver of `nw_fit`, under LL's own name (see nw_inner_solve)
+ll_inner_solve = inner_solve
 
 
 def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,

@@ -41,11 +41,14 @@ which leaves the fitted predictor untouched and the constraints satisfied
 to machine precision.
 
 Both smoothers run the same algorithm, held here once and reused by
-`ll_fit`: `FitContext.build` (inputs, kernel rows), `_newton_fit` (outer
-loop and diagnostics), `_gauss_seidel` (inner sweeps), `_damped_step`
-(step and recentering) and `AdditiveFit` (prediction).  A smoother
-supplies only its marginals, its per-component inner block update and
-its constraint functional, the `constraint` method of its marginals.
+`ll_fit`, because the local constant system is the order-0 case of the
+local linear one: `FitContext.build` (inputs, kernel rows), `Marginals`
+(weight moments and score marginals of local-polynomial order p, with
+the constraint functional and the weight check), `inner_solve` (block
+Gauss-Seidel sweeps on operators formed once per Newton step),
+`_newton_fit` (outer loop and diagnostics), `_damped_step` (step and
+recentering) and `AdditiveFit` (prediction).  A smoother supplies only
+the producer of its marginals, of order 0 here and 1 in `ll_fit`.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ __all__ = [
     "FitContext",
     "AdditiveFit",
     "NwContext",
-    "NwMarginals",
+    "Marginals",
     "NwFit",
     "nw_prepare",
     "nw_marginals",
+    "inner_solve",
     "nw_inner_solve",
     "nw_outer_update",
     "fit_nw",
@@ -188,19 +192,34 @@ class NwContext(FitContext):
 
 
 @dataclass
-class NwMarginals:
-    """Marginals of the smoothed weight and score at one iterate."""
+class Marginals:
+    """Weight moments and score marginals of local-polynomial order p at
+    one iterate: p = 0 for the local constant smoother, p = 1 for the
+    local linear one.
 
-    total: float
-    weight_curves: list
-    weight_pairs: dict
+    With t_j the bandwidth-scaled regressor offset along x_j (absent when
+    p = 0): weight[j] is the (2p + 1, G_j) stack of the observation-weight
+    moments against t_j^k, k <= 2p, marginalized to x_j; score[j] the
+    (p + 1, G_j) stack of the score smooths against t_j^a, a <= p; and
+    pairs[j, l], j < l, the ((p + 1) G_j, (p + 1) G_l) block matrix whose
+    block (a, b) is the weight moment surface against t_j^a t_l^b on the
+    (x_j, x_l) grid.  mass and score_total integrate the weight and the
+    score over the whole grid; sq is the smoothed quasi-likelihood.
+    """
+
+    mass: float
+    weight: list
+    score: list
+    pairs: dict
     score_total: float
-    score_curves: list
     sq: float
 
-    def constraint(self, grid: Grid, j: int, curve) -> float:
-        """Constraint functional integral curve w_j dx_j of component j."""
-        return float(grid.weights[j] @ (curve * self.weight_curves[j]))
+    def constraint(self, grid: Grid, j: int, *curves) -> float:
+        """Constraint functional sum_a integral curve_a W_j^a dx_j of
+        component j, W_j^a its weight moment against t_j^a."""
+        tw = grid.weights[j]
+        return sum(float(tw @ (c * m)) for c, m in zip(curves,
+                                                         self.weight[j]))
 
     def residual_norm(self, grid: Grid) -> float:
         """Size of the estimating-equation fields at this iterate.
@@ -210,9 +229,45 @@ class NwMarginals:
         equations.
         """
         parts = self.score_total ** 2
-        for j, s in enumerate(self.score_curves):
-            parts += float(grid.weights[j] @ (s * s))
+        for j, curves in enumerate(self.score):
+            for s in curves:
+                parts += float(grid.weights[j] @ (s * s))
         return float(np.sqrt(parts))
+
+    def check_weight(self, grid: Grid) -> "Marginals":
+        """Return self, or raise DegenerateWeightError unless the mass and,
+        at every grid point, the smallest eigenvalue of the pointwise
+        moment matrix clear the positivity floor."""
+        if self.mass <= 0.0:
+            raise DegenerateWeightError(0, 0.0, self.mass, 0.0)
+        for j, moments in enumerate(self.weight):
+            lam = _smallest_eigenvalue(moments)
+            floor = WEIGHT_FLOOR * self.mass / grid.shape[j]
+            k = int(np.argmin(lam))
+            if lam[k] < floor:
+                raise DegenerateWeightError(j, float(grid.points[j][k]),
+                                            float(lam[k]), floor)
+        return self
+
+
+def _smallest_eigenvalue(m):
+    """Smallest eigenvalue of each pointwise moment matrix [m_{a+b}],
+    a, b <= p, from its 2p + 1 moment curves m (p <= 1); for p = 0 the
+    weight curve itself."""
+    if len(m) == 1:
+        return m[0]
+    tr = m[0] + m[2]
+    det = m[0] * m[2] - m[1] ** 2
+    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+
+def _inverse_moments(m):
+    """Inverse of each pointwise moment matrix [m_{a+b}], a, b <= p, as a
+    (p + 1, p + 1, G) stack (p <= 1)."""
+    if len(m) == 1:
+        return 1.0 / m[None]
+    det = m[0] * m[2] - m[1] * m[1]
+    return np.array([[m[2], -m[1]], [-m[1], m[0]]]) / det
 
 
 def nw_prepare(
@@ -252,41 +307,25 @@ def nw_prepare(
         ctx.r_curves = [y @ r / n for r in rows]
         ctx.y_mean = float(np.mean(y))
         ctx.y2_mean = float(np.mean(y * y))
-        # the weights do not depend on the iterate: check them once
-        _check_weight(float(ctx.grid.weights[0] @ ctx.p_curves[0]),
-                      ctx.p_curves, ctx.grid)
     return ctx
 
 
-def _check_weight(total, curves, grid):
-    """Raise DegenerateWeightError unless the mass and every curve clear
-    the positivity floor."""
-    if total <= 0.0:
-        raise DegenerateWeightError(0, 0.0, total, 0.0)
-    for j, w in enumerate(curves):
-        floor = WEIGHT_FLOOR * total / grid.shape[j]
-        k = int(np.argmin(w))
-        if w[k] < floor:
-            raise DegenerateWeightError(j, float(grid.points[j][k]),
-                                        float(w[k]), floor)
+def nw_marginals(ctx: NwContext, eta0: float, components) -> Marginals:
+    """Order-0 marginals of the smoothed weight and score at the given
+    additive predictor, checked against the positivity floor.
 
-
-def nw_marginals(ctx: NwContext, eta0: float, components) -> NwMarginals:
-    """Smoothed weight and score marginals at the given additive predictor.
-
-    Returns the weight total (mass), its one-dimensional curves and, for
-    d >= 2, its two-dimensional surfaces keyed by dimension pairs (j, l)
-    with j < l, together with the score total and curves and the smoothed
+    Holds the weight mass, its one-dimensional curves and, for d >= 2, its
+    two-dimensional surfaces keyed by dimension pairs (j, l) with j < l,
+    together with the score total and curves and the smoothed
     quasi-likelihood value.
     """
     if ctx.p_curves is not None:
-        return _nw_marginals_identity(ctx, eta0, components)
-    if ctx.grid.ndim <= 2:
+        marg = _nw_marginals_identity(ctx, eta0, components)
+    elif ctx.grid.ndim <= 2:
         marg = _nw_marginals_dense(ctx, eta0, components)
     else:
         marg = _nw_marginals_streamed(ctx, eta0, components)
-    _check_weight(marg.total, marg.weight_curves, ctx.grid)
-    return marg
+    return marg.check_weight(ctx.grid)
 
 
 def _dense_curves(field, tw):
@@ -308,12 +347,12 @@ def _nw_marginals_dense(ctx, eta0, components):
         f *= ctx.phat
     wcurves = _dense_curves(wfield, tw)
     scurves = _dense_curves(sfield, tw)
-    return NwMarginals(
-        total=float(tw[0] @ wcurves[0]),
-        weight_curves=wcurves,
-        weight_pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
+    return Marginals(
+        mass=float(tw[0] @ wcurves[0]),
+        weight=[w[None] for w in wcurves],
+        score=[s[None] for s in scurves],
+        pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
         score_total=float(tw[0] @ scurves[0]),
-        score_curves=scurves,
         sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + ctx.sq_offset,
     )
 
@@ -343,12 +382,12 @@ def _nw_marginals_identity(ctx, eta0, components):
     cross = sum(float(g[j] @ Ppair[(j, l)] @ g[l]) for j, l in Ppair)
     square = (ctx.y2_mean - 2.0 * (ctx.y_mean * eta0 + gR) + eta0 * eta0
               + 2.0 * eta0 * gP + geP + 2.0 * cross)
-    return NwMarginals(
-        total=float(ctx.grid.weights[0] @ P[0]),
-        weight_curves=P,
-        weight_pairs=Ppair,
+    return Marginals(
+        mass=float(ctx.grid.weights[0] @ P[0]),
+        weight=[p[None] for p in P],
+        score=[s[None] for s in scurves],
+        pairs=Ppair,
         score_total=ctx.y_mean - eta0 - gP,
-        score_curves=scurves,
         sq=-0.5 * square,
     )
 
@@ -378,43 +417,72 @@ def _nw_marginals_streamed(ctx, eta0, components):
             qfield = np.tensordot(qfield, grid.weights[ax][lo[ax]:hi[ax]],
                                   axes=([ax], [0]))
         sq_acc += float(qfield)
-    return NwMarginals(
-        total=wacc.total / n,
-        weight_curves=[wacc.curves[j] / n for j in dims],
-        weight_pairs={k: v / n for k, v in wacc.pairs.items()},
+    return Marginals(
+        mass=wacc.total / n,
+        weight=[wacc.curves[j][None] / n for j in dims],
+        score=[sacc.curves[j][None] / n for j in dims],
+        pairs={k: v / n for k, v in wacc.pairs.items()},
         score_total=sacc.total / n,
-        score_curves=[sacc.curves[j] / n for j in dims],
         sq=sq_acc / n,
     )
 
 
+def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):
+    """Solve the linearized backfitting system by block Gauss-Seidel sweeps.
 
+    The step is an intercept xi0 and, per component j, a stacked curve
+    xi_j of p + 1 blocks: the component step, then for p = 1 the slope
+    step.  With M_j the pointwise moment matrices, C_jl the pair block
+    matrices, D_l the trapezoid weights of x_l and z_j the score stack,
+    component j's estimating equations are
 
-def _gauss_seidel(marg, grid: Grid, config: FitConfig, start, update):
-    """Gauss-Seidel sweeps over the components of a linearized system.
+        M_j xi_j + xi0 m_j + sum_{l != j} C_jl D_l xi_l = z_j,
 
-    start(j) is component j's uncoupled block and update(j, *xi) its block
-    given the current step curves; a block is a tuple of curves, component
-    curve first, centered against marg.constraint before it is stored.
-    Returns (*xi, sweeps, contraction, change_history), one list of d
-    curves in xi per block entry.
+    m_j the first column of M_j.  Under the constraints xi0 is
+    score_total / mass.  Each sweep sets xi_j = b_j - sum_{l != j} A_jl
+    xi_l, then shifts the component block so that the constraint
+    functional vanishes.  The shift is linear, so it is applied once per
+    call to the operators A_jl = M_j^-1 C_jl D_l and to the right-hand
+    sides b_j = M_j^-1 (z_j - xi0 m_j) instead of in every sweep.
+
+    Returns (xi0, *xi, sweeps, contraction, change_history), one list of
+    d curves in xi per block entry, sweeps the number of sweeps used and
+    contraction the ratio of the last two sweep-change norms.
     """
-    d = grid.ndim
+    tw, mass, shape = grid.weights, marg.mass, grid.shape
+    k = len(marg.score[0])
+    spans, end = [], 0
+    for g in shape:
+        spans.append(slice(end, end + k * g))
+        end += k * g
+    cols = np.concatenate([w for w in tw for _ in range(k)])
+    xi0 = marg.score_total / mass
+    ops, rhs = [], []
+    for j, moments in enumerate(marg.weight):
+        # rows [C_j1 D_1 ... C_jd D_d | z_j - xi0 m_j] with C_jj = 0: one
+        # pointwise inverse gives the operators A_jl and b_j together
+        aug = np.zeros((k * shape[j], end + 1))
+        for l in range(grid.ndim):
+            if l != j:
+                block = marg.pairs[j, l] if j < l else marg.pairs[l, j].T
+                aug[:, spans[l]] = block * cols[spans[l]]
+        aug[:, end] = (marg.score[j] - xi0 * moments[:k]).ravel()
+        # row a G_j + g of aug belongs to regressor a at grid point g
+        aug = np.einsum("abg,bgc->agc", _inverse_moments(moments),
+                        aug.reshape(k, shape[j], -1)).reshape(aug.shape)
+        # the centering shift: the constraint functional over the mass
+        aug[:shape[j]] -= ((tw[j] * moments[:k]).ravel() / mass) @ aug
+        ops.append(aug[:, :end])
+        rhs.append(aug[:, end])
 
-    def center(j, block):
-        shift = marg.constraint(grid, j, *block) / marg.total
-        return (block[0] - shift, *block[1:])
-
-    xi = [list(c) for c in zip(*(center(j, start(j)) for j in range(d)))]
+    xi = np.concatenate(rhs)
     changes = []
     for _ in range(config.max_inner):
-        delta = 0.0
-        for j in range(d):
-            for curves, new in zip(xi, center(j, update(j, *xi))):
-                delta = max(delta, float(np.abs(new - curves[j]).max()))
-                curves[j] = new
-        changes.append(delta)
-        if delta < config.tol_inner:
+        before = xi.copy()
+        for j, span in enumerate(spans):
+            xi[span] = rhs[j] - ops[j] @ xi
+        changes.append(float(np.abs(xi - before).max()))
+        if changes[-1] < config.tol_inner:
             break
     else:
         raise NonConvergenceError(
@@ -425,37 +493,14 @@ def _gauss_seidel(marg, grid: Grid, config: FitConfig, start, update):
     contraction = 0.0
     if len(changes) >= 2 and changes[-2] > 0.0:
         contraction = changes[-1] / changes[-2]
-    return (*xi, len(changes), contraction, changes)
+    blocks = [xi[span].reshape(k, -1) for span in spans]
+    return (xi0, *([b[a] for b in blocks] for a in range(k)), len(changes),
+            contraction, changes)
 
 
-def nw_inner_solve(marg: NwMarginals, grid: Grid, config: FitConfig):
-    """Solve the linearized backfitting system by Gauss-Seidel sweeps.
-
-    Returns (xi0, xi, sweeps, contraction, change_history) where xi0 is the
-    intercept step, xi the component step curves (each centered against the
-    weight marginals), sweeps the number of sweeps used, and contraction
-    the ratio of the last two sweep-change norms.
-    """
-    tw = grid.weights
-    d = grid.ndim
-    xi0 = marg.score_total / marg.total
-    xit = [marg.score_curves[j] / marg.weight_curves[j] for j in range(d)]
-
-    def update(j, xi):
-        acc = xit[j] - xi0
-        for l in range(d):
-            if l == j:
-                continue
-            g = tw[l] * xi[l]
-            if j < l:
-                cross = marg.weight_pairs[(j, l)] @ g
-            else:
-                cross = g @ marg.weight_pairs[(l, j)]
-            acc = acc - cross / marg.weight_curves[j]
-        return (acc,)
-
-    return (xi0, *_gauss_seidel(marg, grid, config, lambda j: (xit[j],),
-                                update))
+# each smoother's inner solve keeps its own module-level name, so that
+# it can be wrapped or traced on its own
+nw_inner_solve = inner_solve
 
 
 def _additive_sup(const: float, curves) -> float:
@@ -481,7 +526,7 @@ def _damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
     new_eta0 = eta0 + step0
     new = [[b[j] + s[j] for j in range(d)] for b, s in zip(blocks, steps)]
     marg = marginals(ctx, new_eta0, *new)
-    shifts = [marg.constraint(grid, j, *(b[j] for b in new)) / marg.total
+    shifts = [marg.constraint(grid, j, *(b[j] for b in new)) / marg.mass
               for j in range(d)]
     new[0] = [new[0][j] - shifts[j] for j in range(d)]
     new_eta0 = new_eta0 + sum(shifts)
@@ -610,7 +655,7 @@ def _newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
             f"(last relative change {diag.outer_changes[-1]:.3e})",
             history=diag.outer_changes, loop="outer",
         )
-    diag.weight_total = marg.total
+    diag.weight_total = marg.mass
     diag.residual_norm = marg.residual_norm(grid)
     return fit_class(
         eta0, *blocks, grid=grid, bandwidths=ctx.bandwidths,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,20 +181,26 @@ def _gl(n: int, lo: float = -1.0, hi: float = 1.0):
     return lo + half * (x + 1.0), half * w
 
 
-def pair_density(x1, x2, rho: float, _norm_cache={}):
+def _normal_pair(x1, x2, rho: float):
+    """Density of the standard normal pair with correlation rho."""
+    det = 1.0 - rho * rho
+    quad = (x1 * x1 - 2.0 * rho * x1 * x2 + x2 * x2) / det
+    return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+
+
+@lru_cache(maxsize=None)
+def _square_mass(rho: float) -> float:
+    """Mass of the normal pair on [-1, 1]^2, by 201-point Gauss-Legendre."""
+    g, w = _gl(201)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    return float(w @ _normal_pair(gx, gy, rho) @ w)
+
+
+def pair_density(x1, x2, rho: float):
     """Density of the pair, standard normal truncated to the square."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    det = 1.0 - rho * rho
-    quad = (x1 * x1 - 2.0 * rho * x1 * x2 + x2 * x2) / det
-    phi = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
-    if rho not in _norm_cache:
-        g, w = _gl(201)
-        gx, gy = np.meshgrid(g, g, indexing="ij")
-        q = (gx * gx - 2.0 * rho * gx * gy + gy * gy) / det
-        vals = np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det))
-        _norm_cache[rho] = float(w @ vals @ w)
-    return phi / _norm_cache[rho]
+    return _normal_pair(x1, x2, rho) / _square_mass(rho)
 
 
 def density_original(model: SimModel, X: np.ndarray) -> np.ndarray:

@@ -55,6 +55,10 @@ def test_fit_roundtrip_outputs(tmp_path):
     assert info["covariates"] == ["x1", "x2"]
     assert info["bandwidths"] == [0.25, 0.25]
     assert info["outer_iterations"] >= 1
+    # one finite contraction ratio of the inner sweeps per Newton step
+    contractions = info["inner_contractions"]
+    assert len(contractions) == info["outer_iterations"]
+    assert all(np.isfinite(c) and c >= 0.0 for c in contractions)
     assert info["residual_norm"] < 1e-6
     assert max(info["constraint_residuals"]) < 1e-8 * info["weight_total"]
 

@@ -216,6 +216,23 @@ def test_fields_equal_separate_calls(name):
         assert fam.q1(u_in, y_in).shape == fam.q2(u_in, y_in).shape == shape
 
 
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_fields_of_zero_dimensional_inputs_are_writable_arrays(name):
+    # ufuncs return numpy scalars for 0-d arrays; the fields must still be
+    # new float arrays of the broadcast shape, (), that scale in place
+    fam, ys = FIELD_CASES[name]
+    for u, y in ((np.array(0.3), np.array(ys[1])), (0.3, ys[1]),
+                 (np.array(-45.0), ys[0]), (45.0, np.array(ys[2]))):
+        cells = fam.fields(np.reshape(u, 1), np.reshape(y, 1))
+        for got, want in zip(fam.fields(u, y), cells):
+            assert isinstance(got, np.ndarray), type(got)
+            assert got.shape == () and got.dtype == float
+            assert got.flags.writeable
+            assert got == want[0]
+            got *= 2.0
+            assert got == 2.0 * want[0]
+
+
 def test_bernoulli_fields_quasi_likelihood_is_exact():
     b = family.get_family("bernoulli")
     u = np.linspace(-30.0, 30.0, 6001)

@@ -1,7 +1,7 @@
 """Local linear fitter: predictor field, marginals, solver, oracles."""
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -50,15 +50,16 @@ def test_predictor_field_evaluation():
 
 
 def _reference_marginals(ctx, eta00, c0, c1):
-    """LlMarginals fields times n, summed over observations on the full
+    """Marginals fields times n, summed over observations on the full
     product grid."""
     grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
     d, n = grid.ndim, ctx.dataset.n
     pairs = list(combinations(range(d), 2))
-    ref = {nm: 0.0 for nm in ("mass", "score00", "sq")}
-    ref.update({nm: [0.0] * d for nm in ("v00", "v01", "v11", "z0", "z1")})
-    ref.update({nm: dict.fromkeys(pairs, 0.0)
-                for nm in ("p00", "p0a", "p0b", "p11")})
+    ref = {nm: 0.0 for nm in ("mass", "score_total", "sq")}
+    ref["weight"] = [np.zeros((3, g)) for g in grid.shape]
+    ref["score"] = [np.zeros((2, g)) for g in grid.shape]
+    ref["pairs"] = {(j, l): np.zeros((2 * grid.shape[j], 2 * grid.shape[l]))
+                    for j, l in pairs}
     for i in range(n):
         u = ll_predictor_field(ctx, eta00, c0, c1, i)
         kp = reduce(np.multiply.outer, [ctx.rows[j][i] for j in range(d)])
@@ -70,17 +71,21 @@ def _reference_marginals(ctx, eta00, c0, c1):
         wk = -fam.q2(u, y[i]) * kp
         sk = fam.q1(u, y[i]) * kp
         ref["mass"] += integrate_tensor(wk, grid)
-        ref["score00"] += integrate_tensor(sk, grid)
+        ref["score_total"] += integrate_tensor(sk, grid)
         ref["sq"] += integrate_tensor(fam.qll(u, y[i]) * kp, grid)
         for j in range(d):
-            for nm, field in (("v00", wk), ("v01", t[j] * wk),
-                              ("v11", t[j] * t[j] * wk), ("z0", sk),
-                              ("z1", t[j] * sk)):
-                ref[nm][j] += integrate_tensor(field, grid, (j,))
+            for k in range(3):
+                ref["weight"][j][k] += integrate_tensor(t[j] ** k * wk, grid,
+                                                        (j,))
+            for a in range(2):
+                ref["score"][j][a] += integrate_tensor(t[j] ** a * sk, grid,
+                                                       (j,))
         for j, l in pairs:
-            for nm, field in (("p00", wk), ("p0a", t[j] * wk),
-                              ("p0b", t[l] * wk), ("p11", t[j] * t[l] * wk)):
-                ref[nm][(j, l)] += integrate_tensor(field, grid, (j, l))
+            gj, gl = grid.shape[j], grid.shape[l]
+            for a, b in product(range(2), repeat=2):
+                ref["pairs"][j, l][a * gj:(a + 1) * gj, b * gl:(b + 1) * gl] \
+                    += integrate_tensor(t[j] ** a * t[l] ** b * wk, grid,
+                                        (j, l))
     return ref
 
 
@@ -93,7 +98,9 @@ def _assert_matches_reference(ctx, eta00, c0, c1):
             assert got == pytest.approx(want / n, abs=1e-13), nm
             continue
         keys = range(len(want)) if isinstance(want, list) else want.keys()
+        assert len(got) == len(want), nm
         for key in keys:
+            assert got[key].shape == want[key].shape, (nm, key)
             assert np.abs(got[key] - want[key] / n).max() < 1e-13, (nm, key)
 
 
@@ -209,7 +216,7 @@ def test_zero_slope_smoothed_ql_equals_local_constant():
     mll = ll_marginals(llctx, 0.1, comps, zeros)
     mnw = _nw_marginals_dense(nwctx, 0.1, comps)
     assert mll.sq == pytest.approx(mnw.sq, abs=1e-12)
-    assert mll.mass == pytest.approx(mnw.total, abs=1e-13)
+    assert mll.mass == pytest.approx(mnw.mass, abs=1e-13)
 
 
 def test_gaussian_single_outer_step_equals_dense_solve():

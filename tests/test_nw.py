@@ -11,9 +11,11 @@ from sbgam.errors import (DegenerateWeightError, InitializerError,
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
-from sbgam.nw_fit import (FitConfig, NwMarginals, _nw_marginals_dense,
+from sbgam.ll_fit import ll_inner_solve, ll_marginals, ll_prepare
+from sbgam.nw_fit import (FitConfig, Marginals, _nw_marginals_dense,
                           _nw_marginals_identity, _nw_marginals_streamed,
-                          fit_nw, nw_inner_solve, nw_prepare)
+                          fit_nw, inner_solve, nw_inner_solve, nw_marginals,
+                          nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -68,16 +70,17 @@ def test_dense_and_streamed_marginals_agree():
         eta0 = float(rng.normal())
         md = _nw_marginals_dense(ctx, eta0, comps)
         ms = _nw_marginals_streamed(ctx, eta0, comps)
-        for got, want in ((md.total, ms.total), (md.sq, ms.sq),
+        for got, want in ((md.mass, ms.mass), (md.sq, ms.sq),
                           (md.score_total, ms.score_total)):
             assert abs(got - want) < 1e-13, case
         for j in range(d):
-            for got, want in ((md.weight_curves[j], ms.weight_curves[j]),
-                              (md.score_curves[j], ms.score_curves[j])):
+            for got, want in ((md.weight[j], ms.weight[j]),
+                              (md.score[j], ms.score[j])):
+                assert got.shape == want.shape == (1, grid.shape[j]), case
                 assert np.abs(got - want).max() < 1e-13, (case, j)
-        assert md.weight_pairs.keys() == ms.weight_pairs.keys(), case
-        for key in ms.weight_pairs:
-            assert np.abs(md.weight_pairs[key] - ms.weight_pairs[key]
+        assert md.pairs.keys() == ms.pairs.keys(), case
+        for key in ms.pairs:
+            assert np.abs(md.pairs[key] - ms.pairs[key]
                           ).max() < 1e-13, case
 
 
@@ -105,16 +108,16 @@ def test_identity_closed_form_matches_streamed(d, kernel):
     eta0 = float(rng.normal())
     mc = _nw_marginals_identity(ctx, eta0, comps)
     ms = _nw_marginals_streamed(ctx, eta0, comps)
-    assert abs(mc.total - ms.total) < 1e-13
+    assert abs(mc.mass - ms.mass) < 1e-13
     assert abs(mc.score_total - ms.score_total) < 1e-13
     assert abs(mc.sq - ms.sq) < 1e-13
     for j in range(d):
-        assert np.abs(mc.weight_curves[j] - ms.weight_curves[j]).max() < 1e-13
-        assert np.abs(mc.score_curves[j] - ms.score_curves[j]).max() < 1e-13
-    assert mc.weight_pairs.keys() == ms.weight_pairs.keys()
-    for key in ms.weight_pairs:
-        assert np.abs(mc.weight_pairs[key] - ms.weight_pairs[key]
-                      ).max() < 1e-13
+        assert mc.weight[j].shape == ms.weight[j].shape == (1, grid.shape[j])
+        assert np.abs(mc.weight[j] - ms.weight[j]).max() < 1e-13
+        assert np.abs(mc.score[j] - ms.score[j]).max() < 1e-13
+    assert mc.pairs.keys() == ms.pairs.keys()
+    for key in ms.pairs:
+        assert np.abs(mc.pairs[key] - ms.pairs[key]).max() < 1e-13
 
 
 def test_only_gaussian_at_three_dims_takes_the_closed_form():
@@ -146,7 +149,7 @@ def test_gaussian_weight_total_is_one():
     ds = _sim_dataset(1, 60, 2)
     ctx = nw_prepare(ds, 0.2, Grid.uniform(2, 21), "gaussian")
     marg = _nw_marginals_dense(ctx, 0.0, [np.zeros(21), np.zeros(21)])
-    assert marg.total == pytest.approx(1.0, abs=1e-14)
+    assert marg.mass == pytest.approx(1.0, abs=1e-14)
 
 
 def test_bernoulli_weight_total_at_zero_predictor():
@@ -155,7 +158,7 @@ def test_bernoulli_weight_total_at_zero_predictor():
     ds = _sim_dataset(2, 60, 1, "bernoulli")
     ctx = nw_prepare(ds, 0.2, Grid.uniform(1, 21), "bernoulli")
     marg = _nw_marginals_dense(ctx, 0.0, [np.zeros(21)])
-    assert marg.total == pytest.approx(0.25, abs=1e-14)
+    assert marg.mass == pytest.approx(0.25, abs=1e-14)
 
 
 def _random_consistent_marginals(seed, grid):
@@ -165,15 +168,15 @@ def _random_consistent_marginals(seed, grid):
     W = rng.uniform(0.5, 2.0, size=grid.shape)
     S = rng.normal(size=grid.shape)
     d = grid.ndim
-    return NwMarginals(
-        total=integrate_tensor(W, grid),
-        weight_curves=[integrate_tensor(W, grid, keep=(j,))
-                       for j in range(d)],
-        weight_pairs={(a, b): integrate_tensor(W, grid, keep=(a, b))
-                      for a in range(d) for b in range(d) if a < b},
+    return Marginals(
+        mass=integrate_tensor(W, grid),
+        weight=[integrate_tensor(W, grid, keep=(j,))[None]
+                for j in range(d)],
+        score=[integrate_tensor(S, grid, keep=(j,))[None]
+               for j in range(d)],
+        pairs={(a, b): integrate_tensor(W, grid, keep=(a, b))
+               for a in range(d) for b in range(d) if a < b},
         score_total=integrate_tensor(S, grid),
-        score_curves=[integrate_tensor(S, grid, keep=(j,))
-                      for j in range(d)],
         sq=0.0,
     )
 
@@ -184,8 +187,8 @@ def test_inner_solver_matches_dense_solve():
     cfg = FitConfig(tol_inner=1e-14, max_inner=500)
     xi0, xi, sweeps, contraction, changes = nw_inner_solve(marg, grid, cfg)
     ref0, refs = _solve_additive_system(
-        marg.total, marg.weight_curves, marg.weight_pairs,
-        marg.score_total, marg.score_curves, grid,
+        marg.mass, [w[0] for w in marg.weight], marg.pairs,
+        marg.score_total, [s[0] for s in marg.score], grid,
     )
     assert xi0 == pytest.approx(ref0, abs=1e-10)
     for j in range(2):
@@ -202,14 +205,14 @@ def test_inner_solver_one_sweep_for_product_weights():
     b = rng.uniform(0.5, 1.5, size=15)
     W = np.outer(a, b)
     S = rng.normal(size=(15, 15))
-    marg = NwMarginals(
-        total=integrate_tensor(W, grid),
-        weight_curves=[integrate_tensor(W, grid, keep=(j,))
-                       for j in range(2)],
-        weight_pairs={(0, 1): W},
+    marg = Marginals(
+        mass=integrate_tensor(W, grid),
+        weight=[integrate_tensor(W, grid, keep=(j,))[None]
+                for j in range(2)],
+        score=[integrate_tensor(S, grid, keep=(j,))[None]
+               for j in range(2)],
+        pairs={(0, 1): W},
         score_total=integrate_tensor(S, grid),
-        score_curves=[integrate_tensor(S, grid, keep=(j,))
-                      for j in range(2)],
         sq=0.0,
     )
     _, _, sweeps, _, _ = nw_inner_solve(marg, grid, FitConfig())
@@ -221,17 +224,101 @@ def test_inner_solver_one_sweep_for_single_dimension():
     rng = np.random.default_rng(9)
     W = rng.uniform(0.5, 2.0, size=31)
     S = rng.normal(size=31)
-    marg = NwMarginals(
-        total=integrate_tensor(W, grid),
-        weight_curves=[W],
-        weight_pairs={},
+    marg = Marginals(
+        mass=integrate_tensor(W, grid),
+        weight=[W[None]],
+        score=[S[None]],
+        pairs={},
         score_total=integrate_tensor(S, grid),
-        score_curves=[S],
         sq=0.0,
     )
     _, xi, sweeps, _, _ = nw_inner_solve(marg, grid, FitConfig())
     assert sweeps == 1
     assert abs(float(grid.weights[0] @ (xi[0] * W))) < 1e-14
+
+
+def _estimating_residual(marg, grid, xi0, xi):
+    """Largest residual of the linearized estimating equations and the
+    centering constraints at the step (xi0, xi), assembled point by point
+    from the moments: for every component j, regressor power a <= p and
+    grid point g,
+
+        sum_b W_j^{a+b} xi_j^b + W_j^a xi0
+            + sum_{l != j, b, h} C_jl^{ab}[g, h] w_l[h] xi_l^b[h] = z_j^a,
+
+    plus the integrated equation and sum_{a, g} w_j W_j^a xi_j^a = 0."""
+    d, tw = grid.ndim, grid.weights
+    k = len(xi)
+    W, Z = marg.weight, marg.score
+    res = [marg.score_total - marg.mass * xi0]
+    for l in range(d):
+        for b in range(k):
+            for h in range(grid.shape[l]):
+                res[0] -= tw[l][h] * W[l][b][h] * xi[b][l][h]
+    for j in range(d):
+        gj = grid.shape[j]
+        constraint = 0.0
+        for a in range(k):
+            for g in range(gj):
+                r = Z[j][a][g] - W[j][a][g] * xi0
+                for b in range(k):
+                    r -= W[j][a + b][g] * xi[b][j][g]
+                for l in range(d):
+                    if l == j:
+                        continue
+                    gl = grid.shape[l]
+                    for b in range(k):
+                        for h in range(gl):
+                            if j < l:
+                                c = marg.pairs[j, l][a * gj + g, b * gl + h]
+                            else:
+                                c = marg.pairs[l, j][b * gl + h, a * gj + g]
+                            r -= c * tw[l][h] * xi[b][l][h]
+                res.append(r)
+                constraint += tw[j][g] * W[j][a][g] * xi[a][j][g]
+        res.append(constraint)
+    return max(abs(r) for r in res)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1])
+def test_one_solver_satisfies_the_estimating_equations(order, d):
+    # marginals of both orders from random data at a random iterate, on
+    # random grids; the NW d = 3 case takes the streamed path
+    assert nw_inner_solve is inner_solve and ll_inner_solve is inner_solve
+    for family in ("bernoulli", "poisson"):
+        rng = np.random.default_rng([order, d, len(family)])
+        x = rng.uniform(-1, 1, size=(80, d))
+        eta = 0.5 * np.sin(np.pi * x[:, 0])
+        y = (rng.random(80) < expit(eta)).astype(float) \
+            if family == "bernoulli" else rng.poisson(np.exp(eta)) * 1.0
+        ds = Dataset.with_support(x, y, -1.0, 1.0)
+        grid = _random_grid(rng, d)
+        h = rng.uniform(0.4, 0.5, size=d)
+        comps = [0.3 * rng.normal(size=g) for g in grid.shape]
+        if order == 0:
+            marg = nw_marginals(nw_prepare(ds, h, grid, family), 0.1, comps)
+        else:
+            slopes = [0.1 * rng.normal(size=g) for g in grid.shape]
+            marg = ll_marginals(ll_prepare(ds, h, grid, family), 0.1, comps,
+                                slopes)
+        assert [w.shape for w in marg.weight] == [
+            (2 * order + 1, g) for g in grid.shape]
+        scale = max(float(np.abs(w).max()) for w in marg.weight)
+        for tol in (1e-8, 1e-12):
+            cfg = FitConfig(tol_inner=tol)
+            xi0, *xi, sweeps, _, _ = inner_solve(marg, grid, cfg)
+            assert len(xi) == order + 1
+            assert (sweeps == 1) is (d == 1), (family, tol)
+            resid = _estimating_residual(marg, grid, xi0, xi)
+            assert resid < tol * scale, (family, tol, resid)
+        # the constraints hold by construction only for consistent
+        # marginals; the centering shift must enforce them regardless
+        marg.score_total += 0.1 * marg.mass
+        _, *xi, _, _, _ = inner_solve(marg, grid, FitConfig())
+        for j in range(d):
+            centered = marg.constraint(grid, j, *(x[j] for x in xi))
+            assert abs(centered) < 1e-14 * scale, (family, j)
 
 
 def test_fit_matches_pointwise_newton_d1():

@@ -72,7 +72,7 @@ def test_dense_backfit_nw_reproduces_additive_data():
     marg = _nw_marginals_dense(ctx, c0, curves)
     for j in range(2):
         resid = float(grid.weights[j]
-                      @ (curves[j] * marg.weight_curves[j]))
+                      @ (curves[j] * marg.weight[j][0]))
         assert abs(resid) < 1e-10
 
 
