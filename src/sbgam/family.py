@@ -14,9 +14,15 @@ linear predictor u = g(m):
 For the built-in canonical pairs (identity/Gaussian, logit/Bernoulli,
 log/Poisson) these reduce to y - g^{-1}(u) and -(g^{-1})'(u).
 
-A family implements one method, `fields(u, y)`: the weight -q2, the score
-q1 and Q on the same cells, from one clamp and one evaluation of the mean.
-`q1`, `q2`, `qll` and `psi` derive from it.
+A family implements one method, `fields(u, y, out=None)`: the weight -q2,
+the score q1 and Q on the same cells, from one clamp and one evaluation of
+the mean.  `q1`, `q2`, `qll` and `psi` derive from it.  Without `out` the
+fields are new arrays and u is left as it is.  With `out`, a triple of
+float arrays of the broadcast shape of u and y, the fields are written
+there, and u, then a float array of that shape too, is clamped in place
+and may serve as scratch: the built-in families make no array of that
+size, so a caller that evaluates block after block (the local linear
+engine) allocates nothing per block.
 
 Because dQ/dm is linear in y, all three are affine in y, Q up to a term in
 y alone (Wedderburn 1974), so a weighted sum over observations is one
@@ -99,31 +105,38 @@ class Family:
 
     # ---- quasi-likelihood on the predictor scale -----------------------
 
-    def fields(self, u: np.ndarray, y):
+    def fields(self, u: np.ndarray, y, out=None):
         """Weight, score and quasi-likelihood (-q2, q1, Q) at (u, y).
 
-        Each is a new float array of the broadcast shape of u and y, so
-        callers may scale it in place.  This is the one method a family
-        implements; everything below derives from it.
+        Without `out`, each is a new float array of the broadcast shape of
+        u and y, so callers may scale it in place, and u is not changed.
+        With `out`, three float arrays of that shape, the fields are
+        written there and `out` is returned; u must then be a float array
+        of the same shape, and may be overwritten.  This is the one method
+        a family implements; everything below derives from it.
         """
         raise NotImplementedError
 
-    def _clamped(self, u: np.ndarray, y):
-        """Clamped u broadcast against y, and the broadcast shape.
+    def _buffers(self, u, y, out):
+        """Clamped u, writable and of the broadcast shape, and `out`.
 
-        A 0-d shape is evaluated on one cell, since ufuncs turn 0-d arrays
-        into numpy scalars, which cannot be written in place; `_shaped`
-        gives the fields their shape back.
+        Without `out`, u is clamped into a new array and three new field
+        arrays are made; with it, u itself is clamped in place.  Every
+        field is then computed with ufunc `out=` arguments, so 0-d inputs
+        give 0-d arrays, not numpy scalars.
         """
-        u = self.clamp(u)
-        shape = np.broadcast_shapes(u.shape, np.shape(y))
-        cells = shape or (1,)
-        return (u if u.shape == cells else np.broadcast_to(u, cells)), shape
-
-    @staticmethod
-    def _shaped(shape, *fields):
-        """The fields with the broadcast shape from `_clamped`."""
-        return fields if shape else tuple(f.reshape(()) for f in fields)
+        if out is None:
+            u = np.asarray(u, dtype=float)
+            shape = np.broadcast_shapes(u.shape, np.shape(y))
+            scratch = np.empty(shape)
+            out = (np.empty(shape), np.empty(shape), np.empty(shape))
+        else:
+            scratch = u
+        if self.clamp_lo is not None or self.clamp_hi is not None:
+            np.clip(u, self.clamp_lo, self.clamp_hi, out=scratch)
+        elif scratch is not u:
+            np.copyto(scratch, u)
+        return scratch, out
 
     def q1(self, u: np.ndarray, y) -> np.ndarray:
         """Score q1(u, y) = d/du Q(g^{-1}(u), y)."""
@@ -199,10 +212,14 @@ class GaussianIdentity(Family):
     def variance(self, m):
         return np.ones_like(np.asarray(m, dtype=float))
 
-    def fields(self, u, y):
-        u, shape = self._clamped(u, y)
-        r = y - u
-        return self._shaped(shape, np.ones(r.shape), r, -0.5 * r * r)
+    def fields(self, u, y, out=None):
+        u, out = self._buffers(u, y, out)
+        w, r, q = out
+        w.fill(1.0)
+        np.subtract(y, u, out=r)
+        np.multiply(r, -0.5, out=q)
+        q *= r
+        return out
 
 
 class BernoulliLogit(Family):
@@ -236,18 +253,29 @@ class BernoulliLogit(Family):
         m = np.asarray(m, dtype=float)
         return m * (1.0 - m)
 
-    def fields(self, u, y):
-        u, shape = self._clamped(u, y)
-        m = expit(u)
-        m1 = 1.0 - m
-        # log(1 + e^u) = max(u, 0) - log(m or 1 - m, whichever is >= 1/2);
-        # exact to rounding up to the clamp, unlike log1p(-m) for u >> 0
-        q = np.log(np.where(u > 0.0, m, m1))
-        q -= np.maximum(u, 0.0)
-        q += y * u
-        # weight and score overwrite m1 and m: fewer block-sized arrays
-        m1 *= m
-        return self._shaped(shape, m1, np.subtract(y, m, out=m), q)
+    def fields(self, u, y, out=None):
+        u, out = self._buffers(u, y, out)
+        w, m, q = out
+        # Q = y u - log(1 + e^u) = y u - max(u, 0) + log max(m, 1 - m);
+        # exact to rounding up to the clamp, unlike log1p(-m) for u >> 0.
+        # w holds max(u, 0) until u has served as scratch for m and log
+        np.maximum(u, 0.0, out=w)
+        np.multiply(y, u, out=q)
+        # m = 1 / (1 + e^-u), within an ulp of expit, with u as scratch
+        np.negative(u, out=u)
+        np.exp(u, out=u)
+        u += 1.0
+        np.divide(1.0, u, out=m)
+        np.subtract(1.0, m, out=u)
+        # max(m, 1 - m) picks m exactly when u >= 0, where m >= 1/2
+        np.maximum(m, u, out=u)
+        np.log(u, out=u)
+        u -= w
+        q += u
+        np.subtract(1.0, m, out=w)
+        w *= m
+        np.subtract(y, m, out=m)
+        return out
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -283,12 +311,14 @@ class PoissonLog(Family):
     def variance(self, m):
         return np.asarray(m, dtype=float)
 
-    def fields(self, u, y):
-        u, shape = self._clamped(u, y)
-        m = np.exp(u)
-        q = y * u
+    def fields(self, u, y, out=None):
+        u, out = self._buffers(u, y, out)
+        m, s, q = out
+        np.exp(u, out=m)
+        np.multiply(y, u, out=q)
         q -= m
-        return self._shaped(shape, m, y - m, q)
+        np.subtract(y, m, out=s)
+        return out
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -319,7 +349,8 @@ class QuasiFamily(Family):
 
     The score in `fields` comes from the defining relation
     q1 = (y - m) / [V(m) g'(m)]; the weight and Q from the q2 and qll
-    callables.
+    callables.  The callables make new arrays, which `fields` copies into
+    `out` when it is given.
     """
 
     def __init__(
@@ -358,13 +389,14 @@ class QuasiFamily(Family):
     def variance(self, m):
         return np.asarray(self._variance(np.asarray(m, dtype=float)))
 
-    def fields(self, u, y):
-        u, shape = self._clamped(u, y)
+    def fields(self, u, y, out=None):
+        u, out = self._buffers(u, y, out)
         m = np.asarray(self._mean(u))
         score = (y - m) / (self.variance(m) * self.link_deriv(m))
-        return self._shaped(shape, *(
-            np.broadcast_to(f, u.shape).astype(float)
-            for f in (-np.asarray(self._q2(u, y)), score, self._qll(u, y))))
+        for o, f in zip(out, (-np.asarray(self._q2(u, y)), score,
+                              self._qll(u, y))):
+            np.copyto(o, f)
+        return out
 
     def validate_response(self, y):
         super().validate_response(y)

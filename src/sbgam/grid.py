@@ -60,6 +60,8 @@ class Grid:
     points: tuple
 
     weights: tuple = field(init=False, repr=False, compare=False)
+    # points per dimension, read inside per-iterate code, so set once
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(np.asarray(p, dtype=float) for p in self.points)
@@ -74,6 +76,7 @@ class Grid:
                 raise InputError("grid points must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", tuple(trapz_weights(p) for p in pts))
+        object.__setattr__(self, "shape", tuple(p.size for p in pts))
 
     @classmethod
     def uniform(cls, ndim: int, n_points: int = 41) -> "Grid":
@@ -86,10 +89,6 @@ class Grid:
     @property
     def ndim(self) -> int:
         return len(self.points)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(p.size for p in self.points)
 
 
 def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:

@@ -33,11 +33,16 @@ product of that observation's one-dimensional kernel windows, and the
 regressors t_j enter only as per-observation, per-axis factors.  One
 engine serves every d.  `ll_prepare` orders the observations by their
 window widths and splits them into blocks once per fit, each padded only
-to its own widest windows.  Per iterate, one family call per block gives
-the weight, score and quasi-likelihood fields on the block's windows;
-each field is integrated down to window curves and pair surfaces, the
-t_j are multiplied in there, and the results are scattered onto the
-grid.  Nothing of full product-grid size is formed.
+to its own widest windows, and allocates one workspace sized to the
+largest block.  Per iterate, each block's predictor and kernel product
+are written into views of that workspace, and one family call per block
+writes the weight, score and quasi-likelihood fields beside them; each
+field is integrated down to window curves and pair surfaces, the t_j are
+multiplied in there (the block-sized pair products again in the
+workspace), and the results are scattered onto the grid.  Nothing of
+full product-grid size is formed, and for d >= 2 no array of block size
+is allocated after `ll_prepare` (at d = 1 the window curves are the
+block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the damped step with
@@ -47,9 +52,9 @@ recentering, input preparation and the fitted-model base live in
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from operator import attrgetter
 
 import numpy as np
@@ -78,10 +83,10 @@ __all__ = [
 ]
 
 # cap, in scalar cells, on one block of observations times their padded
-# windows; ll_prepare splits the data by it.  About seven such arrays are
-# alive at once in ll_marginals (the predictor, the kernel product and the
-# family's fields), so a block peaks near 3 MB; 100k cells raised the peak
-# resident set by 5 MB and ran no faster
+# windows; ll_prepare splits the data by it and sizes the workspace to the
+# largest block: five float buffers and one index buffer, about 2.4 MB
+# held for the fit's lifetime.  100k cells raised the peak resident set by
+# 5 MB and ran no faster
 BLOCK_CELLS = 50_000
 
 
@@ -94,11 +99,14 @@ class LlContext(FitContext):
     (B,), and gathered[j] the grid indices, kernel values, t_j and
     trapezoid weights on each observation's window of dimension j, each
     (B, W_j) for the block's widest window W_j, padded with zero kernel
-    cells.
+    cells.  workspace holds the buffers `ll_marginals` works in, one
+    (5, cells) float array and one (cells,) intp array for the largest
+    block's padded cells; so one context serves one evaluation at a time.
     """
 
     tvals: list | None = None
     blocks: list | None = None
+    workspace: tuple | None = None
 
 
 def ll_prepare(
@@ -115,9 +123,10 @@ def ll_prepare(
         (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
         for j in range(dataset.ndim)
     ]
+    blocks = _block_split(np.stack([hi - lo for lo, hi in ctx.windows],
+                                   axis=1))
     ctx.blocks = []
-    for obs, widths in _block_split(
-            np.stack([hi - lo for lo, hi in ctx.windows], axis=1)):
+    for obs, widths in blocks:
         gathered = []
         for j, width in enumerate(widths):
             lo = np.minimum(ctx.windows[j][0][obs], grid.shape[j] - width)
@@ -127,6 +136,8 @@ def ll_prepare(
                              np.take_along_axis(ctx.tvals[j][obs], idx, 1),
                              grid.weights[j][idx]))
         ctx.blocks.append((obs, gathered))
+    cells = max(len(obs) * prod(widths) for obs, widths in blocks)
+    ctx.workspace = (np.empty((5, cells)), np.empty(cells, dtype=np.intp))
     return ctx
 
 
@@ -179,77 +190,124 @@ def _integrate_out(field, wts, keep):
     return field
 
 
-def _window_marginals(field, wts, pairs):
-    """Window curves (B, W_j) and pair surfaces (B, W_j, W_l) of a block.
+def _window_marginals(field, wts, pairs, use_surface=None):
+    """Window curves (B, W_j) of a block, each as a new array.
 
-    pairs must hold every (0, j): the curves are integrated from those.
+    Each pair surface (B, W_j, W_l) is made in turn, handed to
+    use_surface(j, l, surface) and dropped, so at most one is alive.
+    pairs must hold every (0, l): the curves are integrated from those.
     """
-    if len(wts) == 1:
-        return [field], {}
-    surf = {p: _integrate_out(field, wts, p) for p in pairs}
-    curves = [np.einsum("zab,zb->za", surf[0, 1], wts[1])]
-    curves += [np.einsum("zab,za->zb", surf[0, j], wts[0])
-               for j in range(1, len(wts))]
-    return curves, surf
+    curves = [field] if len(wts) == 1 else [None] * len(wts)
+    for j, l in pairs:
+        surf = _integrate_out(field, wts, (j, l))
+        if j == 0:
+            curves[l] = np.einsum("zab,za->zb", surf, wts[0])
+            if l == 1:
+                curves[0] = np.einsum("zab,zb->za", surf, wts[1])
+        if use_surface is not None:
+            use_surface(j, l, surf)
+    return curves
+
+
+def _add_curves(moments, curves, t, idx, shape):
+    """Add each window curve times t_j^k to row k of moments[j]."""
+    for j, curve in enumerate(curves):
+        for k, row in enumerate(moments[j]):
+            vals = curve if k == 0 else t[j] ** k * curve
+            row += np.bincount(idx[j].ravel(), vals.ravel(), shape[j])
+
+
+def _pair_moments(surf, tj, tl, scratch):
+    """A pair surface times t_j^a t_l^b for (a, b) in {0, 1}^2.
+
+    Each product is written into scratch, so it must be used before the
+    next one is drawn.
+    """
+    yield (0, 0), surf
+    yield (1, 0), np.multiply(tj, surf, out=scratch)
+    yield (0, 1), np.multiply(tl, surf, out=scratch)
+    np.multiply(tj, tl, out=scratch)
+    scratch *= surf
+    yield (1, 1), scratch
+
+
+def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
+    """Add one block's moments to sums; return its smoothed Q.
+
+    sums is (weight, score, pairs) as `ll_marginals` fills them.  The
+    predictor and the kernel product are written into the workspace, one
+    call of the family's `fields` writes the weight, score and
+    quasi-likelihood fields beside them, with the predictor as its
+    scratch, and the fields are scaled in place by the kernel product.
+    What else the block needs is of window-curve or pair-surface size and
+    is freed when this returns.
+    """
+    d, shape, (floats, ints) = len(gathered), ctx.grid.shape, ctx.workspace
+    weight, score, pair_sums = sums
+    idx, k, t, w = zip(*gathered)
+    block = (len(obs),) + tuple(i.shape[1] for i in idx)
+    u, kp, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
+    for j in range(d):
+        axes = [len(obs)] + [1] * d
+        axes[j + 1] = -1
+        term = (comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes)
+        if j == 0:
+            np.add(eta00, term, out=u)
+            np.copyto(kp, k[j].reshape(axes))
+        else:
+            u += term
+            kp *= k[j].reshape(axes)
+    ctx.family.fields(u, ctx.dataset.y[obs].reshape(-1, *[1] * d),
+                      out=fields)
+    for f in fields:
+        f *= kp
+    wfield, sfield, qfield = fields
+
+    def add_pair(j, l, surf):
+        cells = len(obs) * block[j + 1] * block[l + 1]
+        flat = ints[:cells].reshape(-1, block[j + 1], block[l + 1])
+        np.add(idx[j][:, :, None] * shape[l], idx[l][:, None, :], out=flat)
+        # the predictor's buffer is free once the fields are made
+        scratch = floats[0, :cells].reshape(flat.shape)
+        for (a, b), vals in _pair_moments(surf, t[j][:, :, None],
+                                          t[l][:, None, :], scratch):
+            pair_sums[j, l][a, :, b] += np.bincount(
+                flat.ravel(), vals.ravel(), shape[j] * shape[l]
+            ).reshape(shape[j], shape[l])
+
+    _add_curves(weight, _window_marginals(wfield, w, pairs, add_pair), t,
+                idx, shape)
+    _add_curves(score, _window_marginals(sfield, w, pairs[:d - 1]), t, idx,
+                shape)
+    return float(_integrate_out(qfield, w, ()).sum())
 
 
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
     """Weight moments and score marginals at the given iterate.
 
     Each block of B observations is evaluated on its kernel windows,
-    (B, W_1, ..., W_d), with one call of the family's `fields`, whose
-    weight, score and quasi-likelihood fields are scaled in place by the
-    kernel product; see the module docstring.
+    (B, W_1, ..., W_d), in views of the context's workspace; see
+    `_add_block` and the module docstring.
     """
-    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    n, d, shape = ctx.dataset.n, grid.ndim, grid.shape
+    grid, n, shape = ctx.grid, ctx.dataset.n, ctx.grid.shape
     # combinations lists the pairs (0, 1), ..., (0, d - 1) first
-    pairs = list(combinations(range(d), 2))
-    acc = defaultdict(float)
+    pairs = list(combinations(range(grid.ndim), 2))
+    weight = [np.zeros((3, g)) for g in shape]
+    score = [np.zeros((2, g)) for g in shape]
+    # block (a, b) of a pair's matrix, [a, :, b] here, is the moment
+    # against t_j^a t_l^b
+    blocks = {(j, l): np.zeros((2, shape[j], 2, shape[l])) for j, l in pairs}
     sq = 0.0
     for obs, gathered in ctx.blocks:
-        idx, k, t, w = zip(*gathered)
-        u, kp = eta00, 1.0
-        for j in range(d):
-            axes = [len(obs)] + [1] * d
-            axes[j + 1] = -1
-            u = u + (comps0[j][idx[j]]
-                     + t[j] * comps1[j][idx[j]]).reshape(axes)
-            kp = kp * k[j].reshape(axes)
-        fields = fam.fields(u, y[obs].reshape(-1, *[1] * d))
-        for f in fields:
-            f *= kp
-        wfield, sfield, qfield = fields
-        wc, ws = _window_marginals(wfield, w, pairs)
-        sc, _ = _window_marginals(sfield, w, pairs[:d - 1])
-        sq += float(_integrate_out(qfield, w, ()).sum())
-        for j in range(d):
-            for (kind, power), vals in (
-                    (("w", 0), wc[j]), (("w", 1), t[j] * wc[j]),
-                    (("w", 2), t[j] * t[j] * wc[j]),
-                    (("z", 0), sc[j]), (("z", 1), t[j] * sc[j])):
-                acc[kind, power, j] += np.bincount(idx[j].ravel(),
-                                                   vals.ravel(), shape[j])
-        for j, l in pairs:
-            flat = (idx[j][:, :, None] * shape[l] + idx[l][:, None, :]).ravel()
-            tj, tl, surf = t[j][:, :, None], t[l][:, None, :], ws[j, l]
-            for (a, b), vals in (((0, 0), surf), ((1, 0), tj * surf),
-                                 ((0, 1), tl * surf),
-                                 ((1, 1), tj * tl * surf)):
-                acc["p", a, b, j, l] += np.bincount(flat, vals.ravel(),
-                                                    shape[j] * shape[l])
-    weight = [np.stack([acc["w", k, j] for k in range(3)]) / n
-              for j in range(d)]
-    score = [np.stack([acc["z", a, j] for a in range(2)]) / n
-             for j in range(d)]
-    # block (a, b) of a pair's matrix is the moment against t_j^a t_l^b
-    blocks = {(j, l): np.block([[acc["p", a, b, j, l].reshape(shape[j],
-                                                              shape[l])
-                                 for b in range(2)] for a in range(2)]) / n
-              for j, l in pairs}
+        sq += _add_block((weight, score, blocks), ctx, pairs, obs, gathered,
+                         eta00, comps0, comps1)
+    for m in [*weight, *score, *blocks.values()]:
+        m /= n
     tw0 = grid.weights[0]
     return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
-                     score=score, pairs=blocks,
+                     score=score,
+                     pairs={p: m.reshape(2 * shape[p[0]], 2 * shape[p[1]])
+                            for p, m in blocks.items()},
                      score_total=float(tw0 @ score[0][0]),
                      sq=sq / n).check_weight(grid)
 

@@ -242,9 +242,40 @@ def test_bernoulli_fields_quasi_likelihood_is_exact():
 
 
 def test_softplus_through_log1p_of_expit_misses_the_bound():
-    # why fields branches on the sign of u: 1 - expit(u) has lost almost
-    # all its digits by u = 30
+    # why fields takes the log of max(m, 1 - m): 1 - expit(u) has lost
+    # almost all its digits by u = 30
     u = np.linspace(-30.0, 30.0, 6001)
     exact = u - np.logaddexp(0.0, u)
     naive = u + np.log1p(-expit(u))
     assert np.abs(naive - exact).max() > 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_fields_into_out_equal_new_arrays(name):
+    # the local linear engine passes its workspace as out and its
+    # predictor as scratch; u covers both clamp edges and 0, y is a column
+    fam, ys = FIELD_CASES[name]
+    u = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0]])
+    u = np.tile(u, (len(ys), 1))
+    y = np.array(ys)[:, None]
+    u_before, y_before = u.copy(), y.copy()
+    want = fam.fields(u, y)
+    assert np.array_equal(u, u_before)
+    bufs = tuple(np.full(u.shape, np.nan) for _ in range(3))
+    got = fam.fields(u.copy(), y, out=bufs)
+    assert len(got) == 3 and all(g is b for g, b in zip(got, bufs))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert np.array_equal(y, y_before)
+
+
+def test_bernoulli_fields_within_two_ulp_of_expit():
+    # fields forms the mean as 1 / (1 + e^-u) in place, not with expit
+    b = family.get_family("bernoulli")
+    u = np.linspace(-30.0, 30.0, 60001)
+    m = expit(u)
+    ulp = np.finfo(float).eps
+    for y in (0.0, 0.3, 1.0):
+        weight, score, _ = b.fields(u, y)
+        assert np.abs(weight - m * (1.0 - m)).max() <= 2 * ulp
+        assert np.abs(score - (y - m)).max() <= 2 * ulp

@@ -1,5 +1,8 @@
 """Grids, trapezoid integration, dataset rescaling, streamed marginals."""
 
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,18 @@ def test_grid_uniform_and_validation():
         Grid.uniform(1, 4)
     with pytest.raises(InputError):
         Grid((np.array([0.0, 0.5, 0.4, 0.8, 1.0]),))
+
+
+def test_grid_shape_is_set_once():
+    # shape is read inside per-iterate code: one tuple made at
+    # construction, kept out of equality and repr like the weights
+    g = Grid((np.linspace(0, 1, 7),
+              np.array([0.0, 0.1, 0.3, 0.35, 0.5, 0.7, 0.8, 0.9, 1.0])))
+    assert g.shape == (7, 9) and g.shape is g.shape
+    assert [f.name for f in fields(Grid) if f.compare] == ["points"]
+    assert repr(g) == f"Grid(points={g.points!r})"
+    assert g == g
+    assert pickle.loads(pickle.dumps(g)).shape == (7, 9)
 
 
 def test_integrate_tensor_matches_iterated_trapz():

@@ -1,5 +1,6 @@
 """Local linear fitter: predictor field, marginals, solver, oracles."""
 
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from math import prod
@@ -201,6 +202,63 @@ def test_marginals_match_reference_on_random_grids(d, kernel, family,
     c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
     c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
     _assert_matches_reference(ctx, 0.2, c0, c1)
+
+
+def _workspace_case(d):
+    """A Bernoulli context split into ragged blocks of differing window
+    widths, and two random iterates on its grid."""
+    rng = np.random.default_rng(40 + d)
+    n, g = (900, 21) if d == 2 else (500, 11)
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    y = (rng.random(n) < expit(np.sin(np.pi * x[:, 0]))).astype(float)
+    ds = Dataset.with_support(x, y, -1.0, 1.0)
+    grid = Grid.uniform(d, g)
+    ctx = ll_prepare(ds, 0.35, grid, "bernoulli")
+    widths = {tuple(gt[0].shape[1] for gt in gathered)
+              for _, gathered in ctx.blocks}
+    assert len(ctx.blocks) > 2 and len(widths) > 1
+    iterates = [(rng.normal(), [0.5 * rng.normal(size=g) for _ in range(d)],
+                 [0.2 * rng.normal(size=g) for _ in range(d)])
+                for _ in range(2)]
+    return ctx, iterates
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_workspace_keeps_nothing_between_evaluations(d):
+    # the workspace is reused block after block and call after call; a
+    # cell left from an earlier block or iterate would show here
+    ctx, (a, b) = _workspace_case(d)
+    ll_marginals(ctx, *a)
+    got = ll_marginals(ctx, *b)
+    want = ll_marginals(ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
+                                   "bernoulli"), *b)
+    for nm in ("mass", "score_total", "sq"):
+        assert getattr(got, nm) == getattr(want, nm), nm
+    for nm in ("weight", "score"):
+        for g_, w_ in zip(getattr(got, nm), getattr(want, nm)):
+            assert np.array_equal(g_, w_), nm
+    assert got.pairs.keys() == want.pairs.keys()
+    for key in want.pairs:
+        assert np.array_equal(got.pairs[key], want.pairs[key]), key
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_warm_marginals_allocate_less_than_one_block(d):
+    # predictor, kernel product, fields and pair products all live in the
+    # workspace; what a warm call allocates is window curves, pair
+    # surfaces for d = 3 and grid-sized sums
+    ctx, (a, b) = _workspace_case(d)
+    block_bytes = 8 * max(len(obs) * prod(gt[0].shape[1] for gt in gathered)
+                          for obs, gathered in ctx.blocks)
+    ll_marginals(ctx, *a)
+    tracemalloc.start()
+    try:
+        ll_marginals(ctx, *b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():
