@@ -13,9 +13,10 @@ curves and two-dimensional surfaces of per-observation fields without
 ever materializing a full d-dimensional tensor: each observation's kernel
 product vanishes outside a small window per dimension, so only
 window-sized blocks are ever formed.  They serve the local constant
-smoother for d >= 3 with a non-identity link (the Gaussian identity link
-has closed-form marginals, see `nw_fit`); the local linear smoother
-batches observations on the same windows itself (see `ll_fit`).
+smoother for d >= 3 with links other than the Gaussian identity and the
+Poisson log, which have closed-form marginals (see `nw_fit`); the local
+linear smoother batches observations on the same windows itself (see
+`ll_fit`).
 """
 
 from __future__ import annotations

@@ -30,24 +30,30 @@ unchanged.
 
 Every moment is a sum over observations of a field supported on the
 product of that observation's one-dimensional kernel windows, and the
-regressors t_j enter only as per-observation, per-axis factors.  One
-engine serves every d.  `ll_prepare` orders the observations by their
-window widths and splits them into blocks once per fit, each padded only
-to its own widest windows, and allocates one workspace sized to the
-largest block.  Per iterate, each block's predictor and kernel product
-are written into views of that workspace, and one family call per block
-writes the weight, score and quasi-likelihood fields beside them; each
-field is integrated down to window curves and pair surfaces, the t_j are
-multiplied in there (the block-sized pair products again in the
-workspace), and the results are scattered onto the grid.  Nothing of
-full product-grid size is formed, and for d >= 2 no array of block size
-is allocated after `ll_prepare` (at d = 1 the window curves are the
-block).
+regressors t_j enter only as per-observation, per-axis factors.  For the
+Poisson log link the field e^eta is itself such a product, so
+`ll_marginals` forms every moment from per-axis window integrals on the
+(n, G_j) kernel rows, with one matrix product per pair of axes, and does
+no per-cell work at any d (`nw_fit._poisson_marginals`).  Every other
+family, and a Poisson iterate whose predictor could reach the clamp,
+takes the block engine, which serves every d.  On first use it orders
+the observations by their window widths and splits them into blocks once
+per fit, each padded only to its own widest windows, and allocates one
+workspace sized to the largest block.  Per iterate, each block's
+predictor and kernel product are written into views of that workspace,
+and one family call per block writes the weight, score and
+quasi-likelihood fields beside them; each field is integrated down to
+window curves and pair surfaces, the t_j are multiplied in there (the
+block-sized pair products again in the workspace), and the results are
+scattered onto the grid.  Nothing of full product-grid size is formed,
+and for d >= 2 no array of block size is allocated once the blocks are
+built (at d = 1 the window curves are the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the damped step with
 recentering, input preparation and the fitted-model base live in
-`nw_fit`; this module supplies only the order-1 moment marginals.
+`nw_fit`; this module supplies only the order-1 moment marginals, and
+routes Poisson to the order-1 case of `nw_fit`'s per-axis producer.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from .nw_fit import (
     Marginals,
     _damped_step,
     _newton_fit,
+    _poisson_marginals,
     inner_solve,
 )
 
@@ -83,10 +90,10 @@ __all__ = [
 ]
 
 # cap, in scalar cells, on one block of observations times their padded
-# windows; ll_prepare splits the data by it and sizes the workspace to the
-# largest block: five float buffers and one index buffer, about 2.4 MB
-# held for the fit's lifetime.  100k cells raised the peak resident set by
-# 5 MB and ran no faster
+# windows; LlContext.build_blocks splits the data by it and sizes the
+# workspace to the largest block: five float buffers and one index
+# buffer, about 2.4 MB held for the fit's lifetime.  100k cells raised the
+# peak resident set by 5 MB and ran no faster
 BLOCK_CELLS = 50_000
 
 
@@ -94,19 +101,46 @@ BLOCK_CELLS = 50_000
 class LlContext(FitContext):
     """Shared precomputations plus regressor offsets and kernel windows.
 
-    tvals[j] holds t_j on the grid, (n, G_j).  blocks holds one
-    (obs, gathered) pair per block of observations: obs their indices,
-    (B,), and gathered[j] the grid indices, kernel values, t_j and
-    trapezoid weights on each observation's window of dimension j, each
-    (B, W_j) for the block's widest window W_j, padded with zero kernel
-    cells.  workspace holds the buffers `ll_marginals` works in, one
-    (5, cells) float array and one (cells,) intp array for the largest
-    block's padded cells; so one context serves one evaluation at a time.
+    tvals[j] holds t_j on the grid, (n, G_j); with the kernel rows it is
+    all the Poisson producer needs.  blocks and workspace serve the block
+    engine and stay None until `build_blocks`, which the engine calls on
+    first use, so a Poisson fit that never falls back to it never builds
+    them.  blocks holds one (obs, gathered) pair per block of
+    observations: obs their indices, (B,), and gathered[j] the grid
+    indices, kernel values, t_j and trapezoid weights on each
+    observation's window of dimension j, each (B, W_j) for the block's
+    widest window W_j, padded with zero kernel cells.  workspace holds
+    the buffers the engine works in, one (5, cells) float array and one
+    (cells,) intp array for the largest block's padded cells; so one
+    context serves one evaluation at a time.
     """
 
     tvals: list | None = None
     blocks: list | None = None
     workspace: tuple | None = None
+
+    def build_blocks(self) -> None:
+        """Split the observations into blocks and allocate the workspace,
+        unless that is done already."""
+        if self.blocks is not None:
+            return
+        grid, rows, tvals = self.grid, self.rows, self.tvals
+        blocks = _block_split(np.stack([hi - lo for lo, hi in self.windows],
+                                       axis=1))
+        self.blocks = []
+        for obs, widths in blocks:
+            gathered = []
+            for j, width in enumerate(widths):
+                lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
+                idx = lo[:, None] + np.arange(width)
+                gathered.append((idx,
+                                 np.take_along_axis(rows[j][obs], idx, 1),
+                                 np.take_along_axis(tvals[j][obs], idx, 1),
+                                 grid.weights[j][idx]))
+            self.blocks.append((obs, gathered))
+        cells = max(len(obs) * prod(widths) for obs, widths in blocks)
+        self.workspace = (np.empty((5, cells)),
+                          np.empty(cells, dtype=np.intp))
 
 
 def ll_prepare(
@@ -116,28 +150,15 @@ def ll_prepare(
     family: Family | str = "gaussian",
     kernel: str = "epanechnikov",
 ) -> LlContext:
-    """Validate inputs and precompute rows, windows and regressor offsets."""
+    """Validate inputs and precompute rows, windows and regressor offsets.
+
+    The block engine's blocks and workspace are left to its first use."""
     ctx = LlContext.build(dataset, bandwidths, grid, family, kernel)
     grid, h = ctx.grid, ctx.bandwidths
     ctx.tvals = [
         (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
         for j in range(dataset.ndim)
     ]
-    blocks = _block_split(np.stack([hi - lo for lo, hi in ctx.windows],
-                                   axis=1))
-    ctx.blocks = []
-    for obs, widths in blocks:
-        gathered = []
-        for j, width in enumerate(widths):
-            lo = np.minimum(ctx.windows[j][0][obs], grid.shape[j] - width)
-            idx = lo[:, None] + np.arange(width)
-            gathered.append((idx,
-                             np.take_along_axis(ctx.rows[j][obs], idx, 1),
-                             np.take_along_axis(ctx.tvals[j][obs], idx, 1),
-                             grid.weights[j][idx]))
-        ctx.blocks.append((obs, gathered))
-    cells = max(len(obs) * prod(widths) for obs, widths in blocks)
-    ctx.workspace = (np.empty((5, cells)), np.empty(cells, dtype=np.intp))
     return ctx
 
 
@@ -283,12 +304,26 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
 
 
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
-    """Weight moments and score marginals at the given iterate.
+    """Weight moments and score marginals at the given iterate, checked
+    against the positivity floor.
 
-    Each block of B observations is evaluated on its kernel windows,
-    (B, W_1, ..., W_d), in views of the context's workspace; see
-    `_add_block` and the module docstring.
+    The Poisson log link has them in closed form from per-axis window
+    integrals (`nw_fit._poisson_marginals`); every other family, and a
+    Poisson iterate whose predictor could reach the clamp, takes the
+    block engine, `_block_marginals`.
     """
+    marg = _poisson_marginals(ctx, eta00, comps0, comps1)
+    if marg is None:
+        marg = _block_marginals(ctx, eta00, comps0, comps1)
+    return marg.check_weight(ctx.grid)
+
+
+def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
+    """The block engine: each block of B observations is evaluated on its
+    kernel windows, (B, W_1, ..., W_d), in views of the context's
+    workspace; see `_add_block` and the module docstring.
+    """
+    ctx.build_blocks()
     grid, n, shape = ctx.grid, ctx.dataset.n, ctx.grid.shape
     # combinations lists the pairs (0, 1), ..., (0, d - 1) first
     pairs = list(combinations(range(grid.ndim), 2))
@@ -309,7 +344,7 @@ def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
                      pairs={p: m.reshape(2 * shape[p[0]], 2 * shape[p[1]])
                             for p, m in blocks.items()},
                      score_total=float(tw0 @ score[0][0]),
-                     sq=sq / n).check_weight(grid)
+                     sq=sq / n)
 
 
 # the one solver of `nw_fit`, under LL's own name (see nw_inner_solve)

@@ -32,8 +32,12 @@ P_j = n^{-1} sum_i K_j(x_j, X_ij), P_jl = n^{-1} sum_i K_j K_l and
 R_j = n^{-1} sum_i Y_i K_j, precomputed once per fit.  This is the smooth
 backfitting system of Mammen, Linton and Nielsen (1999); it is exact on
 the grid because every kernel row integrates to one under the trapezoid
-rule.  For other families the marginals are accumulated by streaming over
-observations on their kernel support windows.
+rule.  With the Poisson log link e^eta is a product over axes, so every
+marginal splits into per-observation, per-axis integrals over the kernel
+windows (`_poisson_marginals`, which serves both smoothers); it is exact
+until the predictor reaches the family's clamp, where the streamed path
+takes over.  For other families the marginals are accumulated by
+streaming over observations on their kernel support windows.
 
 After every Newton step the components are recentered against the weight
 marginals of the updated iterate, and the intercept absorbs the shifts,
@@ -54,6 +58,8 @@ the producer of its marginals, of order 0 here and 1 in `ll_fit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import prod
 from operator import attrgetter
 
 import numpy as np
@@ -65,7 +71,7 @@ from .errors import (
     InputError,
     NonConvergenceError,
 )
-from .family import Family, GaussianIdentity, get_family
+from .family import Family, GaussianIdentity, PoissonLog, get_family
 from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
 
 __all__ = [
@@ -270,6 +276,99 @@ def _inverse_moments(m):
     return np.array([[m[2], -m[1]], [-m[1], m[0]]]) / det
 
 
+def _poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+    """Exact Poisson log-link marginals of order p from per-axis integrals.
+
+    Order 0 without comps1; order 1 with it, ctx.tvals then holding the
+    t_j.  Observation i's predictor eta0 + sum_j a_ij(x_j), with
+    a_ij = c0_j + t_ij c1_j (c_j alone for p = 0), is additive, so e^u
+    is a product over axes, and each of the fields (e^u, y - e^u,
+    y u - e^u) times the kernel product splits into one-dimensional
+    integrals over the observation's kernel windows.  With m_ij the
+    largest a_ij where k_ij > 0, e_ij = exp(a_ij - m_ij) k_ij,
+    Phi_ij = integral e_ij, kappa_ij = integral k_ij,
+    A_ij = integral a_ij k_ij and E_i = exp(eta0 + sum_j m_ij):
+
+        weight[j][k] = n^-1 sum_i t_ij^k e_ij E_i prod_{l != j} Phi_il,
+        pairs[j, l] block (a, b) = n^-1 sum_i (t_ij^a e_ij) (t_il^b e_il)
+                                   E_i prod_{m != j, l} Phi_im,
+        score[j][a]  = n^-1 sum_i y_i t_ij^a k_ij prod_{l != j} kappa_il
+                       - weight[j][a],
+        sq = n^-1 sum_i y_i (eta0 prod_j kappa_ij
+                             + sum_j A_ij prod_{l != j} kappa_il)
+             - E_i prod_j Phi_ij.
+
+    Each pair is one (p + 1) G_j by (p + 1) G_l matrix product over the
+    observations; nothing of window-product size is formed.  The shift by
+    m_ij keeps every exponential factor at most 1, so a large term on
+    one axis offset by another cannot overflow.  Returns None unless the
+    family is PoissonLog and no window's predictor exceeds the family's
+    clamp, beyond which these identities stop holding.
+    """
+    fam = ctx.family
+    if not isinstance(fam, PoissonLog):
+        return None
+    grid, y, n = ctx.grid, ctx.dataset.y, ctx.dataset.n
+    tw, order = grid.weights, 0 if comps1 is None else 1
+    # moms[j], (n, p + 1, G_j), holds a_ij - m_ij in row 0 until the
+    # guard has passed, then t_ij^a e_ij in row a
+    moms, lin, kappa, top = [], [], [], np.full(n, float(eta0))
+    for j, k in enumerate(ctx.rows):
+        mom = np.empty((n, order + 1, grid.shape[j]))
+        a = mom[:, 0]
+        if order:
+            np.multiply(ctx.tvals[j], comps1[j], out=a)
+            a += comps0[j]
+        else:
+            a[:] = comps0[j]
+        lin.append((a * k) @ tw[j])
+        kappa.append(k @ tw[j])
+        np.copyto(a, -np.inf, where=k <= 0.0)
+        m = a.max(axis=1)
+        a -= m[:, None]
+        top += m
+        moms.append(mom)
+    if top.max() > fam.clamp_hi:
+        return None
+    scale = np.exp(top) / n
+    phi = []
+    for j, mom in enumerate(moms):
+        e = mom[:, 0]
+        np.exp(e, out=e)
+        e *= ctx.rows[j]
+        if order:
+            np.multiply(ctx.tvals[j], e, out=mom[:, 1])
+        phi.append(e @ tw[j])
+        # column block a of this view is t_j^a e_j
+        moms[j] = mom.reshape(n, -1)
+
+    def others(vals, *skip):
+        return prod((v for l, v in enumerate(vals) if l not in skip),
+                    start=np.ones(n))
+
+    weight, score = [], []
+    for j, g in enumerate(grid.shape):
+        coef = scale * others(phi, j)
+        yk = y * others(kappa, j) / n
+        w, s = [coef @ moms[j]], [yk @ ctx.rows[j]]
+        if order:
+            w.append(coef @ (ctx.tvals[j] * moms[j][:, g:]))
+            s.append(yk @ (ctx.tvals[j] * ctx.rows[j]))
+        weight.append(np.concatenate(w).reshape(-1, g))
+        score.append(np.array(s) - weight[j][:order + 1])
+    pairs = {}
+    for j, l in combinations(range(grid.ndim), 2):
+        left = moms[j] * (scale * others(phi, j, l))[:, None]
+        pairs[j, l] = left.T @ moms[l]
+    ylin = eta0 * prod(kappa) + sum(a * others(kappa, j)
+                                    for j, a in enumerate(lin))
+    tw0 = tw[0]
+    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
+                     score=score, pairs=pairs,
+                     score_total=float(tw0 @ score[0][0]),
+                     sq=float(y @ ylin) / n - float(scale @ prod(phi)))
+
+
 def nw_prepare(
     dataset: Dataset,
     bandwidths,
@@ -324,7 +423,9 @@ def nw_marginals(ctx: NwContext, eta0: float, components) -> Marginals:
     elif ctx.grid.ndim <= 2:
         marg = _nw_marginals_dense(ctx, eta0, components)
     else:
-        marg = _nw_marginals_streamed(ctx, eta0, components)
+        marg = _poisson_marginals(ctx, eta0, components)
+        if marg is None:
+            marg = _nw_marginals_streamed(ctx, eta0, components)
     return marg.check_weight(ctx.grid)
 
 

@@ -14,10 +14,14 @@ from sbgam.errors import DegenerateWeightError, NonConvergenceError
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
-from sbgam.ll_fit import (fit_ll, ll_marginals, ll_predictor_field,
+from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
+                          ll_marginals, ll_outer_update, ll_predictor_field,
                           ll_prepare)
-from sbgam.nw_fit import FitConfig, fit_nw, nw_prepare, _nw_marginals_dense
+from sbgam.nw_fit import (FitConfig, _newton_fit, _nw_marginals_dense,
+                          _poisson_marginals, fit_nw, nw_prepare)
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
+from test_nw import (_assert_marginals_agree, _assert_same_marginals,
+                     _poisson_inputs)
 
 
 def _sim_dataset(seed, n, d, family="gaussian"):
@@ -90,8 +94,8 @@ def _reference_marginals(ctx, eta00, c0, c1):
     return ref
 
 
-def _assert_matches_reference(ctx, eta00, c0, c1):
-    marg = ll_marginals(ctx, eta00, c0, c1)
+def _assert_matches_reference(ctx, eta00, c0, c1, marginals=ll_marginals):
+    marg = marginals(ctx, eta00, c0, c1)
     n = ctx.dataset.n
     for nm, want in _reference_marginals(ctx, eta00, c0, c1).items():
         got = getattr(marg, nm)
@@ -132,6 +136,7 @@ def test_marginals_match_full_grid_reference(case):
 
 
 def _assert_blocks_partition(ctx):
+    ctx.build_blocks()
     obs = np.concatenate([b for b, _ in ctx.blocks])
     assert np.array_equal(np.sort(obs), np.arange(ctx.dataset.n))
 
@@ -139,15 +144,17 @@ def _assert_blocks_partition(ctx):
 @pytest.mark.parametrize("case", ["1-bernoulli", "2-poisson", "3-poisson"])
 def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
     # no block pads beyond the data's widest windows, so every block but
-    # the ragged last one holds at least 7 of the 61 observations
+    # the ragged last one holds at least 7 of the 61 observations; the
+    # engine is called directly, because ll_marginals takes the closed
+    # form for Poisson and keeps the engine as its fallback
     ctx, *_ = _marginal_case(case)
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 7 * cells + cells // 2)
     ctx, c0, c1 = _marginal_case(case)
+    _assert_blocks_partition(ctx)
     sizes = [len(b) for b, _ in ctx.blocks]
     assert len(sizes) > 1 and min(sizes[:-1]) >= 7
-    _assert_blocks_partition(ctx)
-    _assert_matches_reference(ctx, -0.1, c0, c1)
+    _assert_matches_reference(ctx, -0.1, c0, c1, _block_marginals)
 
 
 def _quasi_gamma():
@@ -195,13 +202,13 @@ def test_marginals_match_reference_on_random_grids(d, kernel, family,
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 6 * cells)
     ctx = ll_prepare(ds, h, grid, fam, kernel)
+    _assert_blocks_partition(ctx)
     widths = {tuple(g[0].shape[1] for g in gathered)
               for _, gathered in ctx.blocks}
     assert len(widths) > 1
-    _assert_blocks_partition(ctx)
     c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
     c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
-    _assert_matches_reference(ctx, 0.2, c0, c1)
+    _assert_matches_reference(ctx, 0.2, c0, c1, _block_marginals)
 
 
 def _workspace_case(d):
@@ -215,6 +222,7 @@ def _workspace_case(d):
     ds = Dataset.with_support(x, y, -1.0, 1.0)
     grid = Grid.uniform(d, g)
     ctx = ll_prepare(ds, 0.35, grid, "bernoulli")
+    ctx.build_blocks()
     widths = {tuple(gt[0].shape[1] for gt in gathered)
               for _, gathered in ctx.blocks}
     assert len(ctx.blocks) > 2 and len(widths) > 1
@@ -233,14 +241,7 @@ def test_workspace_keeps_nothing_between_evaluations(d):
     got = ll_marginals(ctx, *b)
     want = ll_marginals(ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
                                    "bernoulli"), *b)
-    for nm in ("mass", "score_total", "sq"):
-        assert getattr(got, nm) == getattr(want, nm), nm
-    for nm in ("weight", "score"):
-        for g_, w_ in zip(getattr(got, nm), getattr(want, nm)):
-            assert np.array_equal(g_, w_), nm
-    assert got.pairs.keys() == want.pairs.keys()
-    for key in want.pairs:
-        assert np.array_equal(got.pairs[key], want.pairs[key]), key
+    _assert_same_marginals(got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -259,6 +260,79 @@ def test_warm_marginals_allocate_less_than_one_block(d):
     finally:
         tracemalloc.stop()
     assert peak < block_bytes
+
+
+def _poisson_context(rng, d, kernel="epanechnikov", n=40):
+    return ll_prepare(*_poisson_inputs(rng, d, n), "poisson", kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poisson_marginals_match_block_engine(d, kernel):
+    # the per-axis closed form against the engine it replaces for
+    # Poisson, at random iterates on random non-uniform grids
+    rng = np.random.default_rng([11, d, len(kernel)])
+    ctx = _poisson_context(rng, d, kernel)
+    for _ in range(3):
+        eta00 = float(rng.normal())
+        c0 = [0.5 * rng.normal(size=g) for g in ctx.grid.shape]
+        c1 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+        got = _poisson_marginals(ctx, eta00, c0, c1)
+        assert got is not None
+        _assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
+                                1e-13)
+
+
+def test_poisson_falls_back_where_the_clamp_could_bind():
+    # an intercept of 29.5 lifts some windows' predictor above the clamp
+    # at 30, where e^u stops being a product over axes; the evaluation
+    # must then be the engine's, bit for bit
+    rng = np.random.default_rng(12)
+    ctx = _poisson_context(rng, 3)
+    c0 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+    c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
+    assert _poisson_marginals(ctx, 0.1, c0, c1) is not None
+    assert _poisson_marginals(ctx, 29.5, c0, c1) is None
+    _assert_same_marginals(ll_marginals(ctx, 29.5, c0, c1),
+                           _block_marginals(ctx, 29.5, c0, c1))
+
+
+def test_poisson_shift_keeps_large_offsetting_terms_finite():
+    # +800 on x_1 and -790 on x_2 leave every window's predictor near 10,
+    # but e^800 overflows; the shift by each window's largest term keeps
+    # every factor at most 1
+    rng = np.random.default_rng(13)
+    ctx = _poisson_context(rng, 3)
+    c0 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+    c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
+    c0[0] += 800.0
+    c0[1] -= 790.0
+    got = _poisson_marginals(ctx, 0.1, c0, c1)
+    assert got is not None
+    for m in (*got.weight, *got.score, *got.pairs.values()):
+        assert np.isfinite(m).all()
+    _assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
+
+
+def test_poisson_fit_never_builds_the_engine():
+    # a fit whose iterates stay below the clamp needs no blocks, and a
+    # warm evaluation allocates a few arrays of the (n, G_j) kernel rows'
+    # size per regressor, nothing of window-product size
+    ctx = _poisson_context(np.random.default_rng(14), 3, n=300)
+    fit = _newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+                      ll_outer_update)
+    assert fit.diagnostics.converged
+    assert ctx.blocks is None and ctx.workspace is None
+    unit = 8 * 2 * ctx.dataset.n * sum(ctx.grid.shape)
+    ll_marginals(ctx, fit.eta00, fit.components0, fit.components1)
+    tracemalloc.start()
+    try:
+        ll_marginals(ctx, fit.eta00, fit.components0, fit.components1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.blocks is None
+    assert peak < 3 * unit, (peak, unit)
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():

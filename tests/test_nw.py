@@ -14,8 +14,8 @@ from sbgam.kernels import KERNEL_NAMES
 from sbgam.ll_fit import ll_inner_solve, ll_marginals, ll_prepare
 from sbgam.nw_fit import (FitConfig, Marginals, _nw_marginals_dense,
                           _nw_marginals_identity, _nw_marginals_streamed,
-                          fit_nw, inner_solve, nw_inner_solve, nw_marginals,
-                          nw_prepare)
+                          _poisson_marginals, fit_nw, inner_solve,
+                          nw_inner_solve, nw_marginals, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -118,6 +118,78 @@ def test_identity_closed_form_matches_streamed(d, kernel):
     assert mc.pairs.keys() == ms.pairs.keys()
     for key in ms.pairs:
         assert np.abs(mc.pairs[key] - ms.pairs[key]).max() < 1e-13
+
+
+def _poisson_inputs(rng, d, n=40):
+    """Poisson data with a quarter of the points near the edges, where
+    windows are cut, random bandwidths and a random non-uniform grid."""
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    y = rng.poisson(np.exp(0.5 * np.sin(np.pi * x[:, 0]))).astype(float)
+    return (Dataset.with_support(x, y, -1.0, 1.0),
+            rng.uniform(0.25, 0.45, size=d), _random_grid(rng, d))
+
+
+def _assert_marginals_agree(got, want, rtol):
+    """Every field of got within rtol of want's scale: an array field's
+    largest entry, and for the scalars the larger of the value and the
+    weight mass."""
+    for nm in ("mass", "score_total", "sq"):
+        g, w = getattr(got, nm), getattr(want, nm)
+        assert abs(g - w) <= rtol * max(abs(w), want.mass), nm
+    for nm in ("weight", "score"):
+        assert len(getattr(got, nm)) == len(getattr(want, nm)), nm
+        for j, (g, w) in enumerate(zip(getattr(got, nm), getattr(want, nm))):
+            assert g.shape == w.shape, (nm, j)
+            assert np.abs(g - w).max() <= rtol * np.abs(w).max(), (nm, j)
+    assert got.pairs.keys() == want.pairs.keys()
+    for key, w in want.pairs.items():
+        assert got.pairs[key].shape == w.shape, key
+        assert np.abs(got.pairs[key] - w).max() <= rtol * np.abs(w).max(), key
+
+
+def _assert_same_marginals(got, want):
+    for nm in ("mass", "score_total", "sq"):
+        assert getattr(got, nm) == getattr(want, nm), nm
+    for nm in ("weight", "score"):
+        for g, w in zip(getattr(got, nm), getattr(want, nm)):
+            assert np.array_equal(g, w), nm
+    assert got.pairs.keys() == want.pairs.keys()
+    for key, w in want.pairs.items():
+        assert np.array_equal(got.pairs[key], w), key
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poisson_marginals_match_streamed(d, kernel):
+    # the order-0 closed form against the streamed path, at random
+    # iterates on random non-uniform grids; fits take it at d >= 3 only
+    rng = np.random.default_rng([12, d, len(kernel)])
+    ctx = nw_prepare(*_poisson_inputs(rng, d), "poisson", kernel)
+    for _ in range(3):
+        eta0 = float(rng.normal())
+        comps = [0.5 * rng.normal(size=g) for g in ctx.grid.shape]
+        got = _poisson_marginals(ctx, eta0, comps)
+        assert got is not None
+        _assert_marginals_agree(got, _nw_marginals_streamed(ctx, eta0, comps),
+                                1e-13)
+
+
+def test_poisson_guard_at_three_dims():
+    # above the clamp the streamed path serves, bit for bit; +800 on x_1
+    # and -790 on x_2 stay finite through the per-window shift
+    rng = np.random.default_rng(15)
+    ctx = nw_prepare(*_poisson_inputs(rng, 3), "poisson")
+    comps = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+    assert _poisson_marginals(ctx, 29.5, comps) is None
+    _assert_same_marginals(nw_marginals(ctx, 29.5, comps),
+                           _nw_marginals_streamed(ctx, 29.5, comps))
+    comps[0] += 800.0
+    comps[1] -= 790.0
+    got = _poisson_marginals(ctx, 0.1, comps)
+    assert got is not None
+    _assert_marginals_agree(got, _nw_marginals_streamed(ctx, 0.1, comps),
+                            1e-13)
 
 
 def test_only_gaussian_at_three_dims_takes_the_closed_form():
@@ -284,7 +356,8 @@ def _estimating_residual(marg, grid, xi0, xi):
 @pytest.mark.parametrize("order", [0, 1])
 def test_one_solver_satisfies_the_estimating_equations(order, d):
     # marginals of both orders from random data at a random iterate, on
-    # random grids; the NW d = 3 case takes the streamed path
+    # random grids; at NW d = 3, Bernoulli takes the streamed path and
+    # Poisson the per-axis closed form
     assert nw_inner_solve is inner_solve and ll_inner_solve is inner_solve
     for family in ("bernoulli", "poisson"):
         rng = np.random.default_rng([order, d, len(family)])
