@@ -8,12 +8,16 @@ over the interval:
 
     K_h(u, v) = K0_h(u - v) / integral_0^1 K0_h(w - v) dw
 
-which restores unit integral in u for every data location v.  Discrete rows
-evaluated on a working grid are renormalized once more under the trapezoid
-rule, so that grid-level integration of any row is exact rather than only
-O(delta^2) accurate.  That discrete normalization is what makes the
-backfitting identities (marginals of marginals, Fubini on the grid) hold to
-machine precision downstream.
+which restores unit integral in u for every data location v
+(`boundary_kernel`).  Discrete rows evaluated on a working grid are
+normalized under the trapezoid rule instead, so that grid-level
+integration of any row is exact rather than only O(delta^2) accurate.
+The 1/h and the continuous divisor are constant along a row, so that
+normalization cancels them: `kernel_rows` evaluates only the base-kernel
+shape K0((u - v) / h) and divides each row once by its trapezoid mass.
+That discrete normalization is what makes the backfitting identities
+(marginals of marginals, Fubini on the grid) hold to machine precision
+downstream.
 
 Conventions: `v` is the data location, `u` the evaluation point, both in
 [0, 1]; bandwidths satisfy 0 < h <= 1/2 so at most one edge correction is
@@ -47,8 +51,22 @@ __all__ = [
 KERNEL_NAMES = ("epanechnikov", "quartic", "triangular")
 
 
-def _epanechnikov(t: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
+# each base kernel writes K0(t) into out, an array of t's shape that may
+# be t itself, in passes that all work in place; `base_kernel` hands it a
+# new array, `kernel_rows` the array of t
+
+
+def _clipped_parabola(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max(1 - t^2, 0), written into out."""
+    np.square(t, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _epanechnikov(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    s = _clipped_parabola(t, out)
+    s *= 0.75
+    return s
 
 
 def _epanechnikov_cdf(t: np.ndarray) -> np.ndarray:
@@ -56,10 +74,11 @@ def _epanechnikov_cdf(t: np.ndarray) -> np.ndarray:
     return 0.25 * (2.0 + 3.0 * tc - tc**3)
 
 
-def _quartic(t: np.ndarray) -> np.ndarray:
-    inside = np.abs(t) <= 1.0
-    s = 1.0 - t * t
-    return np.where(inside, (15.0 / 16.0) * s * s, 0.0)
+def _quartic(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    s = _clipped_parabola(t, out)
+    # s (15/16 s): the same rounding as (15/16) s s
+    s *= s * (15.0 / 16.0)
+    return s
 
 
 def _quartic_cdf(t: np.ndarray) -> np.ndarray:
@@ -67,8 +86,10 @@ def _quartic_cdf(t: np.ndarray) -> np.ndarray:
     return 0.5 + (15.0 / 16.0) * (tc - 2.0 * tc**3 / 3.0 + tc**5 / 5.0)
 
 
-def _triangular(t: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0 - np.abs(t), 0.0)
+def _triangular(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.abs(t, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _triangular_cdf(t: np.ndarray) -> np.ndarray:
@@ -96,8 +117,9 @@ def _base(name: str):
 
 
 def base_kernel(t: np.ndarray, name: str = "epanechnikov") -> np.ndarray:
-    """Evaluate the base kernel K0 at ``t``."""
-    return _base(name)[0](np.asarray(t, dtype=float))
+    """Evaluate the base kernel K0 at ``t`` into a new array."""
+    t = np.asarray(t, dtype=float)
+    return _base(name)[0](t, np.empty_like(t))
 
 
 def base_kernel_cdf(t: np.ndarray, name: str = "epanechnikov") -> np.ndarray:
@@ -142,8 +164,8 @@ def boundary_kernel(u, v, h: float, name: str = "epanechnikov") -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    pdf, cdf, _, _ = _base(name)
-    vals = pdf((u - v) / h) / h
+    cdf = _base(name)[1]
+    vals = base_kernel((u - v) / h, name) / h
     mass = cdf((1.0 - v) / h) - cdf((0.0 - v) / h)
     return vals / mass
 
@@ -174,13 +196,18 @@ def kernel_rows(
     -------
     ndarray, shape (n, G)
         Row i holds K_h(grid, v_i) renormalized so that its trapezoid-rule
-        integral over the grid is exactly one.
+        integral over the grid is exactly one.  The 1/h and the continuous
+        edge divisor of `boundary_kernel` are constant along the row and
+        cancel in that normalization, so the row is formed as
+        K0((grid - v_i) / h) divided once by its trapezoid mass.
     """
     grid_points = np.asarray(grid_points, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if weights is None:
         weights = trapz_weights(grid_points)
-    rows = boundary_kernel(grid_points[None, :], v[:, None], h, name)
+    t = np.subtract(grid_points[None, :], v[:, None])
+    t /= h
+    rows = _base(name)[0](t, t)
     mass = rows @ weights
     if np.any(mass <= 0.0):
         bad = v[mass <= 0.0][0]
@@ -216,7 +243,7 @@ def partial_moment(j: int, c: float, name: str = "epanechnikov") -> float:
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid + half * nodes
-        total += half * float(np.sum(wts * u**j * pdf(u)))
+        total += half * float(np.sum(wts * u**j * pdf(u, np.empty_like(u))))
     return total
 
 

@@ -59,6 +59,7 @@ routes Poisson to the order-1 case of `nw_fit`'s per-axis producer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -99,7 +100,7 @@ BLOCK_CELLS = 50_000
 
 @dataclass
 class LlContext(FitContext):
-    """Shared precomputations plus regressor offsets and kernel windows.
+    """Shared precomputations plus regressor offsets and engine blocks.
 
     tvals[j] holds t_j on the grid, (n, G_j); with the kernel rows it is
     all the Poisson producer needs.  blocks and workspace serve the block
@@ -142,6 +143,14 @@ class LlContext(FitContext):
         self.workspace = (np.empty((5, cells)),
                           np.empty(cells, dtype=np.intp))
 
+    @cached_property
+    def response_smooths(self) -> list:
+        """The response smooths n^-1 sum_i Y_i t_ij^a K_ij, a <= 1, one
+        (2, G_j) stack per dimension j."""
+        y, n = self.dataset.y, self.dataset.n
+        return [np.stack([y @ r, y @ (t * r)]) / n
+                for r, t in zip(self.rows, self.tvals)]
+
 
 def ll_prepare(
     dataset: Dataset,
@@ -150,9 +159,10 @@ def ll_prepare(
     family: Family | str = "gaussian",
     kernel: str = "epanechnikov",
 ) -> LlContext:
-    """Validate inputs and precompute rows, windows and regressor offsets.
+    """Validate inputs and precompute kernel rows and regressor offsets.
 
-    The block engine's blocks and workspace are left to its first use."""
+    The kernel windows and the block engine's blocks and workspace are
+    left to the engine's first use."""
     ctx = LlContext.build(dataset, bandwidths, grid, family, kernel)
     grid, h = ctx.grid, ctx.bandwidths
     ctx.tvals = [

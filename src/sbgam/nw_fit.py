@@ -58,6 +58,7 @@ the producer of its marginals, of order 0 here and 1 in `ll_fit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -143,7 +144,15 @@ class FitDiagnostics:
 
 @dataclass
 class FitContext:
-    """Per-fit precomputations both smoothers share: kernel rows, windows."""
+    """Per-fit precomputations both smoothers share.
+
+    rows[j] holds the kernel rows of dimension j, (n, G_j), computed by
+    `build`.  windows and response_smooths are computed on first access
+    and kept, so a path that never reads them never pays for them:
+    windows[j] is the (lo, hi) pair of `kernels.row_windows(rows[j])`, read
+    only by the streamed NW path and the LL block engine, and
+    response_smooths[j] the y-part of the Poisson score rows.
+    """
 
     dataset: Dataset
     grid: Grid
@@ -151,11 +160,10 @@ class FitContext:
     bandwidths: np.ndarray
     kernel: str
     rows: list
-    windows: list
 
     @classmethod
     def build(cls, dataset: Dataset, bandwidths, grid, family, kernel: str):
-        """Validate the inputs and compute the kernel rows and windows."""
+        """Validate the inputs and compute the kernel rows."""
         fam = get_family(family)
         fam.validate_response(dataset.y)
         d = dataset.ndim
@@ -169,9 +177,20 @@ class FitContext:
                                 grid.weights[j])
             for j in range(d)
         ]
-        windows = [kernels.row_windows(r) for r in rows]
         return cls(dataset=dataset, grid=grid, family=fam, bandwidths=h,
-                   kernel=kernel, rows=rows, windows=windows)
+                   kernel=kernel, rows=rows)
+
+    @cached_property
+    def windows(self) -> list:
+        """Half-open index windows (lo, hi) of each dimension's rows."""
+        return [kernels.row_windows(r) for r in self.rows]
+
+    @cached_property
+    def response_smooths(self) -> list:
+        """The response smooths n^-1 sum_i Y_i K_ij, one (1, G_j) stack
+        per dimension j."""
+        y, n = self.dataset.y, self.dataset.n
+        return [(y @ r / n)[None] for r in self.rows]
 
 
 @dataclass
@@ -286,19 +305,19 @@ def _poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     y u - e^u) times the kernel product splits into one-dimensional
     integrals over the observation's kernel windows.  With m_ij the
     largest a_ij where k_ij > 0, e_ij = exp(a_ij - m_ij) k_ij,
-    Phi_ij = integral e_ij, kappa_ij = integral k_ij,
-    A_ij = integral a_ij k_ij and E_i = exp(eta0 + sum_j m_ij):
+    Phi_ij = integral e_ij, A_ij = integral a_ij k_ij and
+    E_i = exp(eta0 + sum_j m_ij), and since every kernel row integrates
+    to one under the trapezoid rule:
 
         weight[j][k] = n^-1 sum_i t_ij^k e_ij E_i prod_{l != j} Phi_il,
         pairs[j, l] block (a, b) = n^-1 sum_i (t_ij^a e_ij) (t_il^b e_il)
                                    E_i prod_{m != j, l} Phi_im,
-        score[j][a]  = n^-1 sum_i y_i t_ij^a k_ij prod_{l != j} kappa_il
-                       - weight[j][a],
-        sq = n^-1 sum_i y_i (eta0 prod_j kappa_ij
-                             + sum_j A_ij prod_{l != j} kappa_il)
-             - E_i prod_j Phi_ij.
+        score[j][a]  = n^-1 sum_i y_i t_ij^a k_ij - weight[j][a],
+        sq = n^-1 sum_i y_i (eta0 + sum_j A_ij) - E_i prod_j Phi_ij.
 
-    Each pair is one (p + 1) G_j by (p + 1) G_l matrix product over the
+    The y-part of score[j] does not depend on the iterate; it is
+    ctx.response_smooths[j], computed once per fit.  Each pair is one
+    (p + 1) G_j by (p + 1) G_l matrix product over the
     observations; nothing of window-product size is formed.  The shift by
     m_ij keeps every exponential factor at most 1, so a large term on
     one axis offset by another cannot overflow.  Returns None unless the
@@ -312,7 +331,7 @@ def _poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     tw, order = grid.weights, 0 if comps1 is None else 1
     # moms[j], (n, p + 1, G_j), holds a_ij - m_ij in row 0 until the
     # guard has passed, then t_ij^a e_ij in row a
-    moms, lin, kappa, top = [], [], [], np.full(n, float(eta0))
+    moms, lin, top = [], [], np.full(n, float(eta0))
     for j, k in enumerate(ctx.rows):
         mom = np.empty((n, order + 1, grid.shape[j]))
         a = mom[:, 0]
@@ -322,7 +341,6 @@ def _poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
         else:
             a[:] = comps0[j]
         lin.append((a * k) @ tw[j])
-        kappa.append(k @ tw[j])
         np.copyto(a, -np.inf, where=k <= 0.0)
         m = a.max(axis=1)
         a -= m[:, None]
@@ -349,19 +367,16 @@ def _poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     weight, score = [], []
     for j, g in enumerate(grid.shape):
         coef = scale * others(phi, j)
-        yk = y * others(kappa, j) / n
-        w, s = [coef @ moms[j]], [yk @ ctx.rows[j]]
+        w = [coef @ moms[j]]
         if order:
             w.append(coef @ (ctx.tvals[j] * moms[j][:, g:]))
-            s.append(yk @ (ctx.tvals[j] * ctx.rows[j]))
         weight.append(np.concatenate(w).reshape(-1, g))
-        score.append(np.array(s) - weight[j][:order + 1])
+        score.append(ctx.response_smooths[j] - weight[j][:order + 1])
     pairs = {}
     for j, l in combinations(range(grid.ndim), 2):
         left = moms[j] * (scale * others(phi, j, l))[:, None]
         pairs[j, l] = left.T @ moms[l]
-    ylin = eta0 * prod(kappa) + sum(a * others(kappa, j)
-                                    for j, a in enumerate(lin))
+    ylin = eta0 + sum(lin)
     tw0 = tw[0]
     return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
                      score=score, pairs=pairs,
@@ -400,10 +415,14 @@ def nw_prepare(
         ctx.sq_offset = float(np.mean(ctx.family.fields(0.0, y)[2])
                               - at_zero.sq)
     elif isinstance(ctx.family, GaussianIdentity):
-        ctx.p_curves = [r.sum(axis=0) / n for r in rows]
+        # P_j and R_j from one product per axis: a column sum of the rows
+        # alone took longer than this product
+        ones_y = np.stack([np.ones(n), y])
+        smooths = [ones_y @ r / n for r in rows]
+        ctx.p_curves = [m[0] for m in smooths]
+        ctx.r_curves = [m[1] for m in smooths]
         ctx.p_pairs = {(j, l): rows[j].T @ rows[l] / n
                        for j in range(d) for l in range(j + 1, d)}
-        ctx.r_curves = [y @ r / n for r in rows]
         ctx.y_mean = float(np.mean(y))
         ctx.y2_mean = float(np.mean(y * y))
     return ctx

@@ -78,6 +78,34 @@ def test_row_translation_invariance_interior():
     assert np.abs(rows[0][16:20] - rows[1][17:21]).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", KERNELS)
+def test_rows_equal_normalized_boundary_kernel(name):
+    # kernel_rows forms only the base-kernel shape and normalizes it once;
+    # the boundary kernel's 1/h and edge divisor cancel in that, so the
+    # rows equal the trapezoid-normalized continuous kernel
+    rng = np.random.default_rng([20, len(name)])
+    for h in (0.05, 0.13, 0.31, 0.5):
+        # a jittered uniform grid: non-uniform, no gap above 0.045
+        g = np.linspace(0, 1, 41)
+        g[1:-1] += rng.uniform(-0.01, 0.01, 39)
+        w = trapz_weights(g)
+        v = np.concatenate([rng.uniform(0, 1, 50),
+                            [0.0, 1e-9, 1.0 - 1e-9, 1.0]])
+        rows = kernels.kernel_rows(g, v, h, name, w)
+        want = kernels.boundary_kernel(g[None, :], v[:, None], h, name)
+        want /= (want @ w)[:, None]
+        gap = np.abs(rows - want).max(axis=1) / want.max(axis=1)
+        assert gap.max() < 1e-14, (h, gap.max())
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_base_kernel_leaves_its_input_unchanged(name):
+    t = np.linspace(-1.5, 1.5, 31)
+    before = t.copy()
+    kernels.base_kernel(t, name)
+    assert np.array_equal(t, before)
+
+
 def test_rows_reject_tiny_bandwidth():
     g = np.linspace(0, 1, 11)
     w = trapz_weights(g)

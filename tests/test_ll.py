@@ -13,7 +13,7 @@ from sbgam import ll_fit
 from sbgam.errors import DegenerateWeightError, NonConvergenceError
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
-from sbgam.kernels import KERNEL_NAMES
+from sbgam.kernels import KERNEL_NAMES, row_windows
 from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
                           ll_marginals, ll_outer_update, ll_predictor_field,
                           ll_prepare)
@@ -331,8 +331,23 @@ def test_poisson_fit_never_builds_the_engine():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ctx.blocks is None
+    assert ctx.blocks is None and "windows" not in vars(ctx)
     assert peak < 3 * unit, (peak, unit)
+
+
+def test_engine_computes_windows_on_first_use():
+    # a Bernoulli fit runs the block engine, which splits the data by the
+    # kernel windows; they are computed then, from the kernel rows
+    ctx = ll_prepare(_sim_dataset(18, 60, 2, "bernoulli"), 0.3,
+                     Grid.uniform(2, 11), "bernoulli")
+    assert "windows" not in vars(ctx)
+    fit = _newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+                      ll_outer_update)
+    assert fit.diagnostics.converged and ctx.blocks is not None
+    assert "windows" in vars(ctx)
+    for (lo, hi), rows in zip(ctx.windows, ctx.rows):
+        want_lo, want_hi = row_windows(rows)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():

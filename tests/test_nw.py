@@ -12,10 +12,11 @@ from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
 from sbgam.ll_fit import ll_inner_solve, ll_marginals, ll_prepare
-from sbgam.nw_fit import (FitConfig, Marginals, _nw_marginals_dense,
-                          _nw_marginals_identity, _nw_marginals_streamed,
-                          _poisson_marginals, fit_nw, inner_solve,
-                          nw_inner_solve, nw_marginals, nw_prepare)
+from sbgam.nw_fit import (FitConfig, Marginals, NwFit, _newton_fit,
+                          _nw_marginals_dense, _nw_marginals_identity,
+                          _nw_marginals_streamed, _poisson_marginals, fit_nw,
+                          inner_solve, nw_inner_solve, nw_marginals,
+                          nw_outer_update, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -201,6 +202,17 @@ def test_only_gaussian_at_three_dims_takes_the_closed_form():
         assert (ctx.p_curves is not None) is closed
     ctx = nw_prepare(_sim_dataset(15, 60, 2), 0.4, Grid.uniform(2, 9))
     assert ctx.p_curves is None and ctx.phat is not None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fits_that_never_stream_never_compute_windows(d):
+    # the d <= 2 dense path and the identity closed form at d >= 3 read
+    # only the kernel rows; the windows stay uncomputed
+    ctx = nw_prepare(_sim_dataset(17, 80, d), 0.3, Grid.uniform(d, 11))
+    fit = _newton_fit(ctx, None, NwFit, 1, nw_marginals, nw_inner_solve,
+                      nw_outer_update)
+    assert fit.diagnostics.converged
+    assert "windows" not in vars(ctx)
 
 
 def test_gaussian_fit_d3_matches_dense_oracle():
