@@ -14,6 +14,7 @@ drives Monte Carlo experiments; the `sbgam` console script exposes
 fitting, simulation and studies from the shell.
 """
 
+from .backfit import FitConfig, FitDiagnostics
 from .errors import (
     DegenerateWeightError,
     FitError,
@@ -33,7 +34,7 @@ from .family import (
 from .grid import Dataset, Grid, default_bandwidths
 from .kernels import KernelConstants, kernel_constants
 from .ll_fit import LlFit, fit_ll
-from .nw_fit import FitConfig, FitDiagnostics, NwFit, fit_nw
+from .nw_fit import NwFit, fit_nw
 from .sim import SimModel, StudyResult, run_study, true_components
 
 __version__ = "0.1.0"

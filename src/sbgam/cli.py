@@ -26,10 +26,11 @@ import sys
 
 import numpy as np
 
+from .backfit import FitConfig
 from .errors import FitError, InputError, NonConvergenceError
-from .grid import Dataset, Grid, default_bandwidths
+from .grid import Dataset, Grid, resolve_bandwidths
 from .ll_fit import fit_ll
-from .nw_fit import FitConfig, fit_nw
+from .nw_fit import fit_nw
 from .sim import SimModel, gen_covariates, gen_response, run_study, \
     write_study_csv, write_study_json
 
@@ -211,13 +212,8 @@ def _fit_config(opts) -> FitConfig | None:
 def _cmd_fit(opts) -> int:
     ds, names = _read_csv_dataset(opts.get("data"), opts.get("response"),
                                   opts.get("covariates"))
-    h = _parse_bandwidth(opts["bandwidth"])
-    if h is None:
-        h = default_bandwidths(ds.x, c=float(opts["bandwidth_scale"]))
-    else:
-        h = np.broadcast_to(np.asarray(h, dtype=float)
-                            * float(opts["bandwidth_scale"]),
-                            (ds.ndim,)).copy()
+    h = resolve_bandwidths(_parse_bandwidth(opts["bandwidth"]), ds.x,
+                           float(opts["bandwidth_scale"]))
     grid = Grid.uniform(ds.ndim, int(opts["grid_points"]))
     config = _fit_config(opts)
     fitter = fit_nw if opts["estimator"] == "nw" else fit_ll

@@ -14,9 +14,9 @@ ever materializing a full d-dimensional tensor: each observation's kernel
 product vanishes outside a small window per dimension, so only
 window-sized blocks are ever formed.  They serve the local constant
 smoother for d >= 3 with links other than the Gaussian identity and the
-Poisson log, which have closed-form marginals (see `nw_fit`); the local
-linear smoother batches observations on the same windows itself (see
-`ll_fit`).
+Poisson log, which have closed-form marginals (see `nw_fit` and
+`backfit`); the local linear smoother batches observations on the same
+windows itself (see `ll_fit`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "trapz_weights",
     "integrate_tensor",
     "default_bandwidths",
+    "resolve_bandwidths",
     "MarginalAccumulator",
     "window_tensor",
 ]
@@ -219,6 +220,15 @@ def default_bandwidths(x: np.ndarray, c: float = 1.0) -> np.ndarray:
     sd = x.std(axis=0, ddof=1)
     h = c * sd * n ** (-0.2)
     return np.clip(h, 1e-4, 0.5)
+
+
+def resolve_bandwidths(bandwidths, x: np.ndarray, scale=1.0) -> np.ndarray:
+    """`default_bandwidths(x, c=scale)` when bandwidths is None, else
+    bandwidths (scalar or per dimension) times scale, broadcast to d."""
+    if bandwidths is None:
+        return default_bandwidths(x, c=scale)
+    return np.broadcast_to(np.asarray(bandwidths, dtype=float) * scale,
+                           (x.shape[1],)).copy()
 
 
 # ---------------------------------------------------------------------------

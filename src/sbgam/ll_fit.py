@@ -18,7 +18,7 @@ The curvature enters through the observation weights
 
 whose moments against the regressors (1, t_j) form, per component j, a
 2 x 2 matrix field M_j(x_j) and, per pair (j, l), cross moment surfaces:
-the order-1 case of `nw_fit.Marginals`, whose order 0 is the local
+the order-1 case of `backfit.Marginals`, whose order 0 is the local
 constant smoother.  The inner Gauss-Seidel loop sweeps over components,
 each update applying M_j^-1 pointwise; the outer loop updates the
 predictor, recenters each (eta_0j, eta_j) pair against the constraint
@@ -34,7 +34,7 @@ regressors t_j enter only as per-observation, per-axis factors.  For the
 Poisson log link the field e^eta is itself such a product, so
 `ll_marginals` forms every moment from per-axis window integrals on the
 (n, G_j) kernel rows, with one matrix product per pair of axes, and does
-no per-cell work at any d (`nw_fit._poisson_marginals`).  Every other
+no per-cell work at any d (`backfit.poisson_marginals`).  Every other
 family, and a Poisson iterate whose predictor could reach the clamp,
 takes the block engine, which serves every d.  On first use it orders
 the observations by their window widths and splits them into blocks once
@@ -52,8 +52,8 @@ built (at d = 1 the window curves are the block).
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the damped step with
 recentering, input preparation and the fitted-model base live in
-`nw_fit`; this module supplies only the order-1 moment marginals, and
-routes Poisson to the order-1 case of `nw_fit`'s per-axis producer.
+`backfit`; this module supplies only the order-1 moment marginals, and
+routes Poisson to the order-1 case of the per-axis producer there.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ import numpy as np
 
 from .family import Family
 from .grid import Dataset, Grid
-from .nw_fit import (
+from .backfit import (
     AdditiveFit,
     FitConfig,
     FitContext,
     Marginals,
-    _damped_step,
-    _newton_fit,
-    _poisson_marginals,
+    damped_step,
     inner_solve,
+    newton_fit,
+    poisson_marginals,
 )
 
 __all__ = [
@@ -318,11 +318,11 @@ def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
     against the positivity floor.
 
     The Poisson log link has them in closed form from per-axis window
-    integrals (`nw_fit._poisson_marginals`); every other family, and a
+    integrals (`backfit.poisson_marginals`); every other family, and a
     Poisson iterate whose predictor could reach the clamp, takes the
     block engine, `_block_marginals`.
     """
-    marg = _poisson_marginals(ctx, eta00, comps0, comps1)
+    marg = poisson_marginals(ctx, eta00, comps0, comps1)
     if marg is None:
         marg = _block_marginals(ctx, eta00, comps0, comps1)
     return marg.check_weight(ctx.grid)
@@ -357,7 +357,7 @@ def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
                      sq=sq / n)
 
 
-# the one solver of `nw_fit`, under LL's own name (see nw_inner_solve)
+# the one solver of `backfit`, under LL's own name (see nw_inner_solve)
 ll_inner_solve = inner_solve
 
 
@@ -367,8 +367,8 @@ def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,
 
     Returns (eta00, comps0, comps1, marginals, constraint_residual, change).
     """
-    return _damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
-                        config, ll_marginals)
+    return damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
+                       config, ll_marginals)
 
 
 @dataclass
@@ -411,5 +411,5 @@ def fit_ll(
     InitializerError, DegenerateWeightError, NonConvergenceError
     """
     ctx = ll_prepare(dataset, bandwidths, grid, family, kernel)
-    return _newton_fit(ctx, config, LlFit, 2, ll_marginals, ll_inner_solve,
-                       ll_outer_update)
+    return newton_fit(ctx, config, LlFit, 2, ll_marginals, ll_inner_solve,
+                      ll_outer_update)

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import FitError, InputError
 from .family import get_family
-from .grid import Dataset, Grid, default_bandwidths, trapz_weights
+from .grid import Dataset, Grid, resolve_bandwidths, trapz_weights
 from .ll_fit import fit_ll
-from .nw_fit import FitConfig, fit_nw
+from .nw_fit import fit_nw
 from .oracles import AsymptoticInputs, ComponentTruth
 
 __all__ = [
@@ -378,8 +378,7 @@ class StudyResult:
 
 def _study_rep(model: SimModel, estimator: str, bandwidths,
                bandwidth_scale: float, grid_points: int, kernel: str,
-               config: FitConfig | None, rep: int, truth_eta0: float,
-               truth_curves: list):
+               rep: int, truth_eta0: float, truth_curves: list):
     """One replication: simulate, fit, compare to truth.
 
     Returns (rep, eta0_hat, curves, l2, error_message); curves is None
@@ -388,17 +387,11 @@ def _study_rep(model: SimModel, estimator: str, bandwidths,
     rng = np.random.default_rng(np.random.SeedSequence([model.seed, rep]))
     ds = make_dataset(model, rng)
     d = model.ndim
-    if bandwidths is None:
-        h = default_bandwidths(ds.x, c=bandwidth_scale)
-    else:
-        h = np.broadcast_to(
-            np.asarray(bandwidths, dtype=float) * bandwidth_scale, (d,)
-        ).copy()
+    h = resolve_bandwidths(bandwidths, ds.x, bandwidth_scale)
     grid = Grid.uniform(d, grid_points)
     fitter = fit_nw if estimator == "nw" else fit_ll
     try:
-        fit = fitter(ds, h, grid=grid, family=model.response, kernel=kernel,
-                     config=config)
+        fit = fitter(ds, h, grid=grid, family=model.response, kernel=kernel)
     except FitError as exc:
         return rep, np.nan, None, np.inf, str(exc)
 
@@ -427,7 +420,6 @@ def run_study(
     bandwidth_scale: float = 1.0,
     grid_points: int = 41,
     kernel: str = "epanechnikov",
-    config: FitConfig | None = None,
     n_jobs: int = 1,
     bad_threshold: float = 50.0,
     interior_fraction: float = 0.9,
@@ -460,7 +452,7 @@ def run_study(
 
     args = [
         (model, estimator, bandwidths, bandwidth_scale, grid_points, kernel,
-         config, rep, truth.eta0_star, truth_curves)
+         rep, truth.eta0_star, truth_curves)
         for rep in range(reps)
     ]
     if n_jobs == 1:

@@ -200,6 +200,27 @@ def test_malformed_config_exits_2(tmp_path):
     assert _run(["fit", "--config", cfg, "--out-dir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--tol-outer", "nan"], {}),
+    (["--tol-inner", "inf"], {}),
+    ([], {"max_outer": 2.5}),
+    ([], {"max-inner": True}),
+    ([], {"tol_outer": "small"}),
+])
+def test_invalid_iteration_controls_exit_2(tmp_path, flags, config):
+    data = _simulate(tmp_path, model="1,1", n=60, seed=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "ctlerr"
+    code = _run(["fit", "--config", cfg, "--data", data, "--response", "y",
+                 "--out-dir", out, *flags])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 2
+    assert err["error"] == "InputError"
+    assert not (out / "fit.json").exists()
+
+
 def test_study_smoke_and_determinism(tmp_path):
     out_a = tmp_path / "study_a"
     out_b = tmp_path / "study_b"

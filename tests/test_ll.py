@@ -17,8 +17,8 @@ from sbgam.kernels import KERNEL_NAMES, row_windows
 from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
                           ll_marginals, ll_outer_update, ll_predictor_field,
                           ll_prepare)
-from sbgam.nw_fit import (FitConfig, _newton_fit, _nw_marginals_dense,
-                          _poisson_marginals, fit_nw, nw_prepare)
+from sbgam.backfit import FitConfig, newton_fit, poisson_marginals
+from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
 from test_nw import (_assert_marginals_agree, _assert_same_marginals,
                      _poisson_inputs)
@@ -277,7 +277,7 @@ def test_poisson_marginals_match_block_engine(d, kernel):
         eta00 = float(rng.normal())
         c0 = [0.5 * rng.normal(size=g) for g in ctx.grid.shape]
         c1 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
-        got = _poisson_marginals(ctx, eta00, c0, c1)
+        got = poisson_marginals(ctx, eta00, c0, c1)
         assert got is not None
         _assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
                                 1e-13)
@@ -291,8 +291,8 @@ def test_poisson_falls_back_where_the_clamp_could_bind():
     ctx = _poisson_context(rng, 3)
     c0 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
     c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
-    assert _poisson_marginals(ctx, 0.1, c0, c1) is not None
-    assert _poisson_marginals(ctx, 29.5, c0, c1) is None
+    assert poisson_marginals(ctx, 0.1, c0, c1) is not None
+    assert poisson_marginals(ctx, 29.5, c0, c1) is None
     _assert_same_marginals(ll_marginals(ctx, 29.5, c0, c1),
                            _block_marginals(ctx, 29.5, c0, c1))
 
@@ -307,7 +307,7 @@ def test_poisson_shift_keeps_large_offsetting_terms_finite():
     c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
     c0[0] += 800.0
     c0[1] -= 790.0
-    got = _poisson_marginals(ctx, 0.1, c0, c1)
+    got = poisson_marginals(ctx, 0.1, c0, c1)
     assert got is not None
     for m in (*got.weight, *got.score, *got.pairs.values()):
         assert np.isfinite(m).all()
@@ -319,8 +319,8 @@ def test_poisson_fit_never_builds_the_engine():
     # warm evaluation allocates a few arrays of the (n, G_j) kernel rows'
     # size per regressor, nothing of window-product size
     ctx = _poisson_context(np.random.default_rng(14), 3, n=300)
-    fit = _newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
-                      ll_outer_update)
+    fit = newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+                     ll_outer_update)
     assert fit.diagnostics.converged
     assert ctx.blocks is None and ctx.workspace is None
     unit = 8 * 2 * ctx.dataset.n * sum(ctx.grid.shape)
@@ -341,8 +341,8 @@ def test_engine_computes_windows_on_first_use():
     ctx = ll_prepare(_sim_dataset(18, 60, 2, "bernoulli"), 0.3,
                      Grid.uniform(2, 11), "bernoulli")
     assert "windows" not in vars(ctx)
-    fit = _newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
-                      ll_outer_update)
+    fit = newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+                     ll_outer_update)
     assert fit.diagnostics.converged and ctx.blocks is not None
     assert "windows" in vars(ctx)
     for (lo, hi), rows in zip(ctx.windows, ctx.rows):

@@ -11,12 +11,12 @@ from sbgam.errors import (DegenerateWeightError, InitializerError,
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
+from sbgam.backfit import (FitConfig, Marginals, inner_solve, newton_fit,
+                           poisson_marginals)
 from sbgam.ll_fit import ll_inner_solve, ll_marginals, ll_prepare
-from sbgam.nw_fit import (FitConfig, Marginals, NwFit, _newton_fit,
-                          _nw_marginals_dense, _nw_marginals_identity,
-                          _nw_marginals_streamed, _poisson_marginals, fit_nw,
-                          inner_solve, nw_inner_solve, nw_marginals,
-                          nw_outer_update, nw_prepare)
+from sbgam.nw_fit import (NwFit, _nw_marginals_dense, _nw_marginals_identity,
+                          _nw_marginals_streamed, fit_nw, nw_inner_solve,
+                          nw_marginals, nw_outer_update, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -170,7 +170,7 @@ def test_poisson_marginals_match_streamed(d, kernel):
     for _ in range(3):
         eta0 = float(rng.normal())
         comps = [0.5 * rng.normal(size=g) for g in ctx.grid.shape]
-        got = _poisson_marginals(ctx, eta0, comps)
+        got = poisson_marginals(ctx, eta0, comps)
         assert got is not None
         _assert_marginals_agree(got, _nw_marginals_streamed(ctx, eta0, comps),
                                 1e-13)
@@ -182,12 +182,12 @@ def test_poisson_guard_at_three_dims():
     rng = np.random.default_rng(15)
     ctx = nw_prepare(*_poisson_inputs(rng, 3), "poisson")
     comps = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
-    assert _poisson_marginals(ctx, 29.5, comps) is None
+    assert poisson_marginals(ctx, 29.5, comps) is None
     _assert_same_marginals(nw_marginals(ctx, 29.5, comps),
                            _nw_marginals_streamed(ctx, 29.5, comps))
     comps[0] += 800.0
     comps[1] -= 790.0
-    got = _poisson_marginals(ctx, 0.1, comps)
+    got = poisson_marginals(ctx, 0.1, comps)
     assert got is not None
     _assert_marginals_agree(got, _nw_marginals_streamed(ctx, 0.1, comps),
                             1e-13)
@@ -209,8 +209,8 @@ def test_fits_that_never_stream_never_compute_windows(d):
     # the d <= 2 dense path and the identity closed form at d >= 3 read
     # only the kernel rows; the windows stay uncomputed
     ctx = nw_prepare(_sim_dataset(17, 80, d), 0.3, Grid.uniform(d, 11))
-    fit = _newton_fit(ctx, None, NwFit, 1, nw_marginals, nw_inner_solve,
-                      nw_outer_update)
+    fit = newton_fit(ctx, None, NwFit, 1, nw_marginals, nw_inner_solve,
+                     nw_outer_update)
     assert fit.diagnostics.converged
     assert "windows" not in vars(ctx)
 
