@@ -32,9 +32,10 @@ local-polynomial order p, with the constraint functional and the weight
 check), `inner_solve` (block Gauss-Seidel sweeps on operators formed once
 per Newton step), `newton_fit` (outer loop and diagnostics),
 `damped_step` (step and recentering), `AdditiveFit` (prediction) and
-`poisson_marginals`, the Poisson log-link producer of either order.  A
-smoother supplies its context, the producer of its marginals (order 0 in
-`nw_fit`, order 1 in `ll_fit`) and its fit class.
+the closed-form producers of either order, `identity_marginals`
+(Gaussian identity link) and `poisson_marginals` (Poisson log link).  A
+smoother supplies its context, the producer of its other marginals
+(order 0 in `nw_fit`, order 1 in `ll_fit`) and its fit class.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import isfinite, prod
 
 import numpy as np
@@ -54,7 +55,7 @@ from .errors import (
     InputError,
     NonConvergenceError,
 )
-from .family import Family, PoissonLog, get_family
+from .family import Family, GaussianIdentity, PoissonLog, get_family
 from .grid import Dataset, Grid
 
 __all__ = [
@@ -65,6 +66,7 @@ __all__ = [
     "Marginals",
     "AdditiveFit",
     "poisson_marginals",
+    "identity_marginals",
     "inner_solve",
     "damped_step",
     "newton_fit",
@@ -135,11 +137,14 @@ class FitContext:
     """Per-fit precomputations both smoothers share.
 
     rows[j] holds the kernel rows of dimension j, (n, G_j), computed by
-    `build`.  windows and response_smooths are computed on first access
-    and kept, so a path that never reads them never pays for them:
+    `build`, and tvals[j] the local linear regressor offsets t_j, (n, G_j);
+    the local constant smoother, of order p = 0, leaves tvals None.
+    windows, response_smooths and identity_moments are computed on first
+    access and kept, so a path that never reads them never pays for them:
     windows[j] is the (lo, hi) pair of `kernels.row_windows(rows[j])`, read
-    only by the streamed NW path and the LL block engine, and
-    response_smooths[j] the y-part of the Poisson score rows.
+    only by the streamed NW path and the LL block engine,
+    response_smooths[j] the y-part of the closed forms' score rows, and
+    identity_moments the other moments of `identity_marginals`.
     """
 
     dataset: Dataset
@@ -148,6 +153,7 @@ class FitContext:
     bandwidths: np.ndarray
     kernel: str
     rows: list
+    tvals: list | None = None
 
     @classmethod
     def build(cls, dataset: Dataset, bandwidths, grid, family, kernel: str):
@@ -175,10 +181,41 @@ class FitContext:
 
     @cached_property
     def response_smooths(self) -> list:
-        """The response smooths n^-1 sum_i Y_i K_ij, one (1, G_j) stack
-        per dimension j."""
+        """The response smooths n^-1 sum_i Y_i t_ij^a K_ij, a <= p, one
+        (p + 1, G_j) stack per dimension j."""
         y, n = self.dataset.y, self.dataset.n
-        return [(y @ r / n)[None] for r in self.rows]
+        if self.tvals is None:
+            return [(y @ r / n)[None] for r in self.rows]
+        return [np.stack([y @ r, y @ (t * r)]) / n
+                for r, t in zip(self.rows, self.tvals)]
+
+    @cached_property
+    def identity_moments(self) -> tuple:
+        """The data moments of order p that `identity_marginals` reads:
+        (weight, pairs, R, Q, D, the axes' spans in R, mean y^2)."""
+        p, n, y = int(self.tvals is not None), self.dataset.n, self.dataset.y
+        weight, cols = [], []
+        for j, r in enumerate(self.rows):
+            # t_j^k K_j for k <= 2p: at p = 0 the rows themselves
+            tk = r if p == 0 else np.hstack([r, self.tvals[j] * r,
+                                             self.tvals[j] ** 2 * r])
+            # a column sum of the rows took longer than this product
+            weight.append((np.ones(n) @ tk / n).reshape(2 * p + 1, -1))
+            cols.append(tk[:, :(p + 1) * r.shape[1]])
+        ends = np.cumsum([c.shape[1] for c in cols])
+        spans = [slice(e - c.shape[1], e) for c, e in zip(cols, ends)]
+        dw = np.concatenate([np.tile(w, p + 1) for w in self.grid.weights])
+        system, pairs = np.zeros((ends[-1], ends[-1])), {}
+        for j, l in combinations(range(len(cols)), 2):
+            pairs[j, l] = c = cols[j].T @ cols[l] / n
+            system[spans[j], spans[l]] = c * dw[spans[l]]
+            system[spans[l], spans[j]] = c.T * dw[spans[j]]
+        for j, m in enumerate(weight):
+            at = spans[j].start + np.arange(m.shape[1])
+            for a, b in product(range(p + 1), repeat=2):
+                system[at + a * len(at), at + b * len(at)] = m[a + b]
+        resp = np.concatenate([r.ravel() for r in self.response_smooths])
+        return weight, pairs, resp, system, dw, spans, float(y @ y) / n
 
 
 @dataclass
@@ -263,8 +300,8 @@ def _inverse_moments(m):
 def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     """Exact Poisson log-link marginals of order p from per-axis integrals.
 
-    Order 0 without comps1; order 1 with it, ctx.tvals then holding the
-    t_j.  Observation i's predictor eta0 + sum_j a_ij(x_j), with
+    Of the context's order p: comps1 holds the slopes when p = 1.
+    Observation i's predictor eta0 + sum_j a_ij(x_j), with
     a_ij = c0_j + t_ij c1_j (c_j alone for p = 0), is additive, so e^u
     is a product over axes, and each of the fields (e^u, y - e^u,
     y u - e^u) times the kernel product splits into one-dimensional
@@ -293,7 +330,7 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     if not isinstance(fam, PoissonLog):
         return None
     grid, y, n = ctx.grid, ctx.dataset.y, ctx.dataset.n
-    tw, order = grid.weights, 0 if comps1 is None else 1
+    tw, order = grid.weights, int(ctx.tvals is not None)
     # moms[j], (n, p + 1, G_j), holds a_ij - m_ij in row 0 until the
     # guard has passed, then t_ij^a e_ij in row a
     moms, lin, top = [], [], np.full(n, float(eta0))
@@ -347,6 +384,40 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
                      score=score, pairs=pairs,
                      score_total=float(tw0 @ score[0][0]),
                      sq=float(y @ ylin) / n - float(scale @ prod(phi)))
+
+
+def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+    """Exact Gaussian identity-link marginals of the context's order p.
+
+    With q2 = -1, q1 = y - u and every kernel row integrating to one, the
+    weights are the data moments M_j^k = n^-1 sum_i t_ij^k K_ij (k <= 2p),
+    the pairs the C_jl^ab = n^-1 (K_j t_j^a)^T (K_l t_l^b), and with
+    R_j^a = n^-1 sum_i Y_i t_ij^a K_ij and D_l the trapezoid weights the
+    score is
+
+        z_j^a = R_j^a - eta0 M_j^a - sum_b M_j^(a+b) c_j^b
+                - sum_{l != j} (C_jl D_l c_l)_a,
+
+    or z = R - Q c on the stack c of all curves with eta0 added to the
+    first, as C_jl D_l maps a constant to M_j^a; SQ is
+    -1/2 [mean Y^2 - (D c).(R + z)].  This is the smooth backfitting
+    system of Mammen, Linton and Nielsen (1999).  Returns None unless the
+    family is GaussianIdentity: a QuasiFamily with an identity link can
+    have a weight that depends on the iterate.
+    """
+    if not isinstance(ctx.family, GaussianIdentity):
+        return None
+    weight, pairs, resp, system, dw, spans, y2m = ctx.identity_moments
+    c = np.concatenate(comps0 if comps1 is None else
+                       [x for cs in zip(comps0, comps1) for x in cs])
+    c[:len(weight[0][0])] += eta0
+    z = resp - system @ c
+    score = [z[s].reshape(-1, len(w[0])) for s, w in zip(spans, weight)]
+    tw0 = ctx.grid.weights[0]
+    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
+                     score=score, pairs=pairs,
+                     score_total=float(tw0 @ score[0][0]),
+                     sq=-0.5 * (y2m - float((dw * c) @ (resp + z))))
 
 
 def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):

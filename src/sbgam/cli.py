@@ -111,8 +111,13 @@ _DEFAULTS = {
 }
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    """Defaults, then config file values, then explicit flags."""
+def _merge_options(args: argparse.Namespace, flags: dict) -> dict:
+    """Defaults, then config file values, then explicit flags.
+
+    flags maps each option of the command to its argparse action; a config
+    value goes through the action's type and choices, as its flag would,
+    and a null value counts as not given.
+    """
     opts = dict(_DEFAULTS[args.command])
     opts["out_dir"] = "."
     if args.config:
@@ -129,13 +134,36 @@ def _merge_options(args: argparse.Namespace) -> dict:
             k = key.replace("-", "_")
             if k not in opts and k not in ("data", "response"):
                 raise InputError(f"unknown config key {key!r}")
-            opts[k] = val
+            if val is not None:
+                opts[k] = _check_config_value(flags[k], key, val)
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
         if val is not None:
             opts[key] = val
     return opts
+
+
+def _command_flags(parser, command) -> dict:
+    """Each option of the command, by destination, with its action."""
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    return {a.dest: a for a in commands[command]._actions}
+
+
+def _check_config_value(action, key, val):
+    """val converted by the flag's type, as if given on the command line;
+    InputError where the flag would be rejected."""
+    converted = val
+    if action.type is not None:
+        try:
+            converted = action.type(str(val))
+        except ValueError:
+            raise InputError(f"config value {val!r} of {key!r} is not a "
+                             f"valid {action.type.__name__}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise InputError(f"config value {val!r} of {key!r} is not one of "
+                         + ", ".join(action.choices))
+    return converted
 
 
 def _parse_bandwidth(spec):
@@ -340,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = getattr(args, "out_dir", None) or "."
     try:
-        opts = _merge_options(args)
+        opts = _merge_options(args, _command_flags(parser, args.command))
         out_dir = str(opts.get("out_dir") or ".")
         os.makedirs(out_dir, exist_ok=True)
         handler = {"fit": _cmd_fit, "simulate": _cmd_simulate,

@@ -30,36 +30,36 @@ unchanged.
 
 Every moment is a sum over observations of a field supported on the
 product of that observation's one-dimensional kernel windows, and the
-regressors t_j enter only as per-observation, per-axis factors.  For the
-Poisson log link the field e^eta is itself such a product, so
-`ll_marginals` forms every moment from per-axis window integrals on the
-(n, G_j) kernel rows, with one matrix product per pair of axes, and does
-no per-cell work at any d (`backfit.poisson_marginals`).  Every other
-family, and a Poisson iterate whose predictor could reach the clamp,
-takes the block engine, which serves every d.  On first use it orders
-the observations by their window widths and splits them into blocks once
-per fit, each padded only to its own widest windows, and allocates one
-workspace sized to the largest block.  Per iterate, each block's
-predictor and kernel product are written into views of that workspace,
-and one family call per block writes the weight, score and
-quasi-likelihood fields beside them; each field is integrated down to
-window curves and pair surfaces, the t_j are multiplied in there (the
-block-sized pair products again in the workspace), and the results are
-scattered onto the grid.  Nothing of full product-grid size is formed,
-and for d >= 2 no array of block size is allocated once the blocks are
-built (at d = 1 the window curves are the block).
+regressors t_j enter only as per-observation, per-axis factors.  Under
+the Gaussian identity link every moment is a data moment, computed once
+per fit (`backfit.identity_marginals`); under the Poisson log link e^eta
+is a product over axes, so every moment comes from per-axis window
+integrals on the (n, G_j) kernel rows (`backfit.poisson_marginals`).
+Neither does per-cell work at any d.  Every other family, and a Poisson
+iterate whose predictor could reach the clamp, takes the block engine,
+which serves every d.  On first use it orders the observations by their
+window widths and splits them into blocks once per fit, each padded only
+to its own widest windows, and allocates one workspace sized to the
+largest block.  Per iterate, each block's predictor and kernel product
+are written into views of that workspace, and one family call per block
+writes the weight, score and quasi-likelihood fields beside them; each
+field is integrated down to window curves and pair surfaces, the t_j are
+multiplied in there (the block-sized pair products again in the
+workspace), and the results are scattered onto the grid.  Nothing of
+full product-grid size is formed, and for d >= 2 no array of block size
+is allocated once the blocks are built (at d = 1 the window curves are
+the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the damped step with
 recentering, input preparation and the fitted-model base live in
 `backfit`; this module supplies only the order-1 moment marginals, and
-routes Poisson to the order-1 case of the per-axis producer there.
+routes Gaussian and Poisson to the order-1 closed forms there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -74,6 +74,7 @@ from .backfit import (
     FitContext,
     Marginals,
     damped_step,
+    identity_marginals,
     inner_solve,
     newton_fit,
     poisson_marginals,
@@ -100,23 +101,21 @@ BLOCK_CELLS = 50_000
 
 @dataclass
 class LlContext(FitContext):
-    """Shared precomputations plus regressor offsets and engine blocks.
+    """Shared precomputations plus the block engine's blocks.
 
-    tvals[j] holds t_j on the grid, (n, G_j); with the kernel rows it is
-    all the Poisson producer needs.  blocks and workspace serve the block
-    engine and stay None until `build_blocks`, which the engine calls on
-    first use, so a Poisson fit that never falls back to it never builds
-    them.  blocks holds one (obs, gathered) pair per block of
-    observations: obs their indices, (B,), and gathered[j] the grid
-    indices, kernel values, t_j and trapezoid weights on each
-    observation's window of dimension j, each (B, W_j) for the block's
-    widest window W_j, padded with zero kernel cells.  workspace holds
+    blocks and workspace serve the block engine and stay None until
+    `build_blocks`, which the engine calls on first use, so a Gaussian or
+    Poisson fit that never falls back to it never builds them.  blocks
+    holds one (obs, gathered) pair per block of observations: obs their
+    indices, (B,), and gathered[j] the grid indices, kernel values, t_j
+    and trapezoid weights on each observation's window of dimension j,
+    each (B, W_j) for the block's widest window W_j, padded with zero
+    kernel cells.  workspace holds
     the buffers the engine works in, one (5, cells) float array and one
     (cells,) intp array for the largest block's padded cells; so one
     context serves one evaluation at a time.
     """
 
-    tvals: list | None = None
     blocks: list | None = None
     workspace: tuple | None = None
 
@@ -142,14 +141,6 @@ class LlContext(FitContext):
         cells = max(len(obs) * prod(widths) for obs, widths in blocks)
         self.workspace = (np.empty((5, cells)),
                           np.empty(cells, dtype=np.intp))
-
-    @cached_property
-    def response_smooths(self) -> list:
-        """The response smooths n^-1 sum_i Y_i t_ij^a K_ij, a <= 1, one
-        (2, G_j) stack per dimension j."""
-        y, n = self.dataset.y, self.dataset.n
-        return [np.stack([y @ r, y @ (t * r)]) / n
-                for r, t in zip(self.rows, self.tvals)]
 
 
 def ll_prepare(
@@ -317,14 +308,14 @@ def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
     """Weight moments and score marginals at the given iterate, checked
     against the positivity floor.
 
-    The Poisson log link has them in closed form from per-axis window
-    integrals (`backfit.poisson_marginals`); every other family, and a
-    Poisson iterate whose predictor could reach the clamp, takes the
-    block engine, `_block_marginals`.
+    The Gaussian identity and Poisson log links have them in closed form
+    (`backfit.identity_marginals`, `backfit.poisson_marginals`); every
+    other family, and a Poisson iterate whose predictor could reach the
+    clamp, takes the block engine, `_block_marginals`.
     """
-    marg = poisson_marginals(ctx, eta00, comps0, comps1)
-    if marg is None:
-        marg = _block_marginals(ctx, eta00, comps0, comps1)
+    marg = (identity_marginals(ctx, eta00, comps0, comps1)
+            or poisson_marginals(ctx, eta00, comps0, comps1)
+            or _block_marginals(ctx, eta00, comps0, comps1))
     return marg.check_weight(ctx.grid)
 
 

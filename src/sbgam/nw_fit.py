@@ -7,18 +7,12 @@ kernel density smooth times the family's field at the kernel-local mean
 response.  For d <= 2 both smooths are precomputed once per fit, so each
 evaluation is one family call on the dense G x G grid.
 
-For d >= 3 no d-dimensional tensor is ever materialized.  With the
-Gaussian identity link q2 = -1, so the weight field is the density smooth
-itself and the score is affine in the components: every marginal is then
-an exact linear function of the one- and two-dimensional smooths
-P_j = n^{-1} sum_i K_j(x_j, X_ij), P_jl = n^{-1} sum_i K_j K_l and
-R_j = n^{-1} sum_i Y_i K_j, precomputed once per fit.  This is the smooth
-backfitting system of Mammen, Linton and Nielsen (1999); it is exact on
-the grid because every kernel row integrates to one under the trapezoid
-rule.  Poisson log-link fits take the per-axis producer
-`backfit.poisson_marginals` until the predictor reaches the family's
-clamp; beyond it, and for other families, the marginals are accumulated
-by streaming over observations on their kernel support windows.
+Gaussian fits take the order-0 closed form `backfit.identity_marginals`
+at every d.  For d >= 3 no d-dimensional tensor is ever materialized:
+Poisson log-link fits take `backfit.poisson_marginals` until the
+predictor reaches the family's clamp; beyond it, and for other families,
+the marginals are accumulated by streaming over observations on their
+kernel support windows.
 """
 
 from __future__ import annotations
@@ -34,11 +28,12 @@ from .backfit import (
     FitContext,
     Marginals,
     damped_step,
+    identity_marginals,
     inner_solve,
     newton_fit,
     poisson_marginals,
 )
-from .family import Family, GaussianIdentity
+from .family import Family
 from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
 
 __all__ = [
@@ -54,25 +49,17 @@ __all__ = [
 
 @dataclass
 class NwContext(FitContext):
-    """Shared precomputations plus the data smooths of the closed forms.
+    """Shared precomputations plus the data smooths of the dense path.
 
     For d <= 2, phat is the density smooth n^{-1} sum_i K_i on the full
     grid, ybar the kernel-local mean response (the response smooth over
     phat; mean(y) where phat is 0) and sq_offset the y-only term of SQ,
     mean_i Q(0, Y_i) - integral phat Q(0, ybar).
-    For the Gaussian identity link at d >= 3, p_curves, p_pairs and
-    r_curves hold the one- and two-dimensional density smooths and the
-    response smooths, y_mean and y2_mean the first two response moments.
     """
 
     phat: np.ndarray | None = None
     ybar: np.ndarray | None = None
     sq_offset: float = 0.0
-    p_curves: list | None = None
-    p_pairs: dict | None = None
-    r_curves: list | None = None
-    y_mean: float = 0.0
-    y2_mean: float = 0.0
 
 
 def nw_prepare(
@@ -82,15 +69,12 @@ def nw_prepare(
     family: Family | str = "gaussian",
     kernel: str = "epanechnikov",
 ) -> NwContext:
-    """Validate inputs and precompute everything that does not change
-    across Newton iterations."""
+    """Validate inputs and compute the kernel rows and, for d <= 2, the
+    dense path's smooths; the closed forms' moments wait for first use."""
     ctx = NwContext.build(dataset, bandwidths, grid, family, kernel)
-    rows = ctx.rows
-    n = dataset.n
-    d = dataset.ndim
-    y = dataset.y
-    if d <= 2:
-        if d == 1:
+    rows, n, y = ctx.rows, dataset.n, dataset.y
+    if dataset.ndim <= 2:
+        if dataset.ndim == 1:
             ctx.phat = rows[0].sum(axis=0) / n
             rhat = y @ rows[0] / n
         else:
@@ -105,17 +89,6 @@ def nw_prepare(
                                                  ctx.grid.shape])
         ctx.sq_offset = float(np.mean(ctx.family.fields(0.0, y)[2])
                               - at_zero.sq)
-    elif isinstance(ctx.family, GaussianIdentity):
-        # P_j and R_j from one product per axis: a column sum of the rows
-        # alone took longer than this product
-        ones_y = np.stack([np.ones(n), y])
-        smooths = [ones_y @ r / n for r in rows]
-        ctx.p_curves = [m[0] for m in smooths]
-        ctx.r_curves = [m[1] for m in smooths]
-        ctx.p_pairs = {(j, l): rows[j].T @ rows[l] / n
-                       for j in range(d) for l in range(j + 1, d)}
-        ctx.y_mean = float(np.mean(y))
-        ctx.y2_mean = float(np.mean(y * y))
     return ctx
 
 
@@ -128,14 +101,12 @@ def nw_marginals(ctx: NwContext, eta0: float, components) -> Marginals:
     together with the score total and curves and the smoothed
     quasi-likelihood value.
     """
-    if ctx.p_curves is not None:
-        marg = _nw_marginals_identity(ctx, eta0, components)
-    elif ctx.grid.ndim <= 2:
+    marg = identity_marginals(ctx, eta0, components)
+    if marg is None and ctx.grid.ndim <= 2:
         marg = _nw_marginals_dense(ctx, eta0, components)
-    else:
-        marg = poisson_marginals(ctx, eta0, components)
-        if marg is None:
-            marg = _nw_marginals_streamed(ctx, eta0, components)
+    elif marg is None:
+        marg = (poisson_marginals(ctx, eta0, components)
+                or _nw_marginals_streamed(ctx, eta0, components))
     return marg.check_weight(ctx.grid)
 
 
@@ -165,41 +136,6 @@ def _nw_marginals_dense(ctx, eta0, components):
         pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
         score_total=float(tw[0] @ scurves[0]),
         sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + ctx.sq_offset,
-    )
-
-
-def _nw_marginals_identity(ctx, eta0, components):
-    """Closed-form marginals for the Gaussian identity link.
-
-    With g_l = w_l eta_l the score curves are
-    R_j - (eta0 + eta_j) P_j - sum_{l != j} P_jl g_l, and SQ is -1/2 times
-    the expanded integral of n^{-1} sum_i (Y_i - eta)^2 K_i.
-    """
-    d = ctx.grid.ndim
-    P, Ppair, R = ctx.p_curves, ctx.p_pairs, ctx.r_curves
-    g = [w * c for w, c in zip(ctx.grid.weights, components)]
-    scurves = []
-    for j in range(d):
-        s = R[j] - (eta0 + components[j]) * P[j]
-        for l in range(d):
-            if l < j:
-                s -= g[l] @ Ppair[(l, j)]
-            elif l > j:
-                s -= Ppair[(j, l)] @ g[l]
-        scurves.append(s)
-    gP = sum(float(g[l] @ P[l]) for l in range(d))
-    gR = sum(float(g[l] @ R[l]) for l in range(d))
-    geP = sum(float((g[l] * components[l]) @ P[l]) for l in range(d))
-    cross = sum(float(g[j] @ Ppair[(j, l)] @ g[l]) for j, l in Ppair)
-    square = (ctx.y2_mean - 2.0 * (ctx.y_mean * eta0 + gR) + eta0 * eta0
-              + 2.0 * eta0 * gP + geP + 2.0 * cross)
-    return Marginals(
-        mass=float(ctx.grid.weights[0] @ P[0]),
-        weight=[p[None] for p in P],
-        score=[s[None] for s in scurves],
-        pairs=Ppair,
-        score_total=ctx.y_mean - eta0 - gP,
-        sq=-0.5 * square,
     )
 
 

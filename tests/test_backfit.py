@@ -92,11 +92,14 @@ def calls(monkeypatch):
     return counts, results
 
 
-def _bernoulli_data(n=80, d=2, seed=3):
+def _data(family="bernoulli", n=80, d=2, seed=3):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, d))
-    p = 1.0 / (1.0 + np.exp(-np.sin(np.pi * x[:, 0])))
-    y = (rng.random(n) < p).astype(float)
+    eta = np.sin(np.pi * x[:, 0])
+    if family == "gaussian":
+        y = eta + rng.normal(scale=0.4, size=n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     return Dataset.with_support(x, y, -1.0, 1.0)
 
 
@@ -112,15 +115,20 @@ def _expected(est, fits, d):
     }
 
 
-@pytest.mark.parametrize("est", ["nw", "ll"])
-def test_fit_calls_every_layer_through_its_module(calls, est):
+@pytest.mark.parametrize("est, family, d", [
+    ("nw", "bernoulli", 2), ("ll", "bernoulli", 2),
+    # the Gaussian closed form lives in backfit; the traced names must
+    # still see each of its evaluations
+    ("nw", "gaussian", 3), ("ll", "gaussian", 3),
+], ids=["nw", "ll", "nw-gaussian-d3", "ll-gaussian-d3"])
+def test_fit_calls_every_layer_through_its_module(calls, est, family, d):
     counts, _ = calls
     module = nw_fit if est == "nw" else ll_fit
-    fit = getattr(module, f"fit_{est}")(_bernoulli_data(), 0.4,
-                                        grid=Grid.uniform(2, 11),
-                                        family="bernoulli")
+    fit = getattr(module, f"fit_{est}")(_data(family, d=d), 0.4,
+                                        grid=Grid.uniform(d, 11),
+                                        family=family)
     assert fit.diagnostics.outer_iterations > 0
-    assert counts == {f"{est}_fit.fit_{est}": 1, **_expected(est, [fit], 2)}
+    assert counts == {f"{est}_fit.fit_{est}": 1, **_expected(est, [fit], d)}
 
 
 @pytest.mark.parametrize("est", ["nw", "ll"])

@@ -208,6 +208,21 @@ def test_malformed_config_exits_2(tmp_path):
     ([], {"tol_outer": "small"}),
 ])
 def test_invalid_iteration_controls_exit_2(tmp_path, flags, config):
+    _assert_fit_input_error(tmp_path, flags, config)
+
+
+@pytest.mark.parametrize("config", [
+    {"bandwidth_scale": "abc"},
+    {"grid_points": 41.7},
+    {"estimator": "foo"},
+])
+def test_invalid_config_values_exit_2(tmp_path, config):
+    # config values are checked like the flags: a type the flag would
+    # reject, a float where it takes an integer, a value outside its choices
+    _assert_fit_input_error(tmp_path, [], config)
+
+
+def _assert_fit_input_error(tmp_path, flags, config):
     data = _simulate(tmp_path, model="1,1", n=60, seed=4)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -11,12 +11,14 @@ from sbgam.errors import (DegenerateWeightError, InitializerError,
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
-from sbgam.backfit import (FitConfig, Marginals, inner_solve, newton_fit,
-                           poisson_marginals)
-from sbgam.ll_fit import ll_inner_solve, ll_marginals, ll_prepare
-from sbgam.nw_fit import (NwFit, _nw_marginals_dense, _nw_marginals_identity,
-                          _nw_marginals_streamed, fit_nw, nw_inner_solve,
-                          nw_marginals, nw_outer_update, nw_prepare)
+from sbgam import ll_fit
+from sbgam.backfit import (FitConfig, Marginals, identity_marginals,
+                           inner_solve, newton_fit, poisson_marginals)
+from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
+                          ll_marginals, ll_outer_update, ll_prepare)
+from sbgam.nw_fit import (NwFit, _nw_marginals_dense, _nw_marginals_streamed,
+                          fit_nw, nw_inner_solve, nw_marginals,
+                          nw_outer_update, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -94,31 +96,44 @@ def _random_grid(rng, d):
     return Grid(tuple(pts))
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kernel", ["epanechnikov", "quartic", "triangular"])
 def test_identity_closed_form_matches_streamed(d, kernel):
-    # the streamed path stays the reference: it serves every other link
+    # the order-0 closed form against the streamed path and the order-1
+    # one against the block engine: both stay, as they serve every other
+    # link; a quarter of the points sit near the edges, where windows are
+    # cut, on random grids whose windows differ in width
     rng = np.random.default_rng(100 * d + len(kernel))
-    x = rng.uniform(-1, 1, size=(50, d))
-    y = 1.0 + 2.0 * rng.normal(size=50)
+    n = 50
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    y = 1.0 + 2.0 * rng.normal(size=n)
     ds = Dataset.with_support(x, y, -1.0, 1.0)
     grid = _random_grid(rng, d)
     h = rng.uniform(0.3, 0.5, size=d)
-    ctx = nw_prepare(ds, h, grid, "gaussian", kernel)
-    comps = [rng.normal(size=g) for g in grid.shape]
-    eta0 = float(rng.normal())
-    mc = _nw_marginals_identity(ctx, eta0, comps)
-    ms = _nw_marginals_streamed(ctx, eta0, comps)
-    assert abs(mc.mass - ms.mass) < 1e-13
-    assert abs(mc.score_total - ms.score_total) < 1e-13
-    assert abs(mc.sq - ms.sq) < 1e-13
-    for j in range(d):
-        assert mc.weight[j].shape == ms.weight[j].shape == (1, grid.shape[j])
-        assert np.abs(mc.weight[j] - ms.weight[j]).max() < 1e-13
-        assert np.abs(mc.score[j] - ms.score[j]).max() < 1e-13
-    assert mc.pairs.keys() == ms.pairs.keys()
-    for key in ms.pairs:
-        assert np.abs(mc.pairs[key] - ms.pairs[key]).max() < 1e-13
+    refs = [(nw_prepare, _nw_marginals_streamed)]
+    if d <= 3:
+        refs.append((ll_prepare, _block_marginals))
+    for p, (prepare, reference) in enumerate(refs):
+        ctx = prepare(ds, h, grid, "gaussian", kernel)
+        assert (ctx.tvals is not None) == p
+        eta0 = float(rng.normal())
+        comps = [[s * rng.normal(size=g) for g in grid.shape]
+                 for s in (1.0, 0.5)[:p + 1]]
+        got = identity_marginals(ctx, eta0, *comps)
+        want = reference(ctx, eta0, *comps)
+        for nm in ("mass", "score_total", "sq"):
+            assert abs(getattr(got, nm) - getattr(want, nm)) < 1e-13, (p, nm)
+        for j in range(d):
+            assert got.weight[j].shape == want.weight[j].shape \
+                == (2 * p + 1, grid.shape[j])
+            assert got.score[j].shape == want.score[j].shape \
+                == (p + 1, grid.shape[j])
+            assert np.abs(got.weight[j] - want.weight[j]).max() < 1e-13
+            assert np.abs(got.score[j] - want.score[j]).max() < 1e-13, (p, j)
+        assert got.pairs.keys() == want.pairs.keys()
+        for key in want.pairs:
+            assert np.abs(got.pairs[key] - want.pairs[key]).max() < 1e-13
 
 
 def _poisson_inputs(rng, d, n=40):
@@ -193,26 +208,61 @@ def test_poisson_guard_at_three_dims():
                             1e-13)
 
 
-def test_only_gaussian_at_three_dims_takes_the_closed_form():
+def _quasi_identity():
+    """Identity link with a weight that depends on the iterate, which the
+    Gaussian closed form must not take."""
+    return QuasiFamily(
+        name="quasi-identity", link=lambda m: m, mean=lambda u: u,
+        link_deriv=np.ones_like, variance=lambda m: 1.0 + m * m,
+        q2=lambda u, y: -(1.0 + u * (2.0 * y - u)) / (1.0 + u * u) ** 2,
+        qll=lambda u, y: y * np.arctan(u) - 0.5 * np.log1p(u * u))
+
+
+def test_only_gaussian_at_three_dims_takes_the_closed_form(monkeypatch):
     grid = Grid.uniform(3, 9)
-    for fam, closed in (("gaussian", True), ("poisson", False),
-                        ("bernoulli", False)):
-        ds = _sim_dataset(15, 60, 3, fam)
-        ctx = nw_prepare(ds, 0.4, grid, fam)
-        assert (ctx.p_curves is not None) is closed
-    ctx = nw_prepare(_sim_dataset(15, 60, 2), 0.4, Grid.uniform(2, 9))
-    assert ctx.p_curves is None and ctx.phat is not None
+    for fam in ("poisson", "bernoulli", _quasi_identity()):
+        ds = _sim_dataset(15, 60, 3, "gaussian" if isinstance(fam, QuasiFamily)
+                          else fam)
+        for prepare in (nw_prepare, ll_prepare):
+            ctx = prepare(ds, 0.4, grid, fam)
+            comps = [[np.zeros(9)] * 3] * (1 if ctx.tvals is None else 2)
+            assert identity_marginals(ctx, 0.1, *comps) is None
+            assert "identity_moments" not in vars(ctx)
+    # a Gaussian LL fit through the engine instead takes the same steps
+    # and sweeps to the same curves
+    ds = _sim_dataset(15, 60, 3)
+    closed = fit_ll(ds, 0.4, grid=grid)
+    monkeypatch.setattr(ll_fit, "identity_marginals", lambda *args: None)
+    engine = fit_ll(ds, 0.4, grid=grid)
+    for fit in (closed, engine):
+        assert fit.diagnostics.converged
+    assert closed.diagnostics.outer_iterations \
+        == engine.diagnostics.outer_iterations
+    assert closed.diagnostics.inner_sweep_counts \
+        == engine.diagnostics.inner_sweep_counts
+    assert abs(closed.eta00 - engine.eta00) < 1e-13
+    for a, b in ((closed.components0, engine.components0),
+                 (closed.components1, engine.components1)):
+        assert max(np.abs(u - v).max() for u, v in zip(a, b)) < 1e-13
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_fits_that_never_stream_never_compute_windows(d):
-    # the d <= 2 dense path and the identity closed form at d >= 3 read
-    # only the kernel rows; the windows stay uncomputed
-    ctx = nw_prepare(_sim_dataset(17, 80, d), 0.3, Grid.uniform(d, 11))
-    fit = newton_fit(ctx, None, NwFit, 1, nw_marginals, nw_inner_solve,
-                     nw_outer_update)
-    assert fit.diagnostics.converged
-    assert "windows" not in vars(ctx)
+    # the d <= 2 dense path and the closed forms read only the kernel
+    # rows, and a Gaussian fit of either smoother takes a closed form; the
+    # windows stay uncomputed, and LL builds no engine blocks
+    ds = _sim_dataset(17, 80, d)
+    grid = Grid.uniform(d, 11)
+    for prepare, fit_class, k, *parts in (
+            (nw_prepare, NwFit, 1, nw_marginals, nw_inner_solve,
+             nw_outer_update),
+            (ll_prepare, LlFit, 2, ll_marginals, ll_inner_solve,
+             ll_outer_update)):
+        ctx = prepare(ds, 0.3, grid)
+        fit = newton_fit(ctx, None, fit_class, k, *parts)
+        assert fit.diagnostics.converged
+        assert "windows" not in vars(ctx)
+    assert ctx.blocks is None and ctx.workspace is None
 
 
 def test_gaussian_fit_d3_matches_dense_oracle():
