@@ -26,16 +26,17 @@ which leaves the fitted predictor untouched and the constraints satisfied
 to machine precision.
 
 The local constant system is the order-0 case of the local linear one,
-so one algorithm serves both smoothers: `FitContext.build` (inputs,
-kernel rows), `Marginals` (weight moments and score marginals of
-local-polynomial order p, with the constraint functional and the weight
-check), `inner_solve` (block Gauss-Seidel sweeps on operators formed once
-per Newton step), `newton_fit` (outer loop and diagnostics),
-`damped_step` (step and recentering), `AdditiveFit` (prediction) and
-the closed-form producers of either order, `identity_marginals`
-(Gaussian identity link) and `poisson_marginals` (Poisson log link).  A
-smoother supplies its context, the producer of its other marginals
-(order 0 in `nw_fit`, order 1 in `ll_fit`) and its fit class.
+so one algorithm serves both smoothers: `FitContext` (inputs, kernel
+rows, and every other precomputation cached on first use), `Marginals`
+(weight moments and score marginals of local-polynomial order p, with
+the constraint functional and the weight check), `inner_solve` (block
+Gauss-Seidel sweeps on operators formed once per Newton step),
+`newton_fit` (outer loop and diagnostics), `damped_step` (step and
+recentering), `AdditiveFit` (prediction) and the closed-form producers
+of either order, `identity_marginals` (Gaussian identity link) and
+`poisson_marginals` (Poisson log link).  A smoother supplies its context
+class, which declares the order p (0 in `nw_fit`, 1 in `ll_fit`), the
+producer of its other marginals and its fit class.
 """
 
 from __future__ import annotations
@@ -136,15 +137,16 @@ class FitDiagnostics:
 class FitContext:
     """Per-fit precomputations both smoothers share.
 
-    rows[j] holds the kernel rows of dimension j, (n, G_j), computed by
-    `build`, and tvals[j] the local linear regressor offsets t_j, (n, G_j);
-    the local constant smoother, of order p = 0, leaves tvals None.
-    windows, response_smooths and identity_moments are computed on first
-    access and kept, so a path that never reads them never pays for them:
-    windows[j] is the (lo, hi) pair of `kernels.row_windows(rows[j])`, read
-    only by the streamed NW path and the LL block engine,
-    response_smooths[j] the y-part of the closed forms' score rows, and
-    identity_moments the other moments of `identity_marginals`.
+    A subclass declares its local-polynomial order as the class attribute
+    `order`: 0 for the local constant smoother, 1 for the local linear
+    one.  The fields are the inputs and rows[j], the kernel rows of
+    dimension j, (n, G_j), computed by `build`.  Everything else a path
+    reads is a cached property, computed on its first access and kept,
+    so a path that never reads it never pays for it: windows[j] is the
+    (lo, hi) pair of `kernels.row_windows(rows[j])`, read only by the
+    streamed NW path and the LL block engine, response_smooths[j] the
+    y-part of the closed forms' score rows, and identity_moments the
+    other moments of `identity_marginals`.
     """
 
     dataset: Dataset
@@ -153,11 +155,13 @@ class FitContext:
     bandwidths: np.ndarray
     kernel: str
     rows: list
-    tvals: list | None = None
 
     @classmethod
-    def build(cls, dataset: Dataset, bandwidths, grid, family, kernel: str):
-        """Validate the inputs and compute the kernel rows."""
+    def build(cls, dataset: Dataset, bandwidths, grid: Grid | None = None,
+              family: Family | str = "gaussian",
+              kernel: str = "epanechnikov"):
+        """Validate the inputs and compute the kernel rows; everything else
+        waits for first use."""
         fam = get_family(family)
         fam.validate_response(dataset.y)
         d = dataset.ndim
@@ -184,7 +188,7 @@ class FitContext:
         """The response smooths n^-1 sum_i Y_i t_ij^a K_ij, a <= p, one
         (p + 1, G_j) stack per dimension j."""
         y, n = self.dataset.y, self.dataset.n
-        if self.tvals is None:
+        if self.order == 0:
             return [(y @ r / n)[None] for r in self.rows]
         return [np.stack([y @ r, y @ (t * r)]) / n
                 for r, t in zip(self.rows, self.tvals)]
@@ -193,7 +197,7 @@ class FitContext:
     def identity_moments(self) -> tuple:
         """The data moments of order p that `identity_marginals` reads:
         (weight, pairs, R, Q, D, the axes' spans in R, mean y^2)."""
-        p, n, y = int(self.tvals is not None), self.dataset.n, self.dataset.y
+        p, n, y = self.order, self.dataset.n, self.dataset.y
         weight, cols = [], []
         for j, r in enumerate(self.rows):
             # t_j^k K_j for k <= 2p: at p = 0 the rows themselves
@@ -330,7 +334,7 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     if not isinstance(fam, PoissonLog):
         return None
     grid, y, n = ctx.grid, ctx.dataset.y, ctx.dataset.n
-    tw, order = grid.weights, int(ctx.tvals is not None)
+    tw, order = grid.weights, ctx.order
     # moms[j], (n, p + 1, G_j), holds a_ij - m_ij in row 0 until the
     # guard has passed, then t_ij^a e_ij in row a
     moms, lin, top = [], [], np.full(n, float(eta0))
@@ -571,12 +575,12 @@ class AdditiveFit:
 
 
 def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
-               n_blocks: int, marginals, inner_solve, outer_update):
+               marginals, inner_solve, outer_update):
     """Newton steps over smoothed backfitting, shared by both smoothers.
 
-    Starts from eta_0 = g(mean(y)) and n_blocks lists of zero curves and
-    stops when the relative sup-norm change of the fitted predictor falls
-    below tol_outer.  Returns fit_class(eta0, *blocks, ...).
+    Starts from eta_0 = g(mean(y)) and ctx.order + 1 lists of zero curves
+    and stops when the relative sup-norm change of the fitted predictor
+    falls below tol_outer.  Returns fit_class(eta0, *blocks, ...).
     """
     config = config or FitConfig()
     grid = ctx.grid
@@ -588,7 +592,7 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
             f"constant-model start g(mean(y)) is not finite for family "
             f"{fam.name!r}; the response is degenerate"
         )
-    blocks = [[np.zeros(g) for g in grid.shape] for _ in range(n_blocks)]
+    blocks = [[np.zeros(g) for g in grid.shape] for _ in range(ctx.order + 1)]
     marg = marginals(ctx, eta0, *blocks)
     diag = FitDiagnostics(sq_path=[marg.sq])
     for _ in range(config.max_outer):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .backfit import FitConfig
 from .errors import FitError, InputError, NonConvergenceError
-from .grid import Dataset, Grid, resolve_bandwidths
+from .grid import Dataset, Grid, default_bandwidths, resolve_bandwidths
 from .ll_fit import fit_ll
 from .nw_fit import fit_nw
 from .sim import SimModel, gen_covariates, gen_response, run_study, \
@@ -240,8 +240,10 @@ def _fit_config(opts) -> FitConfig | None:
 def _cmd_fit(opts) -> int:
     ds, names = _read_csv_dataset(opts.get("data"), opts.get("response"),
                                   opts.get("covariates"))
-    h = resolve_bandwidths(_parse_bandwidth(opts["bandwidth"]), ds.x,
-                           float(opts["bandwidth_scale"]))
+    scale = float(opts["bandwidth_scale"])
+    h = resolve_bandwidths(_parse_bandwidth(opts["bandwidth"]), ds.ndim, scale)
+    if h is None:
+        h = default_bandwidths(ds.x, c=scale)
     grid = Grid.uniform(ds.ndim, int(opts["grid_points"]))
     config = _fit_config(opts)
     fitter = fit_nw if opts["estimator"] == "nw" else fit_ll

@@ -31,8 +31,9 @@ evaluation at the weighted mean response ybar = sum_i a_i y_i / sum_i a_i:
     sum_i a_i f(u, y_i) = (sum_i a_i) f(u, ybar),
 
 for Q after the y-only term is removed.  The local constant fitter uses
-this with the kernel weights a_i = K_h(x, X_i); `score_weight_pieces` and
-`qll_pieces` give the affine coefficient functions.
+this with the kernel weights a_i = K_h(x, X_i) and calls `fields(u, ybar)`;
+`score_weight_pieces` and `qll_pieces`, the affine coefficient functions,
+are kept only because the benchmark's layer tracer wraps them by name.
 
 Links are clamped before any evaluation: the logit predictor to [-30, 30]
 and the log predictor to at most 30.  That keeps weights strictly positive

@@ -222,13 +222,16 @@ def default_bandwidths(x: np.ndarray, c: float = 1.0) -> np.ndarray:
     return np.clip(h, 1e-4, 0.5)
 
 
-def resolve_bandwidths(bandwidths, x: np.ndarray, scale=1.0) -> np.ndarray:
-    """`default_bandwidths(x, c=scale)` when bandwidths is None, else
-    bandwidths (scalar or per dimension) times scale, broadcast to d."""
+def resolve_bandwidths(bandwidths, d: int, scale=1.0):
+    """The given bandwidths (one, or one per dimension) times scale, as a
+    (d,) array; InputError for any other count.  None stays None, and the
+    caller takes `default_bandwidths` of its data with c = scale."""
     if bandwidths is None:
-        return default_bandwidths(x, c=scale)
-    return np.broadcast_to(np.asarray(bandwidths, dtype=float) * scale,
-                           (x.shape[1],)).copy()
+        return None
+    h = np.asarray(bandwidths, dtype=float) * scale
+    if h.shape not in ((), (1,), (d,)):
+        raise InputError(f"expected 1 or {d} bandwidths, got {h.size}")
+    return np.broadcast_to(h, (d,)).copy()
 
 
 # ---------------------------------------------------------------------------

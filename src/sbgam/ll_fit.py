@@ -53,13 +53,16 @@ the block).
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the damped step with
 recentering, input preparation and the fitted-model base live in
-`backfit`; this module supplies only the order-1 moment marginals, and
-routes Gaussian and Poisson to the order-1 closed forms there.
+`backfit`; this module supplies only the order-1 context, whose
+regressor offsets, blocks and workspace are cached properties built on
+first use, and moment marginals, routing Gaussian and Poisson to the
+order-1 closed forms there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -92,43 +95,38 @@ __all__ = [
 ]
 
 # cap, in scalar cells, on one block of observations times their padded
-# windows; LlContext.build_blocks splits the data by it and sizes the
-# workspace to the largest block: five float buffers and one index
+# windows; LlContext.blocks splits the data by it and LlContext.workspace
+# is sized to the largest block: five float buffers and one index
 # buffer, about 2.4 MB held for the fit's lifetime.  100k cells raised the
 # peak resident set by 5 MB and ran no faster
 BLOCK_CELLS = 50_000
 
 
-@dataclass
 class LlContext(FitContext):
-    """Shared precomputations plus the block engine's blocks.
+    """The order-1 context: `FitContext` plus the regressor offsets and
+    the block engine's blocks and workspace, which a Gaussian or Poisson
+    fit that never falls back to the engine never builds."""
 
-    blocks and workspace serve the block engine and stay None until
-    `build_blocks`, which the engine calls on first use, so a Gaussian or
-    Poisson fit that never falls back to it never builds them.  blocks
-    holds one (obs, gathered) pair per block of observations: obs their
-    indices, (B,), and gathered[j] the grid indices, kernel values, t_j
-    and trapezoid weights on each observation's window of dimension j,
-    each (B, W_j) for the block's widest window W_j, padded with zero
-    kernel cells.  workspace holds
-    the buffers the engine works in, one (5, cells) float array and one
-    (cells,) intp array for the largest block's padded cells; so one
-    context serves one evaluation at a time.
-    """
+    order = 1
 
-    blocks: list | None = None
-    workspace: tuple | None = None
+    @cached_property
+    def tvals(self) -> list:
+        """Regressor offsets t_j = (X_ij - x_j) / h_j, (n, G_j) per j."""
+        x, points, h = self.dataset.x, self.grid.points, self.bandwidths
+        return [(x[:, j][:, None] - points[j][None, :]) / h[j]
+                for j in range(len(points))]
 
-    def build_blocks(self) -> None:
-        """Split the observations into blocks and allocate the workspace,
-        unless that is done already."""
-        if self.blocks is not None:
-            return
+    @cached_property
+    def blocks(self) -> list:
+        """One (obs, gathered) pair per block of observations: obs their
+        indices, (B,), and gathered[j] the grid indices, kernel values, t_j
+        and trapezoid weights on each observation's window of dimension j,
+        each (B, W_j) for the block's widest window W_j, padded with zero
+        kernel cells."""
         grid, rows, tvals = self.grid, self.rows, self.tvals
-        blocks = _block_split(np.stack([hi - lo for lo, hi in self.windows],
-                                       axis=1))
-        self.blocks = []
-        for obs, widths in blocks:
+        blocks = []
+        for obs, widths in _block_split(
+                np.stack([hi - lo for lo, hi in self.windows], axis=1)):
             gathered = []
             for j, width in enumerate(widths):
                 lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
@@ -137,30 +135,21 @@ class LlContext(FitContext):
                                  np.take_along_axis(rows[j][obs], idx, 1),
                                  np.take_along_axis(tvals[j][obs], idx, 1),
                                  grid.weights[j][idx]))
-            self.blocks.append((obs, gathered))
-        cells = max(len(obs) * prod(widths) for obs, widths in blocks)
-        self.workspace = (np.empty((5, cells)),
-                          np.empty(cells, dtype=np.intp))
+            blocks.append((obs, gathered))
+        return blocks
+
+    @cached_property
+    def workspace(self) -> tuple:
+        """The buffers the block engine works in, one (5, cells) float
+        array and one (cells,) intp array for the largest block's padded
+        cells; so one context serves one evaluation at a time."""
+        cells = max(len(obs) * prod(g[0].shape[1] for g in gathered)
+                    for obs, gathered in self.blocks)
+        return np.empty((5, cells)), np.empty(cells, dtype=np.intp)
 
 
-def ll_prepare(
-    dataset: Dataset,
-    bandwidths,
-    grid: Grid | None = None,
-    family: Family | str = "gaussian",
-    kernel: str = "epanechnikov",
-) -> LlContext:
-    """Validate inputs and precompute kernel rows and regressor offsets.
-
-    The kernel windows and the block engine's blocks and workspace are
-    left to the engine's first use."""
-    ctx = LlContext.build(dataset, bandwidths, grid, family, kernel)
-    grid, h = ctx.grid, ctx.bandwidths
-    ctx.tvals = [
-        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
-        for j in range(dataset.ndim)
-    ]
-    return ctx
+# LlContext.build under LL's own name (see nw_prepare)
+ll_prepare = LlContext.build
 
 
 def _block_split(widths):
@@ -324,7 +313,6 @@ def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
     kernel windows, (B, W_1, ..., W_d), in views of the context's
     workspace; see `_add_block` and the module docstring.
     """
-    ctx.build_blocks()
     grid, n, shape = ctx.grid, ctx.dataset.n, ctx.grid.shape
     # combinations lists the pairs (0, 1), ..., (0, d - 1) first
     pairs = list(combinations(range(grid.ndim), 2))
@@ -402,5 +390,5 @@ def fit_ll(
     InitializerError, DegenerateWeightError, NonConvergenceError
     """
     ctx = ll_prepare(dataset, bandwidths, grid, family, kernel)
-    return newton_fit(ctx, config, LlFit, 2, ll_marginals, ll_inner_solve,
+    return newton_fit(ctx, config, LlFit, ll_marginals, ll_inner_solve,
                       ll_outer_update)

@@ -4,8 +4,9 @@ This module holds the order-0 producers of the marginals that the shared
 Newton-over-backfitting core solves with (see `backfit`).  Because q1,
 q2 and Q are affine in y (see `family`), each smoothed field is the
 kernel density smooth times the family's field at the kernel-local mean
-response.  For d <= 2 both smooths are precomputed once per fit, so each
-evaluation is one family call on the dense G x G grid.
+response.  For d <= 2 both smooths are a cached property of the context
+(`NwContext.dense_smooths`), built on first use, so each evaluation is
+one family call on the dense G x G grid.
 
 Gaussian fits take the order-0 closed form `backfit.identity_marginals`
 at every d.  For d >= 3 no d-dimensional tensor is ever materialized:
@@ -18,6 +19,7 @@ kernel support windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -47,49 +49,40 @@ __all__ = [
 ]
 
 
-@dataclass
 class NwContext(FitContext):
-    """Shared precomputations plus the data smooths of the dense path.
+    """The order-0 context: `FitContext` plus the dense path's smooths,
+    which Gaussian fits, taking the closed form, never build."""
 
-    For d <= 2, phat is the density smooth n^{-1} sum_i K_i on the full
-    grid, ybar the kernel-local mean response (the response smooth over
-    phat; mean(y) where phat is 0) and sq_offset the y-only term of SQ,
-    mean_i Q(0, Y_i) - integral phat Q(0, ybar).
-    """
+    order = 0
 
-    phat: np.ndarray | None = None
-    ybar: np.ndarray | None = None
-    sq_offset: float = 0.0
-
-
-def nw_prepare(
-    dataset: Dataset,
-    bandwidths,
-    grid: Grid | None = None,
-    family: Family | str = "gaussian",
-    kernel: str = "epanechnikov",
-) -> NwContext:
-    """Validate inputs and compute the kernel rows and, for d <= 2, the
-    dense path's smooths; the closed forms' moments wait for first use."""
-    ctx = NwContext.build(dataset, bandwidths, grid, family, kernel)
-    rows, n, y = ctx.rows, dataset.n, dataset.y
-    if dataset.ndim <= 2:
-        if dataset.ndim == 1:
-            ctx.phat = rows[0].sum(axis=0) / n
+    @cached_property
+    def dense_smooths(self) -> tuple:
+        """(phat, ybar, sq_offset) for d <= 2: phat is the density smooth
+        n^{-1} sum_i K_i on the full grid, ybar the kernel-local mean
+        response (the response smooth over phat; mean(y) where phat is
+        0) and sq_offset the y-only term of SQ,
+        mean_i Q(0, Y_i) - integral phat Q(0, ybar)."""
+        rows, n, y = self.rows, self.dataset.n, self.dataset.y
+        if len(rows) == 1:
+            phat = rows[0].sum(axis=0) / n
             rhat = y @ rows[0] / n
         else:
-            ctx.phat = rows[0].T @ rows[1] / n
+            phat = rows[0].T @ rows[1] / n
             rhat = (rows[0] * y[:, None]).T @ rows[1] / n
-        ctx.ybar = np.full(ctx.phat.shape, np.mean(y))
-        np.divide(rhat, ctx.phat, out=ctx.ybar, where=ctx.phat != 0.0)
+        ybar = np.full(phat.shape, np.mean(y))
+        np.divide(rhat, phat, out=ybar, where=phat != 0.0)
         # SQ is integral phat Q(u, ybar) plus the y-only part of Q, a
-        # constant because every kernel row integrates to one; at_zero.sq
-        # is the first term at u = 0, taken while sq_offset is still 0
-        at_zero = _nw_marginals_dense(ctx, 0.0, [np.zeros(g) for g in
-                                                 ctx.grid.shape])
-        ctx.sq_offset = float(np.mean(ctx.family.fields(0.0, y)[2])
-                              - at_zero.sq)
-    return ctx
+        # constant because every kernel row integrates to one
+        q0 = self.family.fields(np.zeros(phat.shape), ybar)[2] * phat
+        tw = self.grid.weights
+        sq_offset = float(np.mean(self.family.fields(0.0, y)[2])
+                          - float(tw[0] @ _dense_curves(q0, tw)[0]))
+        return phat, ybar, sq_offset
+
+
+# each smoother's preparation keeps its own module-level name, so that it
+# can be wrapped or traced on its own, as its inner solve does
+nw_prepare = NwContext.build
 
 
 def nw_marginals(ctx: NwContext, eta0: float, components) -> Marginals:
@@ -121,12 +114,13 @@ def _nw_marginals_dense(ctx, eta0, components):
     """Marginals for d <= 2: each smoothed field is phat times the family's
     field at the kernel-local mean response, plus sq_offset for SQ."""
     tw = ctx.grid.weights
+    phat, ybar, sq_offset = ctx.dense_smooths
     u = eta0 + components[0]
     if len(components) == 2:
         u = u[:, None] + components[1]
-    wfield, sfield, qfield = ctx.family.fields(u, ctx.ybar)
+    wfield, sfield, qfield = ctx.family.fields(u, ybar)
     for f in (wfield, sfield, qfield):
-        f *= ctx.phat
+        f *= phat
     wcurves = _dense_curves(wfield, tw)
     scurves = _dense_curves(sfield, tw)
     return Marginals(
@@ -135,7 +129,7 @@ def _nw_marginals_dense(ctx, eta0, components):
         score=[s[None] for s in scurves],
         pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
         score_total=float(tw[0] @ scurves[0]),
-        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + ctx.sq_offset,
+        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + sq_offset,
     )
 
 
@@ -227,5 +221,5 @@ def fit_nw(
     InitializerError, DegenerateWeightError, NonConvergenceError
     """
     ctx = nw_prepare(dataset, bandwidths, grid, family, kernel)
-    return newton_fit(ctx, config, NwFit, 1, nw_marginals, nw_inner_solve,
+    return newton_fit(ctx, config, NwFit, nw_marginals, nw_inner_solve,
                       nw_outer_update)

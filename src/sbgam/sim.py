@@ -23,6 +23,7 @@ quadrature and the extra dimensions factor out of the integrals.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +33,8 @@ import numpy as np
 
 from .errors import FitError, InputError
 from .family import get_family
-from .grid import Dataset, Grid, resolve_bandwidths, trapz_weights
+from .grid import (Dataset, Grid, default_bandwidths, resolve_bandwidths,
+                   trapz_weights)
 from .ll_fit import fit_ll
 from .nw_fit import fit_nw
 from .oracles import AsymptoticInputs, ComponentTruth
@@ -381,13 +383,15 @@ def _study_rep(model: SimModel, estimator: str, bandwidths,
                rep: int, truth_eta0: float, truth_curves: list):
     """One replication: simulate, fit, compare to truth.
 
-    Returns (rep, eta0_hat, curves, l2, error_message); curves is None
-    when the fit failed outright.
+    bandwidths are `resolve_bandwidths`' (d,) result, or None for the
+    default of this replication's data.  Returns (rep, eta0_hat, curves,
+    l2, error_message); curves is None when the fit failed outright.
     """
     rng = np.random.default_rng(np.random.SeedSequence([model.seed, rep]))
     ds = make_dataset(model, rng)
     d = model.ndim
-    h = resolve_bandwidths(bandwidths, ds.x, bandwidth_scale)
+    h = (default_bandwidths(ds.x, c=bandwidth_scale) if bandwidths is None
+         else bandwidths)
     grid = Grid.uniform(d, grid_points)
     fitter = fit_nw if estimator == "nw" else fit_ll
     try:
@@ -443,15 +447,20 @@ def run_study(
         raise InputError("reps must be positive")
     if not 0.0 < interior_fraction <= 1.0:
         raise InputError("interior_fraction must be in (0, 1]")
+    if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
+            or n_jobs < 1):
+        raise InputError("n_jobs must be an integer of at least 1")
     t_start = time.perf_counter()
     d = model.ndim
+    # checked once, before any replication runs
+    h = resolve_bandwidths(bandwidths, d, bandwidth_scale)
     grid = Grid.uniform(d, grid_points)
     truth = true_components(model)
     axes = [2.0 * grid.points[j] - 1.0 for j in range(d)]
     truth_curves = [truth.component(j, axes[j]) for j in range(d)]
 
     args = [
-        (model, estimator, bandwidths, bandwidth_scale, grid_points, kernel,
+        (model, estimator, h, bandwidth_scale, grid_points, kernel,
          rep, truth.eta0_star, truth_curves)
         for rep in range(reps)
     ]
@@ -501,11 +510,7 @@ def run_study(
         n=model.n,
         reps=reps,
         seed=model.seed,
-        bandwidths=(np.broadcast_to(
-                        np.asarray(bandwidths, dtype=float)
-                        * bandwidth_scale, (d,)).copy()
-                    if bandwidths is not None
-                    else np.full(d, np.nan)),
+        bandwidths=h if h is not None else np.full(d, np.nan),
         grid_points=grid_points,
         kernel=kernel,
         isb=isb,

@@ -2,6 +2,7 @@
 the module-attribute lookups that outside-in tracing relies on."""
 
 import ast
+import importlib.util
 import pathlib
 from collections import Counter
 
@@ -24,6 +25,18 @@ ENTRY_POINTS = [
     (nw_fit, "fit_nw"), (ll_fit, "fit_ll"),
     (sim, "fit_nw"), (sim, "fit_ll"), (cli, "run_study"),
 ]
+
+
+def test_every_traced_target_resolves():
+    # the benchmark's tracer reports a layer's metrics absent when one of
+    # its targets is gone; a rename must fail the test suite instead
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for _, module, target, _ in layertrace.TARGETS:
+        owner, attr = layertrace._resolve(module, target)
+        assert callable(getattr(owner, attr, None)), f"{module}.{target}"
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sbgam import sim
 from sbgam.cli import main
 
 
@@ -229,11 +230,14 @@ def _assert_fit_input_error(tmp_path, flags, config):
     out = tmp_path / "ctlerr"
     code = _run(["fit", "--config", cfg, "--data", data, "--response", "y",
                  "--out-dir", out, *flags])
+    _assert_input_error(out, code)
+    assert not (out / "fit.json").exists()
+
+
+def _assert_input_error(out, code):
     assert code == 2
     err = json.loads((out / "error.json").read_text())
-    assert err["exit_code"] == 2
-    assert err["error"] == "InputError"
-    assert not (out / "fit.json").exists()
+    assert err["exit_code"] == 2 and err["error"] == "InputError"
 
 
 def test_study_smoke_and_determinism(tmp_path):
@@ -259,6 +263,29 @@ def test_study_smoke_and_determinism(tmp_path):
         == (out_b / "study.csv").read_bytes()
     assert (out_a / "study.json").read_bytes() \
         == (out_b / "study.json").read_bytes()
+
+
+def test_fit_wrong_bandwidth_count_exits_2(tmp_path):
+    # three bandwidths for two covariates
+    _assert_fit_input_error(tmp_path, ["--bandwidth", "0.3,0.3,0.3"], {})
+
+
+@pytest.mark.parametrize("flags", [["--bandwidth", "0.3,0.3,0.3"],
+                                   ["--n-jobs", 0]],
+                         ids=["bandwidth-count", "n-jobs-0"])
+def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
+                                                   flags):
+    # neither a replication nor a worker process may start: either would
+    # end in an internal error (exit 4) here
+    def forbidden(*args, **kwargs):
+        raise AssertionError("study work started")
+
+    monkeypatch.setattr(sim, "make_dataset", forbidden)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", forbidden)
+    out = tmp_path / "s"
+    _assert_input_error(out, _run(["study", "--model", "1,1", "--n", 80,
+                                   "--reps", 2, *flags, "--out-dir", out]))
+    assert not (out / "study.json").exists()
 
 
 def test_study_unknown_model_exits_2(tmp_path):

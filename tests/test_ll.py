@@ -136,7 +136,6 @@ def test_marginals_match_full_grid_reference(case):
 
 
 def _assert_blocks_partition(ctx):
-    ctx.build_blocks()
     obs = np.concatenate([b for b, _ in ctx.blocks])
     assert np.array_equal(np.sort(obs), np.arange(ctx.dataset.n))
 
@@ -222,7 +221,6 @@ def _workspace_case(d):
     ds = Dataset.with_support(x, y, -1.0, 1.0)
     grid = Grid.uniform(d, g)
     ctx = ll_prepare(ds, 0.35, grid, "bernoulli")
-    ctx.build_blocks()
     widths = {tuple(gt[0].shape[1] for gt in gathered)
               for _, gathered in ctx.blocks}
     assert len(ctx.blocks) > 2 and len(widths) > 1
@@ -319,10 +317,10 @@ def test_poisson_fit_never_builds_the_engine():
     # warm evaluation allocates a few arrays of the (n, G_j) kernel rows'
     # size per regressor, nothing of window-product size
     ctx = _poisson_context(np.random.default_rng(14), 3, n=300)
-    fit = newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+    fit = newton_fit(ctx, None, LlFit, ll_marginals, ll_inner_solve,
                      ll_outer_update)
     assert fit.diagnostics.converged
-    assert ctx.blocks is None and ctx.workspace is None
+    assert "blocks" not in vars(ctx) and "workspace" not in vars(ctx)
     unit = 8 * 2 * ctx.dataset.n * sum(ctx.grid.shape)
     ll_marginals(ctx, fit.eta00, fit.components0, fit.components1)
     tracemalloc.start()
@@ -331,7 +329,7 @@ def test_poisson_fit_never_builds_the_engine():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ctx.blocks is None and "windows" not in vars(ctx)
+    assert "blocks" not in vars(ctx) and "windows" not in vars(ctx)
     assert peak < 3 * unit, (peak, unit)
 
 
@@ -341,9 +339,9 @@ def test_engine_computes_windows_on_first_use():
     ctx = ll_prepare(_sim_dataset(18, 60, 2, "bernoulli"), 0.3,
                      Grid.uniform(2, 11), "bernoulli")
     assert "windows" not in vars(ctx)
-    fit = newton_fit(ctx, None, LlFit, 2, ll_marginals, ll_inner_solve,
+    fit = newton_fit(ctx, None, LlFit, ll_marginals, ll_inner_solve,
                      ll_outer_update)
-    assert fit.diagnostics.converged and ctx.blocks is not None
+    assert fit.diagnostics.converged and "blocks" in vars(ctx)
     assert "windows" in vars(ctx)
     for (lo, hi), rows in zip(ctx.windows, ctx.rows):
         want_lo, want_hi = row_windows(rows)

@@ -1,5 +1,6 @@
 """Local constant fitter: marginals, inner solver, outer loop, oracles."""
 
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -16,9 +17,9 @@ from sbgam.backfit import (FitConfig, Marginals, identity_marginals,
                            inner_solve, newton_fit, poisson_marginals)
 from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
                           ll_marginals, ll_outer_update, ll_prepare)
-from sbgam.nw_fit import (NwFit, _nw_marginals_dense, _nw_marginals_streamed,
-                          fit_nw, nw_inner_solve, nw_marginals,
-                          nw_outer_update, nw_prepare)
+from sbgam.nw_fit import (NwContext, NwFit, _nw_marginals_dense,
+                          _nw_marginals_streamed, fit_nw, nw_inner_solve,
+                          nw_marginals, nw_outer_update, nw_prepare)
 from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
     newton_pointwise
 
@@ -68,7 +69,8 @@ def test_dense_and_streamed_marginals_agree():
         h = rng.uniform(0.25, 0.3, size=d)
         ctx = nw_prepare(Dataset.with_support(x, y, -1.0, 1.0), h, grid,
                          fam, kernel)
-        assert (ctx.phat == 0.0).any() and (ctx.phat > 0.0).any(), case
+        phat = ctx.dense_smooths[0]
+        assert (phat == 0.0).any() and (phat > 0.0).any(), case
         comps = [0.5 * rng.normal(size=g) for g in grid.shape]
         eta0 = float(rng.normal())
         md = _nw_marginals_dense(ctx, eta0, comps)
@@ -116,7 +118,7 @@ def test_identity_closed_form_matches_streamed(d, kernel):
         refs.append((ll_prepare, _block_marginals))
     for p, (prepare, reference) in enumerate(refs):
         ctx = prepare(ds, h, grid, "gaussian", kernel)
-        assert (ctx.tvals is not None) == p
+        assert ctx.order == p
         eta0 = float(rng.normal())
         comps = [[s * rng.normal(size=g) for g in grid.shape]
                  for s in (1.0, 0.5)[:p + 1]]
@@ -225,7 +227,7 @@ def test_only_gaussian_at_three_dims_takes_the_closed_form(monkeypatch):
                           else fam)
         for prepare in (nw_prepare, ll_prepare):
             ctx = prepare(ds, 0.4, grid, fam)
-            comps = [[np.zeros(9)] * 3] * (1 if ctx.tvals is None else 2)
+            comps = [[np.zeros(9)] * 3] * (ctx.order + 1)
             assert identity_marginals(ctx, 0.1, *comps) is None
             assert "identity_moments" not in vars(ctx)
     # a Gaussian LL fit through the engine instead takes the same steps
@@ -253,16 +255,40 @@ def test_fits_that_never_stream_never_compute_windows(d):
     # windows stay uncomputed, and LL builds no engine blocks
     ds = _sim_dataset(17, 80, d)
     grid = Grid.uniform(d, 11)
-    for prepare, fit_class, k, *parts in (
-            (nw_prepare, NwFit, 1, nw_marginals, nw_inner_solve,
+    for prepare, fit_class, *parts in (
+            (nw_prepare, NwFit, nw_marginals, nw_inner_solve,
              nw_outer_update),
-            (ll_prepare, LlFit, 2, ll_marginals, ll_inner_solve,
+            (ll_prepare, LlFit, ll_marginals, ll_inner_solve,
              ll_outer_update)):
         ctx = prepare(ds, 0.3, grid)
-        fit = newton_fit(ctx, None, fit_class, k, *parts)
+        fit = newton_fit(ctx, None, fit_class, *parts)
         assert fit.diagnostics.converged
         assert "windows" not in vars(ctx)
-    assert ctx.blocks is None and ctx.workspace is None
+    assert "blocks" not in vars(ctx) and "workspace" not in vars(ctx)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family, builds", [("gaussian", 0),
+                                            ("bernoulli", 1)])
+def test_dense_smooths_are_built_once_and_only_when_read(monkeypatch, d,
+                                                         family, builds):
+    # a Gaussian fit takes the closed form and never reads the dense
+    # path's smooths; a Bernoulli fit reads them at every evaluation
+    calls = []
+    build = NwContext.dense_smooths.func
+
+    def counted(ctx):
+        calls.append(ctx)
+        return build(ctx)
+
+    prop = cached_property(counted)
+    prop.__set_name__(NwContext, "dense_smooths")
+    monkeypatch.setattr(NwContext, "dense_smooths", prop)
+    fit = fit_nw(_sim_dataset(19, 80, d, family), 0.3,
+                 grid=Grid.uniform(d, 11), family=family)
+    assert fit.diagnostics.converged
+    assert fit.diagnostics.outer_iterations > builds
+    assert len(calls) == builds
 
 
 def test_gaussian_fit_d3_matches_dense_oracle():

@@ -238,6 +238,12 @@ def test_run_study_validation():
         run_study(m, reps=0)
     with pytest.raises(InputError):
         run_study(m, interior_fraction=1.5)
+    for n_jobs in (0, 2.0, True):
+        with pytest.raises(InputError):
+            run_study(m, n_jobs=n_jobs)
+    for bandwidths in ([0.3, 0.3, 0.3], [[0.3, 0.3]]):
+        with pytest.raises(InputError):
+            run_study(m, bandwidths=bandwidths)
 
 
 def test_write_study_outputs(tmp_path):
