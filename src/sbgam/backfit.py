@@ -33,10 +33,11 @@ the constraint functional and the weight check), `inner_solve` (block
 Gauss-Seidel sweeps on operators formed once per Newton step),
 `newton_fit` (outer loop and diagnostics), `damped_step` (step and
 recentering), `AdditiveFit` (prediction) and the closed-form producers
-of either order, `identity_marginals` (Gaussian identity link) and
-`poisson_marginals` (Poisson log link).  A smoother supplies its context
-class, which declares the order p (0 in `nw_fit`, 1 in `ll_fit`), the
-producer of its other marginals and its fit class.
+of either order: `identity_marginals` (Gaussian identity link),
+`start_marginals` (any family at the constant start, from weighted data
+moments) and `poisson_marginals` (Poisson log link).  A smoother
+supplies its context class, which declares the order p (0 in `nw_fit`,
+1 in `ll_fit`), the producer of its other marginals and its fit class.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "AdditiveFit",
     "poisson_marginals",
     "identity_marginals",
+    "start_marginals",
     "inner_solve",
     "damped_step",
     "newton_fit",
@@ -146,7 +148,8 @@ class FitContext:
     (lo, hi) pair of `kernels.row_windows(rows[j])`, read only by the
     streamed NW path and the LL block engine, response_smooths[j] the
     y-part of the closed forms' score rows, and identity_moments the
-    other moments of `identity_marginals`.
+    other moments of `identity_marginals`.  Both come from
+    `weighted_moments`, as do the moments of `start_marginals`.
     """
 
     dataset: Dataset
@@ -183,35 +186,58 @@ class FitContext:
         """Half-open index windows (lo, hi) of each dimension's rows."""
         return [kernels.row_windows(r) for r in self.rows]
 
+    def weighted_moments(self, vs, powers: int, pairs: bool = False):
+        """Data moments weighted per observation: one product of each
+        weight vector with each axis's kernel rows times t_j^k.
+
+        For each v in vs, an (n,) array or None for unit weights, the
+        (powers, G_j) stacks n^-1 sum_i v_i t_ij^k K_ij, k < powers, one
+        per axis j.  With pairs, also the pair blocks of the first v,
+        n^-1 (v o t_j^a K_j)^T (t_l^b K_l) for a, b <= p, keyed (j, l)
+        with j < l.  Returns (one list of stacks per v, pair blocks).
+        """
+        p, n = self.order, self.dataset.n
+        stacks, cols = [[] for _ in vs], []
+        for j, r in enumerate(self.rows):
+            g = r.shape[1]
+            # t_j^k K_j for k < powers side by side: for one power the rows
+            tk = r if powers == 1 else np.empty((n, powers * g))
+            if powers > 1:
+                tk[:, :g] = r
+                np.multiply(self.tvals[j], r, out=tk[:, g:2 * g])
+            if powers > 2:
+                np.square(self.tvals[j], out=tk[:, 2 * g:])
+                tk[:, 2 * g:] *= r
+            for out, v in zip(stacks, vs):
+                # a column sum of the rows took longer than this product
+                out.append(((np.ones(n) if v is None else v) @ tk / n)
+                           .reshape(powers, g))
+            cols.append(tk[:, :(p + 1) * g])
+        blocks, v = {}, vs[0]
+        for j in range(len(cols) - 1) if pairs else ():
+            left = cols[j] if v is None else cols[j] * v[:, None]
+            for l in range(j + 1, len(cols)):
+                blocks[j, l] = left.T @ cols[l] / n
+        return stacks, blocks
+
     @cached_property
     def response_smooths(self) -> list:
         """The response smooths n^-1 sum_i Y_i t_ij^a K_ij, a <= p, one
         (p + 1, G_j) stack per dimension j."""
-        y, n = self.dataset.y, self.dataset.n
-        if self.order == 0:
-            return [(y @ r / n)[None] for r in self.rows]
-        return [np.stack([y @ r, y @ (t * r)]) / n
-                for r, t in zip(self.rows, self.tvals)]
+        return self.weighted_moments([self.dataset.y], self.order + 1)[0][0]
 
     @cached_property
     def identity_moments(self) -> tuple:
         """The data moments of order p that `identity_marginals` reads:
         (weight, pairs, R, Q, D, the axes' spans in R, mean y^2)."""
         p, n, y = self.order, self.dataset.n, self.dataset.y
-        weight, cols = [], []
-        for j, r in enumerate(self.rows):
-            # t_j^k K_j for k <= 2p: at p = 0 the rows themselves
-            tk = r if p == 0 else np.hstack([r, self.tvals[j] * r,
-                                             self.tvals[j] ** 2 * r])
-            # a column sum of the rows took longer than this product
-            weight.append((np.ones(n) @ tk / n).reshape(2 * p + 1, -1))
-            cols.append(tk[:, :(p + 1) * r.shape[1]])
-        ends = np.cumsum([c.shape[1] for c in cols])
-        spans = [slice(e - c.shape[1], e) for c, e in zip(cols, ends)]
+        (weight,), pairs = self.weighted_moments([None], 2 * p + 1, True)
+        ends = np.cumsum([(p + 1) * m.shape[1] for m in weight])
+        spans = [slice(e - (p + 1) * m.shape[1], e)
+                 for m, e in zip(weight, ends)]
         dw = np.concatenate([np.tile(w, p + 1) for w in self.grid.weights])
-        system, pairs = np.zeros((ends[-1], ends[-1])), {}
-        for j, l in combinations(range(len(cols)), 2):
-            pairs[j, l] = c = cols[j].T @ cols[l] / n
+        system = np.zeros((ends[-1], ends[-1]))
+        for (j, l), c in pairs.items():
             system[spans[j], spans[l]] = c * dw[spans[l]]
             system[spans[l], spans[j]] = c.T * dw[spans[j]]
         for j, m in enumerate(weight):
@@ -422,6 +448,35 @@ def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
                      score=score, pairs=pairs,
                      score_total=float(tw0 @ score[0][0]),
                      sq=-0.5 * (y2m - float((dw * c) @ (resp + z))))
+
+
+def start_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+    """Exact marginals of the context's order p at the constant start.
+
+    Where every curve and every slope is zero, observation i's predictor
+    is eta0 on its whole window, so its fields are the constants
+    (w_i, s_i, q_i) = family.fields(eta0, Y_i), and the smoothed fields
+    are data moments weighted per observation (w_i depends on Y_i for a
+    QuasiFamily).  With every kernel row integrating to one:
+
+        weight[j][k] = n^-1 sum_i w_i t_ij^k K_ij,  k <= 2p,
+        pairs[j, l] block (a, b) = n^-1 (w o t_j^a K_j)^T (t_l^b K_l),
+        score[j][a]  = n^-1 sum_i s_i t_ij^a K_ij,  a <= p,
+        sq = n^-1 sum_i q_i.
+
+    Returns None unless every curve and every slope is zero.
+    """
+    if any(c.any() for cs in (comps0, comps1 or ()) for c in cs):
+        return None
+    p, y = ctx.order, ctx.dataset.y
+    w, s, q = ctx.family.fields(np.full(y.shape, float(eta0)), y)
+    (weight, score), pairs = ctx.weighted_moments([w, s], 2 * p + 1, True)
+    score = [m[:p + 1] for m in score]
+    tw0 = ctx.grid.weights[0]
+    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
+                     score=score, pairs=pairs,
+                     score_total=float(tw0 @ score[0][0]),
+                     sq=float(np.mean(q)))
 
 
 def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):

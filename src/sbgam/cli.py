@@ -171,12 +171,14 @@ def _parse_bandwidth(spec):
         return None
     if isinstance(spec, (int, float)):
         return float(spec)
+    entries = str(spec).split(",")
+    if not all(p.strip() for p in entries):
+        # a missing value would shift the ones after it to other covariates
+        raise InputError(f"empty entry in bandwidth {spec!r}")
     try:
-        parts = [float(p) for p in str(spec).split(",") if p.strip()]
+        parts = [float(p) for p in entries]
     except ValueError as exc:
         raise InputError(f"cannot parse bandwidth {spec!r}") from exc
-    if not parts:
-        raise InputError("empty bandwidth specification")
     return parts[0] if len(parts) == 1 else np.array(parts)
 
 

@@ -35,15 +35,23 @@ the Gaussian identity link every moment is a data moment, computed once
 per fit (`backfit.identity_marginals`); under the Poisson log link e^eta
 is a product over axes, so every moment comes from per-axis window
 integrals on the (n, G_j) kernel rows (`backfit.poisson_marginals`).
-Neither does per-cell work at any d.  Every other family, and a Poisson
-iterate whose predictor could reach the clamp, takes the block engine,
-which serves every d.  On first use it orders the observations by their
-window widths and splits them into blocks once per fit, each padded only
-to its own widest windows, and allocates one workspace sized to the
-largest block.  Per iterate, each block's predictor and kernel product
-are written into views of that workspace, and one family call per block
-writes the weight, score and quasi-likelihood fields beside them; each
-field is integrated down to window curves and pair surfaces, the t_j are
+Neither does per-cell work at any d, and neither does the constant start
+of any family: there each observation's predictor is one number on its
+whole window, so the moments are data moments weighted by its fields
+(`backfit.start_marginals`).  Every other iterate, of every other
+family and of a Poisson fit whose predictor could reach the clamp, takes
+the block engine, which serves every d.  On first use it orders the
+observations by their window widths and splits them into blocks once per
+fit, each padded only to its own widest windows, gathers per block what
+does not depend on the iterate (the kernel values k_j, the t_j and the
+per-axis integration weights k_j tw_j), and allocates one workspace
+sized to the largest block.  Per iterate, each block's predictor is
+written into a view of that workspace, and one family call per block
+writes the weight, score and quasi-likelihood fields beside it.  The
+kernel product is never formed: the weight field is scaled in place by
+each k_j, because its pair surfaces are scattered cell by cell, while the
+score and Q fields are only integrated, against the k_j tw_j.  Each field
+is integrated down to window curves and pair surfaces, the t_j are
 multiplied in there (the block-sized pair products again in the
 workspace), and the results are scattered onto the grid.  Nothing of
 full product-grid size is formed, and for d >= 2 no array of block size
@@ -81,6 +89,7 @@ from .backfit import (
     inner_solve,
     newton_fit,
     poisson_marginals,
+    start_marginals,
 )
 
 __all__ = [
@@ -96,8 +105,8 @@ __all__ = [
 
 # cap, in scalar cells, on one block of observations times their padded
 # windows; LlContext.blocks splits the data by it and LlContext.workspace
-# is sized to the largest block: five float buffers and one index
-# buffer, about 2.4 MB held for the fit's lifetime.  100k cells raised the
+# is sized to the largest block: four float buffers and one index
+# buffer, about 2.0 MB held for the fit's lifetime.  100k cells raised the
 # peak resident set by 5 MB and ran no faster
 BLOCK_CELLS = 50_000
 
@@ -119,10 +128,10 @@ class LlContext(FitContext):
     @cached_property
     def blocks(self) -> list:
         """One (obs, gathered) pair per block of observations: obs their
-        indices, (B,), and gathered[j] the grid indices, kernel values, t_j
-        and trapezoid weights on each observation's window of dimension j,
-        each (B, W_j) for the block's widest window W_j, padded with zero
-        kernel cells."""
+        indices, (B,), and gathered[j] the grid indices, kernel values k_j,
+        t_j, trapezoid weights tw_j and their product k_j tw_j on each
+        observation's window of dimension j, each (B, W_j) for the block's
+        widest window W_j, padded with zero kernel cells."""
         grid, rows, tvals = self.grid, self.rows, self.tvals
         blocks = []
         for obs, widths in _block_split(
@@ -131,21 +140,23 @@ class LlContext(FitContext):
             for j, width in enumerate(widths):
                 lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
                 idx = lo[:, None] + np.arange(width)
-                gathered.append((idx,
-                                 np.take_along_axis(rows[j][obs], idx, 1),
+                k = np.take_along_axis(rows[j][obs], idx, 1)
+                tw = grid.weights[j][idx]
+                gathered.append((idx, k,
                                  np.take_along_axis(tvals[j][obs], idx, 1),
-                                 grid.weights[j][idx]))
+                                 tw, k * tw))
             blocks.append((obs, gathered))
         return blocks
 
     @cached_property
     def workspace(self) -> tuple:
-        """The buffers the block engine works in, one (5, cells) float
-        array and one (cells,) intp array for the largest block's padded
-        cells; so one context serves one evaluation at a time."""
+        """The buffers the block engine works in, one (4, cells) float
+        array (the predictor and the three fields) and one (cells,) intp
+        array for the largest block's padded cells; so one context serves
+        one evaluation at a time."""
         cells = max(len(obs) * prod(g[0].shape[1] for g in gathered)
                     for obs, gathered in self.blocks)
-        return np.empty((5, cells)), np.empty(cells, dtype=np.intp)
+        return np.empty((4, cells)), np.empty(cells, dtype=np.intp)
 
 
 # LlContext.build under LL's own name (see nw_prepare)
@@ -246,33 +257,36 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     """Add one block's moments to sums; return its smoothed Q.
 
     sums is (weight, score, pairs) as `ll_marginals` fills them.  The
-    predictor and the kernel product are written into the workspace, one
-    call of the family's `fields` writes the weight, score and
-    quasi-likelihood fields beside them, with the predictor as its
-    scratch, and the fields are scaled in place by the kernel product.
-    What else the block needs is of window-curve or pair-surface size and
-    is freed when this returns.
+    predictor is written into the workspace, and one call of the family's
+    `fields` writes the weight, score and quasi-likelihood fields beside
+    it, with the predictor as its scratch.  The kernel product K_ij K_il
+    does not depend on the iterate and is never formed: the weight field,
+    whose pair surfaces are scattered cell by cell, is scaled in place by
+    each k_j in turn, while the score and Q fields are integrated against
+    the per-axis weights k_j tw_j of the blocks, and each score window
+    curve is scaled by its own k_j afterwards.  What else the block needs
+    is of window-curve or pair-surface size and is freed when this
+    returns.
     """
     d, shape, (floats, ints) = len(gathered), ctx.grid.shape, ctx.workspace
     weight, score, pair_sums = sums
-    idx, k, t, w = zip(*gathered)
+    idx, k, t, w, kw = zip(*gathered)
     block = (len(obs),) + tuple(i.shape[1] for i in idx)
-    u, kp, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
+    u, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
+    axes = []
     for j in range(d):
-        axes = [len(obs)] + [1] * d
-        axes[j + 1] = -1
-        term = (comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes)
+        axes.append([len(obs)] + [1] * d)
+        axes[j][j + 1] = -1
+        term = (comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes[j])
         if j == 0:
             np.add(eta00, term, out=u)
-            np.copyto(kp, k[j].reshape(axes))
         else:
             u += term
-            kp *= k[j].reshape(axes)
     ctx.family.fields(u, ctx.dataset.y[obs].reshape(-1, *[1] * d),
                       out=fields)
-    for f in fields:
-        f *= kp
     wfield, sfield, qfield = fields
+    for j in range(d):
+        wfield *= k[j].reshape(axes[j])
 
     def add_pair(j, l, surf):
         cells = len(obs) * block[j + 1] * block[l + 1]
@@ -288,9 +302,11 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
 
     _add_curves(weight, _window_marginals(wfield, w, pairs, add_pair), t,
                 idx, shape)
-    _add_curves(score, _window_marginals(sfield, w, pairs[:d - 1]), t, idx,
-                shape)
-    return float(_integrate_out(qfield, w, ()).sum())
+    scurves = _window_marginals(sfield, kw, pairs[:d - 1])
+    for curve, kj in zip(scurves, k):
+        curve *= kj
+    _add_curves(score, scurves, t, idx, shape)
+    return float(_integrate_out(qfield, kw, ()).sum())
 
 
 def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
@@ -298,11 +314,13 @@ def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
     against the positivity floor.
 
     The Gaussian identity and Poisson log links have them in closed form
-    (`backfit.identity_marginals`, `backfit.poisson_marginals`); every
-    other family, and a Poisson iterate whose predictor could reach the
-    clamp, takes the block engine, `_block_marginals`.
+    (`backfit.identity_marginals`, `backfit.poisson_marginals`), and so
+    does every family at the constant start (`backfit.start_marginals`);
+    every other iterate, including a Poisson iterate whose predictor could
+    reach the clamp, takes the block engine, `_block_marginals`.
     """
     marg = (identity_marginals(ctx, eta00, comps0, comps1)
+            or start_marginals(ctx, eta00, comps0, comps1)
             or poisson_marginals(ctx, eta00, comps0, comps1)
             or _block_marginals(ctx, eta00, comps0, comps1))
     return marg.check_weight(ctx.grid)

@@ -379,20 +379,20 @@ class StudyResult:
 
 
 def _study_rep(model: SimModel, estimator: str, bandwidths,
-               bandwidth_scale: float, grid_points: int, kernel: str,
+               bandwidth_scale: float, grid: Grid, kernel: str,
                rep: int, truth_eta0: float, truth_curves: list):
     """One replication: simulate, fit, compare to truth.
 
     bandwidths are `resolve_bandwidths`' (d,) result, or None for the
-    default of this replication's data.  Returns (rep, eta0_hat, curves,
-    l2, error_message); curves is None when the fit failed outright.
+    default of this replication's data; grid is the study's grid.  Returns
+    (rep, eta0_hat, curves, l2, error_message); curves is None when the
+    fit failed outright.
     """
     rng = np.random.default_rng(np.random.SeedSequence([model.seed, rep]))
     ds = make_dataset(model, rng)
     d = model.ndim
     h = (default_bandwidths(ds.x, c=bandwidth_scale) if bandwidths is None
          else bandwidths)
-    grid = Grid.uniform(d, grid_points)
     fitter = fit_nw if estimator == "nw" else fit_ll
     try:
         fit = fitter(ds, h, grid=grid, family=model.response, kernel=kernel)
@@ -460,7 +460,7 @@ def run_study(
     truth_curves = [truth.component(j, axes[j]) for j in range(d)]
 
     args = [
-        (model, estimator, h, bandwidth_scale, grid_points, kernel,
+        (model, estimator, h, bandwidth_scale, grid, kernel,
          rep, truth.eta0_star, truth_curves)
         for rep in range(reps)
     ]

@@ -270,9 +270,19 @@ def test_fit_wrong_bandwidth_count_exits_2(tmp_path):
     _assert_fit_input_error(tmp_path, ["--bandwidth", "0.3,0.3,0.3"], {})
 
 
+@pytest.mark.parametrize("spec", ["0.3,,0.25", "0.3,0.25,", ",0.3,0.25",
+                                  "0.3, ,0.25"])
+def test_fit_empty_bandwidth_entry_exits_2(tmp_path, spec):
+    # a missing value must not shift the ones after it to other covariates
+    _assert_fit_input_error(tmp_path, ["--bandwidth", spec], {})
+
+
 @pytest.mark.parametrize("flags", [["--bandwidth", "0.3,0.3,0.3"],
+                                   ["--bandwidth", "0.3,,0.25"],
+                                   ["--bandwidth", "0.3,0.25,"],
                                    ["--n-jobs", 0]],
-                         ids=["bandwidth-count", "n-jobs-0"])
+                         ids=["bandwidth-count", "bandwidth-empty-entry",
+                              "bandwidth-trailing-comma", "n-jobs-0"])
 def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
                                                    flags):
     # neither a replication nor a worker process may start: either would

@@ -17,7 +17,8 @@ from sbgam.kernels import KERNEL_NAMES, row_windows
 from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
                           ll_marginals, ll_outer_update, ll_predictor_field,
                           ll_prepare)
-from sbgam.backfit import FitConfig, newton_fit, poisson_marginals
+from sbgam.backfit import (FitConfig, newton_fit, poisson_marginals,
+                           start_marginals)
 from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
 from test_nw import (_assert_marginals_agree, _assert_same_marginals,
@@ -34,6 +35,8 @@ def _sim_dataset(seed, n, d, family="gaussian"):
         y = eta + rng.normal(scale=0.4, size=n)
     elif family == "bernoulli":
         y = (rng.random(n) < get_family("bernoulli").mean(eta)).astype(float)
+    elif family == "quasi-gamma":
+        y = np.exp(eta) * rng.gamma(4.0, 0.25, n)
     else:
         y = rng.poisson(np.exp(eta)).astype(float)
     return Dataset.with_support(x, y, -1.0, 1.0)
@@ -115,6 +118,7 @@ MARGINAL_CASES = {
     "2-poisson": (2, "poisson", 13, [0.35, 0.2]),
     "3-bernoulli": (3, "bernoulli", 9, [0.3, 0.45, 0.35]),
     "3-poisson": (3, "poisson", 9, [0.4, 0.3, 0.25]),
+    "3-quasi-gamma": (3, "quasi-gamma", 9, [0.35, 0.4, 0.3]),
 }
 
 
@@ -122,7 +126,8 @@ def _marginal_case(name):
     d, family, g, h = MARGINAL_CASES[name]
     ds = _sim_dataset(1, 61, d, family)
     grid = Grid.uniform(d, g)
-    ctx = ll_prepare(ds, h, grid, family)
+    fam = _quasi_gamma() if family == "quasi-gamma" else family
+    ctx = ll_prepare(ds, h, grid, fam)
     p = grid.points[0]
     c0 = [0.4 * np.sin(2 * np.pi * p), 0.2 * p - 0.1, 0.3 * p ** 2][:d]
     c1 = [0.1 * np.ones(g), -0.05 * np.ones(g), 0.1 * p][:d]
@@ -140,12 +145,16 @@ def _assert_blocks_partition(ctx):
     assert np.array_equal(np.sort(obs), np.arange(ctx.dataset.n))
 
 
-@pytest.mark.parametrize("case", ["1-bernoulli", "2-poisson", "3-poisson"])
+@pytest.mark.parametrize("case", ["1-bernoulli", "2-poisson", "3-poisson",
+                                  "3-quasi-gamma"])
 def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
     # no block pads beyond the data's widest windows, so every block but
     # the ragged last one holds at least 7 of the 61 observations; the
     # engine is called directly, because ll_marginals takes the closed
-    # form for Poisson and keeps the engine as its fallback
+    # form for Poisson and keeps the engine as its fallback.  At d = 3 the
+    # score and Q fields are integrated against the per-axis k_j tw_j
+    # while the weight field's pair surfaces are integrated from cells, and
+    # the quasi-gamma weight depends on the response
     ctx, *_ = _marginal_case(case)
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 7 * cells + cells // 2)
@@ -346,6 +355,83 @@ def test_engine_computes_windows_on_first_use():
     for (lo, hi), rows in zip(ctx.windows, ctx.rows):
         want_lo, want_hi = row_windows(rows)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def _start_context(family, d):
+    """A context on a random grid, with a quarter of the points near the
+    edges, and the family's constant start g(mean(y))."""
+    rng = np.random.default_rng([15, d, len(family)])
+    n = 50
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    eta = 0.5 * np.sin(np.pi * x[:, 0])
+    y = {"bernoulli": (rng.random(n) < expit(eta)).astype(float),
+         "poisson": rng.poisson(np.exp(eta)).astype(float),
+         "quasi-gamma": np.exp(eta) * rng.gamma(4.0, 0.25, n)}[family]
+    fam = _quasi_gamma() if family == "quasi-gamma" else get_family(family)
+    ctx = ll_prepare(Dataset.with_support(x, y, -1.0, 1.0),
+                     rng.uniform(0.25, 0.45, size=d), _random_grid(rng, d),
+                     fam)
+    return ctx, float(fam.link(np.mean(y)))
+
+
+def _zeros(ctx):
+    return [np.zeros(g) for g in ctx.grid.shape]
+
+
+@pytest.mark.parametrize("family, eta0", [
+    ("bernoulli", None), ("poisson", None), ("poisson", 31.0),
+    ("quasi-gamma", None),
+], ids=["bernoulli", "poisson", "poisson-past-clamp", "quasi-gamma"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_start_marginals_match_block_engine(d, family, eta0):
+    # at the constant start every field is a per-observation constant, so
+    # the weighted data moments are the engine's evaluation; past the
+    # Poisson clamp both evaluate the clamped predictor, and the
+    # quasi-gamma weight depends on the response
+    ctx, start = _start_context(family, d)
+    eta0 = start if eta0 is None else eta0
+    got = start_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+    assert got is not None
+    assert "blocks" not in vars(ctx) and "windows" not in vars(ctx)
+    _assert_marginals_agree(got, _block_marginals(ctx, eta0, _zeros(ctx),
+                                                  _zeros(ctx)), 1e-14)
+
+
+def test_start_marginals_need_every_curve_and_slope_zero():
+    ctx, eta0 = _start_context("bernoulli", 3)
+    assert start_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx)) is not None
+    for which, j in product(range(2), range(3)):
+        comps = [_zeros(ctx), _zeros(ctx)]
+        comps[which][j][4] = 1e-9
+        assert start_marginals(ctx, eta0, *comps) is None, (which, j)
+
+
+def test_start_serves_the_first_evaluation_of_a_fit():
+    # ll_marginals takes the weighted moments at the start, so a Bernoulli
+    # context builds no blocks until the first Newton step
+    ctx, eta0 = _start_context("bernoulli", 2)
+    marg = ll_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+    assert "blocks" not in vars(ctx) and "workspace" not in vars(ctx)
+    _assert_same_marginals(marg, start_marginals(ctx, eta0, _zeros(ctx),
+                                                 _zeros(ctx)))
+
+
+def test_degenerate_start_weight_raises():
+    # no observation near most grid points: the weighted moments vanish
+    # there, and the check on the start's marginals must still fire
+    rng = np.random.default_rng(16)
+    x = np.concatenate([rng.uniform(0, 0.2, 30), [1.0]])[:, None]
+    y = (rng.random(31) < 0.5).astype(float)
+    y[:2] = [0.0, 1.0]
+    ds = Dataset.with_support(x, y, 0.0, 1.0)
+    ctx = ll_prepare(ds, 0.05, Grid.uniform(1, 41), "bernoulli")
+    eta0 = float(get_family("bernoulli").link(np.mean(y)))
+    with pytest.raises(DegenerateWeightError):
+        ll_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+    assert "blocks" not in vars(ctx)
+    with pytest.raises(DegenerateWeightError):
+        fit_ll(ds, 0.05, grid=Grid.uniform(1, 41), family="bernoulli")
 
 
 def test_zero_slope_smoothed_ql_equals_local_constant():

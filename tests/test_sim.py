@@ -180,9 +180,9 @@ def test_study_rep_deterministic():
     grid = Grid.uniform(2, 21)
     axes = [2.0 * grid.points[j] - 1.0 for j in range(2)]
     curves = [t.component(j, axes[j]) for j in range(2)]
-    a = _study_rep(m, "nw", 0.3, 1.0, 21, "epanechnikov", 4, t.eta0_star,
+    a = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", 4, t.eta0_star,
                    curves)
-    b = _study_rep(m, "nw", 0.3, 1.0, 21, "epanechnikov", 4, t.eta0_star,
+    b = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", 4, t.eta0_star,
                    curves)
     assert a[0] == b[0] == 4
     assert a[1] == b[1]
