@@ -28,16 +28,20 @@ to machine precision.
 The local constant system is the order-0 case of the local linear one,
 so one algorithm serves both smoothers: `FitContext` (inputs, kernel
 rows, and every other precomputation cached on first use), `Marginals`
-(weight moments and score marginals of local-polynomial order p, with
-the constraint functional and the weight check), `inner_solve` (block
-Gauss-Seidel sweeps on operators formed once per Newton step),
-`newton_fit` (outer loop and diagnostics), `damped_step` (step and
-recentering), `AdditiveFit` (prediction) and the closed-form producers
-of either order: `identity_marginals` (Gaussian identity link),
-`start_marginals` (any family at the constant start, from weighted data
-moments) and `poisson_marginals` (Poisson log link).  A smoother
-supplies its context class, which declares the order p (0 in `nw_fit`,
-1 in `ll_fit`), the producer of its other marginals and its fit class.
+(weight moments and score marginals of local-polynomial order p on their
+grid, from which it derives the totals, the constraint functional and
+the weight check), `inner_solve` (block Gauss-Seidel sweeps on operators
+formed once per Newton step), `newton_fit` (outer loop and diagnostics),
+`damped_step` (step and recentering) and `AdditiveFit` (prediction).  A
+producer maps an iterate (ctx, eta0, *blocks) to its `Marginals`, or to
+None where it does not apply; `identity_marginals` (Gaussian identity
+link), `start_marginals` (any family at the constant start, from
+weighted data moments) and `poisson_marginals` (Poisson log link) serve
+either order.  A smoother supplies its fit class and its context class,
+which declares the order p (0 in `nw_fit`, 1 in `ll_fit`) and the
+producers to try in turn, the last applying everywhere; the router
+`marginals` returns the first result, checked against the positivity
+floor.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ __all__ = [
     "poisson_marginals",
     "identity_marginals",
     "start_marginals",
+    "marginals",
     "inner_solve",
     "damped_step",
     "newton_fit",
@@ -139,9 +144,10 @@ class FitDiagnostics:
 class FitContext:
     """Per-fit precomputations both smoothers share.
 
-    A subclass declares its local-polynomial order as the class attribute
-    `order`: 0 for the local constant smoother, 1 for the local linear
-    one.  The fields are the inputs and rows[j], the kernel rows of
+    A subclass declares two class attributes: its local-polynomial order
+    `order`, 0 for the local constant smoother and 1 for the local linear
+    one, and `producers`, the marginals producers `marginals` tries in
+    turn.  The fields are the inputs and rows[j], the kernel rows of
     dimension j, (n, G_j), computed by `build`.  Everything else a path
     reads is a cached property, computed on its first access and kept,
     so a path that never reads it never pays for it: windows[j] is the
@@ -260,25 +266,33 @@ class Marginals:
     (p + 1, G_j) stack of the score smooths against t_j^a, a <= p; and
     pairs[j, l], j < l, the ((p + 1) G_j, (p + 1) G_l) block matrix whose
     block (a, b) is the weight moment surface against t_j^a t_l^b on the
-    (x_j, x_l) grid.  mass and score_total integrate the weight and the
-    score over the whole grid; sq is the smoothed quasi-likelihood.
+    (x_j, x_l) grid; sq is the smoothed quasi-likelihood.  mass and
+    score_total, the weight and score integrated over the whole grid,
+    are derived from the first curves, as the trapezoid rule is exact.
     """
 
-    mass: float
+    grid: Grid
     weight: list
     score: list
     pairs: dict
-    score_total: float
     sq: float
 
-    def constraint(self, grid: Grid, j: int, *curves) -> float:
+    @cached_property
+    def mass(self) -> float:
+        return float(self.grid.weights[0] @ self.weight[0][0])
+
+    @cached_property
+    def score_total(self) -> float:
+        return float(self.grid.weights[0] @ self.score[0][0])
+
+    def constraint(self, j: int, *curves) -> float:
         """Constraint functional sum_a integral curve_a W_j^a dx_j of
         component j, W_j^a its weight moment against t_j^a."""
-        tw = grid.weights[j]
+        tw = self.grid.weights[j]
         return sum(float(tw @ (c * m)) for c, m in zip(curves,
                                                          self.weight[j]))
 
-    def residual_norm(self, grid: Grid) -> float:
+    def residual_norm(self) -> float:
         """Size of the estimating-equation fields at this iterate.
 
         The square root of score_total^2 plus the integrated squared score
@@ -286,12 +300,12 @@ class Marginals:
         equations.
         """
         parts = self.score_total ** 2
-        for j, curves in enumerate(self.score):
+        for tw, curves in zip(self.grid.weights, self.score):
             for s in curves:
-                parts += float(grid.weights[j] @ (s * s))
+                parts += float(tw @ (s * s))
         return float(np.sqrt(parts))
 
-    def check_weight(self, grid: Grid) -> "Marginals":
+    def check_weight(self) -> "Marginals":
         """Return self, or raise DegenerateWeightError unless the mass and,
         at every grid point, the smallest eigenvalue of the pointwise
         moment matrix clear the positivity floor."""
@@ -299,12 +313,22 @@ class Marginals:
             raise DegenerateWeightError(0, 0.0, self.mass, 0.0)
         for j, moments in enumerate(self.weight):
             lam = _smallest_eigenvalue(moments)
-            floor = WEIGHT_FLOOR * self.mass / grid.shape[j]
+            floor = WEIGHT_FLOOR * self.mass / self.grid.shape[j]
             k = int(np.argmin(lam))
             if lam[k] < floor:
-                raise DegenerateWeightError(j, float(grid.points[j][k]),
+                raise DegenerateWeightError(j, float(self.grid.points[j][k]),
                                             float(lam[k]), floor)
         return self
+
+
+def marginals(ctx: FitContext, eta0: float, *blocks) -> Marginals:
+    """The marginals at the iterate (eta0, *blocks), checked against the
+    positivity floor: the first result of the context's producers that is
+    not None.  Each smoother keeps this router under its own name."""
+    for produce in ctx.producers:
+        marg = produce(ctx, eta0, *blocks)
+        if marg is not None:
+            return marg.check_weight()
 
 
 def _smallest_eigenvalue(m):
@@ -409,10 +433,7 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
         left = moms[j] * (scale * others(phi, j, l))[:, None]
         pairs[j, l] = left.T @ moms[l]
     ylin = eta0 + sum(lin)
-    tw0 = tw[0]
-    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
-                     score=score, pairs=pairs,
-                     score_total=float(tw0 @ score[0][0]),
+    return Marginals(grid=grid, weight=weight, score=score, pairs=pairs,
                      sq=float(y @ ylin) / n - float(scale @ prod(phi)))
 
 
@@ -443,10 +464,7 @@ def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     c[:len(weight[0][0])] += eta0
     z = resp - system @ c
     score = [z[s].reshape(-1, len(w[0])) for s, w in zip(spans, weight)]
-    tw0 = ctx.grid.weights[0]
-    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
-                     score=score, pairs=pairs,
-                     score_total=float(tw0 @ score[0][0]),
+    return Marginals(grid=ctx.grid, weight=weight, score=score, pairs=pairs,
                      sq=-0.5 * (y2m - float((dw * c) @ (resp + z))))
 
 
@@ -472,21 +490,18 @@ def start_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     w, s, q = ctx.family.fields(np.full(y.shape, float(eta0)), y)
     (weight, score), pairs = ctx.weighted_moments([w, s], 2 * p + 1, True)
     score = [m[:p + 1] for m in score]
-    tw0 = ctx.grid.weights[0]
-    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
-                     score=score, pairs=pairs,
-                     score_total=float(tw0 @ score[0][0]),
+    return Marginals(grid=ctx.grid, weight=weight, score=score, pairs=pairs,
                      sq=float(np.mean(q)))
 
 
-def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):
+def inner_solve(marg: Marginals, config: FitConfig):
     """Solve the linearized backfitting system by block Gauss-Seidel sweeps.
 
     The step is an intercept xi0 and, per component j, a stacked curve
     xi_j of p + 1 blocks: the component step, then for p = 1 the slope
     step.  With M_j the pointwise moment matrices, C_jl the pair block
-    matrices, D_l the trapezoid weights of x_l and z_j the score stack,
-    component j's estimating equations are
+    matrices, D_l the trapezoid weights of x_l on marg.grid and z_j the
+    score stack, component j's estimating equations are
 
         M_j xi_j + xi0 m_j + sum_{l != j} C_jl D_l xi_l = z_j,
 
@@ -501,7 +516,7 @@ def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):
     d curves in xi per block entry, sweeps the number of sweeps used and
     contraction the ratio of the last two sweep-change norms.
     """
-    tw, mass, shape = grid.weights, marg.mass, grid.shape
+    tw, shape, mass = marg.grid.weights, marg.grid.shape, marg.mass
     k = len(marg.score[0])
     spans, end = [], 0
     for g in shape:
@@ -514,7 +529,7 @@ def inner_solve(marg: Marginals, grid: Grid, config: FitConfig):
         # rows [C_j1 D_1 ... C_jd D_d | z_j - xi0 m_j] with C_jj = 0: one
         # pointwise inverse gives the operators A_jl and b_j together
         aug = np.zeros((k * shape[j], end + 1))
-        for l in range(grid.ndim):
+        for l in range(len(shape)):
             if l != j:
                 block = marg.pairs[j, l] if j < l else marg.pairs[l, j].T
                 aug[:, spans[l]] = block * cols[spans[l]]
@@ -565,19 +580,18 @@ def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
     curves first; only those are shifted, and the intercept absorbs the
     shifts.  Returns (eta0, *blocks, marginals, residual, change).
     """
-    grid = ctx.grid
-    d = grid.ndim
+    d = ctx.grid.ndim
     step0 = config.damping * xi0
     steps = [[config.damping * s[j] for j in range(d)] for s in xi]
     change = _additive_sup(step0, steps[0])
     new_eta0 = eta0 + step0
     new = [[b[j] + s[j] for j in range(d)] for b, s in zip(blocks, steps)]
     marg = marginals(ctx, new_eta0, *new)
-    shifts = [marg.constraint(grid, j, *(b[j] for b in new)) / marg.mass
+    shifts = [marg.constraint(j, *(b[j] for b in new)) / marg.mass
               for j in range(d)]
     new[0] = [new[0][j] - shifts[j] for j in range(d)]
     new_eta0 = new_eta0 + sum(shifts)
-    residual = max(abs(marg.constraint(grid, j, *(b[j] for b in new)))
+    residual = max(abs(marg.constraint(j, *(b[j] for b in new)))
                    for j in range(d))
     return (new_eta0, *new, marg, residual, change)
 
@@ -615,11 +629,18 @@ class AdditiveFit:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Additive predictor at covariate rows (n, d), original scale.
 
-        Points outside the training support are clamped to its edges.
+        For d = 1 a one-dimensional x holds n points, as in
+        `Dataset.from_raw`; for d >= 2 it is one point.  Points outside
+        the training support are clamped to its edges.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        d = self.grid.ndim
+        x = np.asarray(x, dtype=float)
+        x = np.atleast_2d(x[:, None] if x.ndim == 1 and d == 1 else x)
+        if x.ndim != 2 or x.shape[1] != d:
+            raise InputError(f"expected covariate rows of width {d}, got "
+                             f"shape {x.shape}")
         out = np.full(x.shape[0], self.intercept)
-        for j in range(self.grid.ndim):
+        for j in range(d):
             u = (x[:, j] - self.lo[j]) / (self.hi[j] - self.lo[j])
             out += self.component_at(j, np.clip(u, 0.0, 1.0))
         return out
@@ -651,8 +672,7 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     marg = marginals(ctx, eta0, *blocks)
     diag = FitDiagnostics(sq_path=[marg.sq])
     for _ in range(config.max_outer):
-        xi0, *xi, sweeps, contraction, history = inner_solve(marg, grid,
-                                                             config)
+        xi0, *xi, sweeps, contraction, history = inner_solve(marg, config)
         eta0, *blocks, marg, resid, change = outer_update(
             ctx, eta0, *blocks, xi0, *xi, config
         )
@@ -674,7 +694,7 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
             history=diag.outer_changes, loop="outer",
         )
     diag.weight_total = marg.mass
-    diag.residual_norm = marg.residual_norm(grid)
+    diag.residual_norm = marg.residual_norm()
     return fit_class(
         eta0, *blocks, grid=grid, bandwidths=ctx.bandwidths,
         family=fam.name, kernel=ctx.kernel, lo=ctx.dataset.lo,

@@ -210,6 +210,12 @@ def _read_csv_dataset(path, response, covariates):
             if missing:
                 raise InputError("covariate columns not found: "
                                  + ", ".join(missing))
+            if response in names:
+                raise InputError(f"response column {response!r} cannot "
+                                 f"also be a covariate")
+        if len(set(names)) < len(names):
+            raise InputError("covariate columns are not distinct: "
+                             + ", ".join(names))
         if not names:
             raise InputError("no covariate columns left after removing "
                              "the response")

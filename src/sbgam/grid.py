@@ -8,9 +8,9 @@ as "the integral of a one-dimensional marginal equals the integral of the
 full field" hold exactly, not just up to quadrature error.  The fitting
 code leans on that.
 
-The streaming helpers at the bottom accumulate totals, one-dimensional
-curves and two-dimensional surfaces of per-observation fields without
-ever materializing a full d-dimensional tensor: each observation's kernel
+The streaming helpers at the bottom accumulate one-dimensional curves
+and two-dimensional surfaces of per-observation fields without ever
+materializing a full d-dimensional tensor: each observation's kernel
 product vanishes outside a small window per dimension, so only
 window-sized blocks are ever formed.  They serve the local constant
 smoother for d >= 3 with links other than the Gaussian identity and the
@@ -22,6 +22,7 @@ windows itself (see `ll_fit`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -224,8 +225,12 @@ def default_bandwidths(x: np.ndarray, c: float = 1.0) -> np.ndarray:
 
 def resolve_bandwidths(bandwidths, d: int, scale=1.0):
     """The given bandwidths (one, or one per dimension) times scale, as a
-    (d,) array; InputError for any other count.  None stays None, and the
-    caller takes `default_bandwidths` of its data with c = scale."""
+    (d,) array; InputError for any other count, or for a scale that is
+    not finite and positive.  None stays None, and the caller takes
+    `default_bandwidths` of its data with c = scale."""
+    if not (isfinite(scale) and scale > 0.0):
+        raise InputError(f"bandwidth scale must be finite and positive, "
+                         f"got {scale!r}")
     if bandwidths is None:
         return None
     h = np.asarray(bandwidths, dtype=float) * scale
@@ -257,9 +262,9 @@ def window_tensor(row_slices) -> np.ndarray:
 class MarginalAccumulator:
     """Accumulate trapezoid marginals of per-observation window fields.
 
-    One instance accumulates, over calls to `add`, the total integral, the
-    one-dimensional marginal curves for dimensions listed in `curve_dims`,
-    and the two-dimensional marginal surfaces for the pairs in `pair_dims`.
+    One instance accumulates, over calls to `add`, the one-dimensional
+    marginal curves for dimensions listed in `curve_dims` and the
+    two-dimensional marginal surfaces for the pairs in `pair_dims`.
     Each `add` receives the index windows of one observation's field and the
     field values on that window only; nothing of size prod(G_j) is ever
     formed.
@@ -267,7 +272,6 @@ class MarginalAccumulator:
 
     def __init__(self, grid: Grid, curve_dims=(), pair_dims=()):
         self.grid = grid
-        self.total = 0.0
         self.curve_dims = tuple(curve_dims)
         self.pair_dims = tuple(tuple(p) for p in pair_dims)
         self.curves = {j: np.zeros(grid.shape[j]) for j in self.curve_dims}
@@ -288,13 +292,6 @@ class MarginalAccumulator:
         d = grid.ndim
         wseg = [grid.weights[j][lo[j]:hi[j]] for j in range(d)]
         letters = _LETTERS[:d]
-
-        fully = field
-        for ax in reversed(range(d)):
-            fully = fully @ wseg[ax] if fully.ndim == 1 else np.tensordot(
-                fully, wseg[ax], axes=([ax], [0])
-            )
-        self.total += float(fully)
 
         for j in self.curve_dims:
             spec = f"{letters},{''.join(c for i, c in enumerate(letters) if i != j)}->{letters[j]}"

@@ -59,12 +59,12 @@ is allocated once the blocks are built (at d = 1 the window curves are
 the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
-with its constraint functional and weight check, the damped step with
-recentering, input preparation and the fitted-model base live in
-`backfit`; this module supplies only the order-1 context, whose
-regressor offsets, blocks and workspace are cached properties built on
-first use, and moment marginals, routing Gaussian and Poisson to the
-order-1 closed forms there.
+with its constraint functional and weight check, the router over the
+producers, the damped step with recentering, input preparation and the
+fitted-model base live in `backfit`.  This module supplies only the
+engine and the order-1 context, whose regressor offsets, blocks and
+workspace are cached properties built on first use, and whose producers
+are the order-1 closed forms there, tried first, and then the engine.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from .backfit import (
     damped_step,
     identity_marginals,
     inner_solve,
+    marginals,
     newton_fit,
     poisson_marginals,
     start_marginals,
@@ -109,58 +110,6 @@ __all__ = [
 # buffer, about 2.0 MB held for the fit's lifetime.  100k cells raised the
 # peak resident set by 5 MB and ran no faster
 BLOCK_CELLS = 50_000
-
-
-class LlContext(FitContext):
-    """The order-1 context: `FitContext` plus the regressor offsets and
-    the block engine's blocks and workspace, which a Gaussian or Poisson
-    fit that never falls back to the engine never builds."""
-
-    order = 1
-
-    @cached_property
-    def tvals(self) -> list:
-        """Regressor offsets t_j = (X_ij - x_j) / h_j, (n, G_j) per j."""
-        x, points, h = self.dataset.x, self.grid.points, self.bandwidths
-        return [(x[:, j][:, None] - points[j][None, :]) / h[j]
-                for j in range(len(points))]
-
-    @cached_property
-    def blocks(self) -> list:
-        """One (obs, gathered) pair per block of observations: obs their
-        indices, (B,), and gathered[j] the grid indices, kernel values k_j,
-        t_j, trapezoid weights tw_j and their product k_j tw_j on each
-        observation's window of dimension j, each (B, W_j) for the block's
-        widest window W_j, padded with zero kernel cells."""
-        grid, rows, tvals = self.grid, self.rows, self.tvals
-        blocks = []
-        for obs, widths in _block_split(
-                np.stack([hi - lo for lo, hi in self.windows], axis=1)):
-            gathered = []
-            for j, width in enumerate(widths):
-                lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
-                idx = lo[:, None] + np.arange(width)
-                k = np.take_along_axis(rows[j][obs], idx, 1)
-                tw = grid.weights[j][idx]
-                gathered.append((idx, k,
-                                 np.take_along_axis(tvals[j][obs], idx, 1),
-                                 tw, k * tw))
-            blocks.append((obs, gathered))
-        return blocks
-
-    @cached_property
-    def workspace(self) -> tuple:
-        """The buffers the block engine works in, one (4, cells) float
-        array (the predictor and the three fields) and one (cells,) intp
-        array for the largest block's padded cells; so one context serves
-        one evaluation at a time."""
-        cells = max(len(obs) * prod(g[0].shape[1] for g in gathered)
-                    for obs, gathered in self.blocks)
-        return np.empty((4, cells)), np.empty(cells, dtype=np.intp)
-
-
-# LlContext.build under LL's own name (see nw_prepare)
-ll_prepare = LlContext.build
 
 
 def _block_split(widths):
@@ -309,23 +258,6 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     return float(_integrate_out(qfield, kw, ()).sum())
 
 
-def ll_marginals(ctx: LlContext, eta00: float, comps0, comps1) -> Marginals:
-    """Weight moments and score marginals at the given iterate, checked
-    against the positivity floor.
-
-    The Gaussian identity and Poisson log links have them in closed form
-    (`backfit.identity_marginals`, `backfit.poisson_marginals`), and so
-    does every family at the constant start (`backfit.start_marginals`);
-    every other iterate, including a Poisson iterate whose predictor could
-    reach the clamp, takes the block engine, `_block_marginals`.
-    """
-    marg = (identity_marginals(ctx, eta00, comps0, comps1)
-            or start_marginals(ctx, eta00, comps0, comps1)
-            or poisson_marginals(ctx, eta00, comps0, comps1)
-            or _block_marginals(ctx, eta00, comps0, comps1))
-    return marg.check_weight(ctx.grid)
-
-
 def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
     """The block engine: each block of B observations is evaluated on its
     kernel windows, (B, W_1, ..., W_d), in views of the context's
@@ -345,16 +277,66 @@ def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
                          eta00, comps0, comps1)
     for m in [*weight, *score, *blocks.values()]:
         m /= n
-    tw0 = grid.weights[0]
-    return Marginals(mass=float(tw0 @ weight[0][0]), weight=weight,
-                     score=score,
+    return Marginals(grid=grid, weight=weight, score=score,
                      pairs={p: m.reshape(2 * shape[p[0]], 2 * shape[p[1]])
                             for p, m in blocks.items()},
-                     score_total=float(tw0 @ score[0][0]),
                      sq=sq / n)
 
 
-# the one solver of `backfit`, under LL's own name (see nw_inner_solve)
+class LlContext(FitContext):
+    """The order-1 context: `FitContext` plus the regressor offsets and
+    the block engine's blocks and workspace, which a Gaussian or Poisson
+    fit that never falls back to the engine never builds."""
+
+    order = 1
+    producers = (identity_marginals, start_marginals, poisson_marginals,
+                 _block_marginals)
+
+    @cached_property
+    def tvals(self) -> list:
+        """Regressor offsets t_j = (X_ij - x_j) / h_j, (n, G_j) per j."""
+        x, points, h = self.dataset.x, self.grid.points, self.bandwidths
+        return [(x[:, j][:, None] - points[j][None, :]) / h[j]
+                for j in range(len(points))]
+
+    @cached_property
+    def blocks(self) -> list:
+        """One (obs, gathered) pair per block of observations: obs their
+        indices, (B,), and gathered[j] the grid indices, kernel values k_j,
+        t_j, trapezoid weights tw_j and their product k_j tw_j on each
+        observation's window of dimension j, each (B, W_j) for the block's
+        widest window W_j, padded with zero kernel cells."""
+        grid, rows, tvals = self.grid, self.rows, self.tvals
+        blocks = []
+        for obs, widths in _block_split(
+                np.stack([hi - lo for lo, hi in self.windows], axis=1)):
+            gathered = []
+            for j, width in enumerate(widths):
+                lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
+                idx = lo[:, None] + np.arange(width)
+                k = np.take_along_axis(rows[j][obs], idx, 1)
+                tw = grid.weights[j][idx]
+                gathered.append((idx, k,
+                                 np.take_along_axis(tvals[j][obs], idx, 1),
+                                 tw, k * tw))
+            blocks.append((obs, gathered))
+        return blocks
+
+    @cached_property
+    def workspace(self) -> tuple:
+        """The buffers the block engine works in, one (4, cells) float
+        array (the predictor and the three fields) and one (cells,) intp
+        array for the largest block's padded cells; so one context serves
+        one evaluation at a time."""
+        cells = max(len(obs) * prod(g[0].shape[1] for g in gathered)
+                    for obs, gathered in self.blocks)
+        return np.empty((4, cells)), np.empty(cells, dtype=np.intp)
+
+
+# LlContext.build, the router and the one solver of `backfit` under LL's
+# own names (see nw_prepare)
+ll_prepare = LlContext.build
+ll_marginals = marginals
 ll_inner_solve = inner_solve
 
 

@@ -1,19 +1,20 @@
 """Additive quasi-likelihood fitting with local constant smoothing.
 
-This module holds the order-0 producers of the marginals that the shared
-Newton-over-backfitting core solves with (see `backfit`).  Because q1,
-q2 and Q are affine in y (see `family`), each smoothed field is the
-kernel density smooth times the family's field at the kernel-local mean
-response.  For d <= 2 both smooths are a cached property of the context
-(`NwContext.dense_smooths`), built on first use, so each evaluation is
-one family call on the dense G x G grid.
-
-Gaussian fits take the order-0 closed form `backfit.identity_marginals`
-at every d.  For d >= 3 no d-dimensional tensor is ever materialized:
+This module holds the order-0 context and producers of the marginals
+that the shared Newton-over-backfitting core solves with (see
+`backfit`).  `NwContext.producers` tries the closed form
+`backfit.identity_marginals` first, which serves Gaussian fits at every
+d.  For d <= 2 the dense producer follows: because q1, q2 and Q are
+affine in y (see `family`), each smoothed field is the kernel density
+smooth times the family's field at the kernel-local mean response; both
+smooths are a cached property of the context (`NwContext.dense_smooths`),
+built on first use, so each evaluation is one family call on the dense
+G x G grid.  For d >= 3 no d-dimensional tensor is ever materialized:
 Poisson log-link fits take `backfit.poisson_marginals` until the
 predictor reaches the family's clamp; beyond it, and for other families,
 the marginals are accumulated by streaming over observations on their
-kernel support windows.
+kernel support windows.  `nw_marginals` is the router `backfit.marginals`
+under this module's name.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .backfit import (
     damped_step,
     identity_marginals,
     inner_solve,
+    marginals,
     newton_fit,
     poisson_marginals,
 )
@@ -49,11 +51,81 @@ __all__ = [
 ]
 
 
+def _dense_curves(field, tw):
+    """One-dimensional marginals of a field on a 1-D or 2-D grid."""
+    if field.ndim == 1:
+        return [field]
+    return [field @ tw[1], tw[0] @ field]
+
+
+def _nw_marginals_dense(ctx, eta0, components):
+    """Marginals for d <= 2: each smoothed field is phat times the family's
+    field at the kernel-local mean response, plus sq_offset for SQ.
+    Returns None for d >= 3."""
+    if ctx.grid.ndim > 2:
+        return None
+    tw = ctx.grid.weights
+    phat, ybar, sq_offset = ctx.dense_smooths
+    u = eta0 + components[0]
+    if len(components) == 2:
+        u = u[:, None] + components[1]
+    wfield, sfield, qfield = ctx.family.fields(u, ybar)
+    for f in (wfield, sfield, qfield):
+        f *= phat
+    wcurves = _dense_curves(wfield, tw)
+    scurves = _dense_curves(sfield, tw)
+    return Marginals(
+        grid=ctx.grid,
+        weight=[w[None] for w in wcurves],
+        score=[s[None] for s in scurves],
+        pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
+        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + sq_offset,
+    )
+
+
+def _nw_marginals_streamed(ctx, eta0, components):
+    """Marginals at any d, accumulated observation by observation on the
+    product of its kernel windows."""
+    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
+    d = grid.ndim
+    n = ctx.dataset.n
+    dims = range(d)
+    pairs = [(j, l) for j in dims for l in dims if j < l]
+    wacc = MarginalAccumulator(grid, curve_dims=dims, pair_dims=pairs)
+    sacc = MarginalAccumulator(grid, curve_dims=dims)
+    sq_acc = 0.0
+    for i in range(n):
+        lo = [ctx.windows[j][0][i] for j in dims]
+        hi = [ctx.windows[j][1][i] for j in dims]
+        kprod = window_tensor([ctx.rows[j][i, lo[j]:hi[j]] for j in dims])
+        u = eta0
+        for j in dims:
+            shape = [1] * d
+            shape[j] = hi[j] - lo[j]
+            u = u + components[j][lo[j]:hi[j]].reshape(shape)
+        wacc.add(lo, hi, -fam.q2(u, y[i]) * kprod)
+        sacc.add(lo, hi, fam.q1(u, y[i]) * kprod)
+        qfield = fam.qll(u, y[i]) * kprod
+        for ax in reversed(dims):
+            qfield = np.tensordot(qfield, grid.weights[ax][lo[ax]:hi[ax]],
+                                  axes=([ax], [0]))
+        sq_acc += float(qfield)
+    return Marginals(
+        grid=grid,
+        weight=[wacc.curves[j][None] / n for j in dims],
+        score=[sacc.curves[j][None] / n for j in dims],
+        pairs={k: v / n for k, v in wacc.pairs.items()},
+        sq=sq_acc / n,
+    )
+
+
 class NwContext(FitContext):
     """The order-0 context: `FitContext` plus the dense path's smooths,
     which Gaussian fits, taking the closed form, never build."""
 
     order = 0
+    producers = (identity_marginals, _nw_marginals_dense, poisson_marginals,
+                 _nw_marginals_streamed)
 
     @cached_property
     def dense_smooths(self) -> tuple:
@@ -80,96 +152,10 @@ class NwContext(FitContext):
         return phat, ybar, sq_offset
 
 
-# each smoother's preparation keeps its own module-level name, so that it
-# can be wrapped or traced on its own, as its inner solve does
+# each smoother's preparation, router and inner solve keep their own
+# module-level names, so that each can be wrapped or traced on its own
 nw_prepare = NwContext.build
-
-
-def nw_marginals(ctx: NwContext, eta0: float, components) -> Marginals:
-    """Order-0 marginals of the smoothed weight and score at the given
-    additive predictor, checked against the positivity floor.
-
-    Holds the weight mass, its one-dimensional curves and, for d >= 2, its
-    two-dimensional surfaces keyed by dimension pairs (j, l) with j < l,
-    together with the score total and curves and the smoothed
-    quasi-likelihood value.
-    """
-    marg = identity_marginals(ctx, eta0, components)
-    if marg is None and ctx.grid.ndim <= 2:
-        marg = _nw_marginals_dense(ctx, eta0, components)
-    elif marg is None:
-        marg = (poisson_marginals(ctx, eta0, components)
-                or _nw_marginals_streamed(ctx, eta0, components))
-    return marg.check_weight(ctx.grid)
-
-
-def _dense_curves(field, tw):
-    """One-dimensional marginals of a field on a 1-D or 2-D grid."""
-    if field.ndim == 1:
-        return [field]
-    return [field @ tw[1], tw[0] @ field]
-
-
-def _nw_marginals_dense(ctx, eta0, components):
-    """Marginals for d <= 2: each smoothed field is phat times the family's
-    field at the kernel-local mean response, plus sq_offset for SQ."""
-    tw = ctx.grid.weights
-    phat, ybar, sq_offset = ctx.dense_smooths
-    u = eta0 + components[0]
-    if len(components) == 2:
-        u = u[:, None] + components[1]
-    wfield, sfield, qfield = ctx.family.fields(u, ybar)
-    for f in (wfield, sfield, qfield):
-        f *= phat
-    wcurves = _dense_curves(wfield, tw)
-    scurves = _dense_curves(sfield, tw)
-    return Marginals(
-        mass=float(tw[0] @ wcurves[0]),
-        weight=[w[None] for w in wcurves],
-        score=[s[None] for s in scurves],
-        pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
-        score_total=float(tw[0] @ scurves[0]),
-        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + sq_offset,
-    )
-
-
-def _nw_marginals_streamed(ctx, eta0, components):
-    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    d = grid.ndim
-    n = ctx.dataset.n
-    dims = range(d)
-    pairs = [(j, l) for j in dims for l in dims if j < l]
-    wacc = MarginalAccumulator(grid, curve_dims=dims, pair_dims=pairs)
-    sacc = MarginalAccumulator(grid, curve_dims=dims)
-    sq_acc = 0.0
-    for i in range(n):
-        lo = [ctx.windows[j][0][i] for j in dims]
-        hi = [ctx.windows[j][1][i] for j in dims]
-        kprod = window_tensor([ctx.rows[j][i, lo[j]:hi[j]] for j in dims])
-        u = eta0
-        for j in dims:
-            shape = [1] * d
-            shape[j] = hi[j] - lo[j]
-            u = u + components[j][lo[j]:hi[j]].reshape(shape)
-        wacc.add(lo, hi, -fam.q2(u, y[i]) * kprod)
-        sacc.add(lo, hi, fam.q1(u, y[i]) * kprod)
-        qfield = fam.qll(u, y[i]) * kprod
-        for ax in reversed(dims):
-            qfield = np.tensordot(qfield, grid.weights[ax][lo[ax]:hi[ax]],
-                                  axes=([ax], [0]))
-        sq_acc += float(qfield)
-    return Marginals(
-        mass=wacc.total / n,
-        weight=[wacc.curves[j][None] / n for j in dims],
-        score=[sacc.curves[j][None] / n for j in dims],
-        pairs={k: v / n for k, v in wacc.pairs.items()},
-        score_total=sacc.total / n,
-        sq=sq_acc / n,
-    )
-
-
-# each smoother's inner solve keeps its own module-level name, so that
-# it can be wrapped or traced on its own
+nw_marginals = marginals
 nw_inner_solve = inner_solve
 
 

@@ -85,6 +85,10 @@ class SimModel:
             raise InputError("extra_dims must be nonnegative")
         if self.n < 10:
             raise InputError("n must be at least 10")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise InputError("seed must be a non-negative integer")
 
     @classmethod
     def from_label(cls, label: str, n: int = 100, seed: int = 0,

@@ -280,9 +280,14 @@ def test_fit_empty_bandwidth_entry_exits_2(tmp_path, spec):
 @pytest.mark.parametrize("flags", [["--bandwidth", "0.3,0.3,0.3"],
                                    ["--bandwidth", "0.3,,0.25"],
                                    ["--bandwidth", "0.3,0.25,"],
-                                   ["--n-jobs", 0]],
+                                   ["--n-jobs", 0],
+                                   ["--seed", -1],
+                                   ["--bandwidth-scale", -1],
+                                   ["--bandwidth-scale", 0]],
                          ids=["bandwidth-count", "bandwidth-empty-entry",
-                              "bandwidth-trailing-comma", "n-jobs-0"])
+                              "bandwidth-trailing-comma", "n-jobs-0",
+                              "seed-negative", "bandwidth-scale-negative",
+                              "bandwidth-scale-0"])
 def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
                                                    flags):
     # neither a replication nor a worker process may start: either would
@@ -296,6 +301,41 @@ def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
     _assert_input_error(out, _run(["study", "--model", "1,1", "--n", 80,
                                    "--reps", 2, *flags, "--out-dir", out]))
     assert not (out / "study.json").exists()
+
+
+def test_simulate_negative_seed_exits_2(tmp_path):
+    out = tmp_path / "sim"
+    _assert_input_error(out, _run(["simulate", "--seed", -1,
+                                   "--out", "data.csv", "--out-dir", out]))
+    assert not (out / "data.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["y,x1", "x1,x1", "x1, x2,x1"])
+def test_fit_covariates_must_be_distinct_and_not_the_response(tmp_path,
+                                                              spec):
+    _assert_fit_input_error(tmp_path, ["--covariates", spec], {})
+
+
+def test_fit_repeated_header_column_exits_2(tmp_path):
+    # without --covariates every column but the response is a covariate;
+    # a name the header repeats would fit its first column twice
+    data = tmp_path / "dup.csv"
+    rng = np.random.default_rng(6)
+    rows = ["x1,x1,y"] + [f"{a:.6f},{b:.6f},{c:.6f}"
+                          for a, b, c in rng.uniform(size=(40, 3))]
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "dup"
+    _assert_input_error(out, _run(["fit", "--data", data, "--response", "y",
+                                   "--out-dir", out]))
+
+
+@pytest.mark.parametrize("scale", [-1, 0, "nan", "inf"])
+def test_fit_non_positive_bandwidth_scale_exits_2(tmp_path, scale):
+    # without a bandwidth, a scale of 0 or less used to be clipped to the
+    # floor of the rule of thumb and blamed on the grid
+    _assert_fit_input_error(tmp_path, ["--bandwidth-scale", scale], {})
+    err = json.loads((tmp_path / "ctlerr" / "error.json").read_text())
+    assert "bandwidth scale" in err["message"]
 
 
 def test_study_unknown_model_exits_2(tmp_path):

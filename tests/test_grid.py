@@ -139,7 +139,6 @@ def test_streamed_marginals_match_dense(d):
                                                   for a, b in zip(lo, hi)))
         acc.add(lo, hi, field)
         dense[tuple(slice(a, b) for a, b in zip(lo, hi))] += field
-    assert acc.total == pytest.approx(integrate_tensor(dense, g), abs=1e-12)
     for j in range(d):
         assert np.abs(acc.curves[j]
                       - integrate_tensor(dense, g, keep=(j,))).max() < 1e-12

@@ -12,11 +12,11 @@ from sbgam.errors import (DegenerateWeightError, InitializerError,
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid, integrate_tensor
 from sbgam.kernels import KERNEL_NAMES
-from sbgam import ll_fit
 from sbgam.backfit import (FitConfig, Marginals, identity_marginals,
                            inner_solve, newton_fit, poisson_marginals)
-from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
-                          ll_marginals, ll_outer_update, ll_prepare)
+from sbgam.ll_fit import (LlContext, LlFit, _block_marginals, fit_ll,
+                          ll_inner_solve, ll_marginals, ll_outer_update,
+                          ll_prepare)
 from sbgam.nw_fit import (NwContext, NwFit, _nw_marginals_dense,
                           _nw_marginals_streamed, fit_nw, nw_inner_solve,
                           nw_marginals, nw_outer_update, nw_prepare)
@@ -234,7 +234,7 @@ def test_only_gaussian_at_three_dims_takes_the_closed_form(monkeypatch):
     # and sweeps to the same curves
     ds = _sim_dataset(15, 60, 3)
     closed = fit_ll(ds, 0.4, grid=grid)
-    monkeypatch.setattr(ll_fit, "identity_marginals", lambda *args: None)
+    monkeypatch.setattr(LlContext, "producers", LlContext.producers[1:])
     engine = fit_ll(ds, 0.4, grid=grid)
     for fit in (closed, engine):
         assert fit.diagnostics.converged
@@ -329,14 +329,13 @@ def _random_consistent_marginals(seed, grid):
     S = rng.normal(size=grid.shape)
     d = grid.ndim
     return Marginals(
-        mass=integrate_tensor(W, grid),
+        grid=grid,
         weight=[integrate_tensor(W, grid, keep=(j,))[None]
                 for j in range(d)],
         score=[integrate_tensor(S, grid, keep=(j,))[None]
                for j in range(d)],
         pairs={(a, b): integrate_tensor(W, grid, keep=(a, b))
                for a in range(d) for b in range(d) if a < b},
-        score_total=integrate_tensor(S, grid),
         sq=0.0,
     )
 
@@ -345,7 +344,7 @@ def test_inner_solver_matches_dense_solve():
     grid = Grid.uniform(2, 11)
     marg = _random_consistent_marginals(5, grid)
     cfg = FitConfig(tol_inner=1e-14, max_inner=500)
-    xi0, xi, sweeps, contraction, changes = nw_inner_solve(marg, grid, cfg)
+    xi0, xi, sweeps, contraction, changes = nw_inner_solve(marg, cfg)
     ref0, refs = _solve_additive_system(
         marg.mass, [w[0] for w in marg.weight], marg.pairs,
         marg.score_total, [s[0] for s in marg.score], grid,
@@ -366,16 +365,15 @@ def test_inner_solver_one_sweep_for_product_weights():
     W = np.outer(a, b)
     S = rng.normal(size=(15, 15))
     marg = Marginals(
-        mass=integrate_tensor(W, grid),
+        grid=grid,
         weight=[integrate_tensor(W, grid, keep=(j,))[None]
                 for j in range(2)],
         score=[integrate_tensor(S, grid, keep=(j,))[None]
                for j in range(2)],
         pairs={(0, 1): W},
-        score_total=integrate_tensor(S, grid),
         sq=0.0,
     )
-    _, _, sweeps, _, _ = nw_inner_solve(marg, grid, FitConfig())
+    _, _, sweeps, _, _ = nw_inner_solve(marg, FitConfig())
     assert sweeps == 1
 
 
@@ -384,15 +382,9 @@ def test_inner_solver_one_sweep_for_single_dimension():
     rng = np.random.default_rng(9)
     W = rng.uniform(0.5, 2.0, size=31)
     S = rng.normal(size=31)
-    marg = Marginals(
-        mass=integrate_tensor(W, grid),
-        weight=[W[None]],
-        score=[S[None]],
-        pairs={},
-        score_total=integrate_tensor(S, grid),
-        sq=0.0,
-    )
-    _, xi, sweeps, _, _ = nw_inner_solve(marg, grid, FitConfig())
+    marg = Marginals(grid=grid, weight=[W[None]], score=[S[None]],
+                     pairs={}, sq=0.0)
+    _, xi, sweeps, _, _ = nw_inner_solve(marg, FitConfig())
     assert sweeps == 1
     assert abs(float(grid.weights[0] @ (xi[0] * W))) < 1e-14
 
@@ -468,7 +460,7 @@ def test_one_solver_satisfies_the_estimating_equations(order, d):
         scale = max(float(np.abs(w).max()) for w in marg.weight)
         for tol in (1e-8, 1e-12):
             cfg = FitConfig(tol_inner=tol)
-            xi0, *xi, sweeps, _, _ = inner_solve(marg, grid, cfg)
+            xi0, *xi, sweeps, _, _ = inner_solve(marg, cfg)
             assert len(xi) == order + 1
             assert (sweeps == 1) is (d == 1), (family, tol)
             resid = _estimating_residual(marg, grid, xi0, xi)
@@ -476,9 +468,9 @@ def test_one_solver_satisfies_the_estimating_equations(order, d):
         # the constraints hold by construction only for consistent
         # marginals; the centering shift must enforce them regardless
         marg.score_total += 0.1 * marg.mass
-        _, *xi, _, _, _ = inner_solve(marg, grid, FitConfig())
+        _, *xi, _, _, _ = inner_solve(marg, FitConfig())
         for j in range(d):
-            centered = marg.constraint(grid, j, *(x[j] for x in xi))
+            centered = marg.constraint(j, *(x[j] for x in xi))
             assert abs(centered) < 1e-14 * scale, (family, j)
 
 

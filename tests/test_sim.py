@@ -35,6 +35,12 @@ def test_model_validation():
         SimModel(extra_dims=-1)
     with pytest.raises(InputError):
         SimModel(n=5)
+    for seed in (-1, 1.5, True, "3", None):
+        with pytest.raises(InputError):
+            SimModel(seed=seed)
+    with pytest.raises(InputError):
+        SimModel.from_label("1,1", seed=-1)
+    assert SimModel(seed=np.int64(3)).seed == 3
     assert SimModel(response="poisson", rho=0.3).label == "custom"
 
 
