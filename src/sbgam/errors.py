@@ -7,6 +7,8 @@ fit can start, ``FitError`` covers failures of the iteration itself.
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "SbgamError",
     "InputError",
@@ -23,6 +25,14 @@ class SbgamError(Exception):
 
 class InputError(SbgamError):
     """Invalid data, grid, bandwidth or configuration."""
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Raise InputError unless value is an integer, not a bool, of at
+    least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise InputError(f"{name} must be an integer of at least {least}")
 
 
 class InitializerError(InputError):

@@ -26,7 +26,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_integer
 
 __all__ = [
     "Grid",
@@ -84,8 +84,8 @@ class Grid:
     @classmethod
     def uniform(cls, ndim: int, n_points: int = 41) -> "Grid":
         """Equispaced grid covering [0, 1] in every dimension."""
-        if ndim < 1:
-            raise InputError("need at least one covariate dimension")
+        require_integer("ndim", ndim, 1)
+        require_integer("n_points", n_points, 5)
         p = np.linspace(0.0, 1.0, n_points)
         return cls(points=tuple(p.copy() for _ in range(ndim)))
 

@@ -44,19 +44,21 @@ the block engine, which serves every d.  On first use it orders the
 observations by their window widths and splits them into blocks once per
 fit, each padded only to its own widest windows, gathers per block what
 does not depend on the iterate (the kernel values k_j, the t_j and the
-per-axis integration weights k_j tw_j), and allocates one workspace
-sized to the largest block.  Per iterate, each block's predictor is
-written into a view of that workspace, and one family call per block
-writes the weight, score and quasi-likelihood fields beside it.  The
-kernel product is never formed: the weight field is scaled in place by
-each k_j, because its pair surfaces are scattered cell by cell, while the
-score and Q fields are only integrated, against the k_j tw_j.  Each field
-is integrated down to window curves and pair surfaces, the t_j are
-multiplied in there (the block-sized pair products again in the
-workspace), and the results are scattered onto the grid.  Nothing of
-full product-grid size is formed, and for d >= 2 no array of block size
-is allocated once the blocks are built (at d = 1 the window curves are
-the block).
+per-axis integration weights k_j tw_j, each (W_j, B) with the
+observation axis last), and allocates one workspace sized to the
+largest block.  Per iterate, each block's predictor is written into a
+(W_1, ..., W_d, B) view of that workspace, so every per-axis and
+per-observation factor broadcasts along contiguous runs of B cells, and
+one family call per block writes the weight, score and quasi-likelihood
+fields beside it.  The kernel product is never formed: the weight field
+is scaled in place by each k_j, because its pair surfaces are scattered
+cell by cell, while the score and Q fields are only integrated, against
+the k_j tw_j.  Each field is integrated down to window curves and pair
+surfaces, the t_j are multiplied in there (the block-sized pair products
+again in the workspace), and the results are scattered onto the grid.
+Nothing of full product-grid size is formed, and for d >= 2 no array of
+block size is allocated once the blocks are built (at d = 1 the window
+curves are the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the router over the
@@ -147,24 +149,26 @@ def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
 
 
 def _integrate_out(field, wts, keep):
-    """Integrate a (B, W_1, ..., W_d) block over the window axes not kept.
+    """Integrate a (W_1, ..., W_d, B) block over the window axes not kept.
 
     wts[j] holds each observation's trapezoid weights on its window of
-    dimension j, shape (B, W_j); the kept axes stay in increasing order.
+    dimension j, shape (W_j, B); the kept axes stay in increasing order,
+    with the observation axis last.
     """
-    axes = list(range(len(wts) + 1))
-    for j in reversed(range(len(wts))):
+    d = len(wts)
+    axes = list(range(d + 1))
+    for j in reversed(range(d)):
         if j not in keep:
-            rest = [a for a in axes if a != j + 1]
-            field = np.einsum(field, axes, wts[j], [0, j + 1], rest)
+            rest = [a for a in axes if a != j]
+            field = np.einsum(field, axes, wts[j], [j, d], rest)
             axes = rest
     return field
 
 
 def _window_marginals(field, wts, pairs, use_surface=None):
-    """Window curves (B, W_j) of a block, each as a new array.
+    """Window curves (W_j, B) of a block, each as a new array.
 
-    Each pair surface (B, W_j, W_l) is made in turn, handed to
+    Each pair surface (W_j, W_l, B) is made in turn, handed to
     use_surface(j, l, surface) and dropped, so at most one is alive.
     pairs must hold every (0, l): the curves are integrated from those.
     """
@@ -172,9 +176,9 @@ def _window_marginals(field, wts, pairs, use_surface=None):
     for j, l in pairs:
         surf = _integrate_out(field, wts, (j, l))
         if j == 0:
-            curves[l] = np.einsum("zab,za->zb", surf, wts[0])
+            curves[l] = np.einsum("abz,az->bz", surf, wts[0])
             if l == 1:
-                curves[0] = np.einsum("zab,zb->za", surf, wts[1])
+                curves[0] = np.einsum("abz,bz->az", surf, wts[1])
         if use_surface is not None:
             use_surface(j, l, surf)
     return curves
@@ -192,21 +196,23 @@ def _pair_moments(surf, tj, tl, scratch):
     """A pair surface times t_j^a t_l^b for (a, b) in {0, 1}^2.
 
     Each product is written into scratch, so it must be used before the
-    next one is drawn.
+    next one is drawn; (1, 1) is drawn from (1, 0) by one more product.
     """
     yield (0, 0), surf
     yield (1, 0), np.multiply(tj, surf, out=scratch)
-    yield (0, 1), np.multiply(tl, surf, out=scratch)
-    np.multiply(tj, tl, out=scratch)
-    scratch *= surf
+    scratch *= tl
     yield (1, 1), scratch
+    yield (0, 1), np.multiply(tl, surf, out=scratch)
 
 
 def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     """Add one block's moments to sums; return its smoothed Q.
 
     sums is (weight, score, pairs) as `ll_marginals` fills them.  The
-    predictor is written into the workspace, and one call of the family's
+    block is laid out (W_1, ..., W_d, B), the observation axis last, so
+    every per-axis or per-observation factor broadcasts along contiguous
+    runs of B cells.  The predictor is written into the workspace, with
+    eta00 joined to the first axis's term, and one call of the family's
     `fields` writes the weight, score and quasi-likelihood fields beside
     it, with the predictor as its scratch.  The kernel product K_ij K_il
     does not depend on the iterate and is never formed: the weight field,
@@ -220,31 +226,30 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     d, shape, (floats, ints) = len(gathered), ctx.grid.shape, ctx.workspace
     weight, score, pair_sums = sums
     idx, k, t, w, kw = zip(*gathered)
-    block = (len(obs),) + tuple(i.shape[1] for i in idx)
+    block = tuple(i.shape[0] for i in idx) + (len(obs),)
     u, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
-    axes = []
-    for j in range(d):
-        axes.append([len(obs)] + [1] * d)
-        axes[j][j + 1] = -1
-        term = (comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes[j])
-        if j == 0:
-            np.add(eta00, term, out=u)
-        else:
-            u += term
-    ctx.family.fields(u, ctx.dataset.y[obs].reshape(-1, *[1] * d),
-                      out=fields)
+    # axes[j] places a (W_j, B) factor on the block's axes j and d
+    axes = [[-1 if a == j else 1 for a in range(d)] + [len(obs)]
+            for j in range(d)]
+    terms = ((comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes[j])
+             for j in range(d))
+    # eta00 joins the first axis's term, so each further axis is one
+    # broadcast add into the predictor
+    lead = np.add(eta00, next(terms), out=u if d == 1 else None)
+    for term in terms:
+        lead = np.add(lead, term, out=u)
+    ctx.family.fields(u, ctx.dataset.y[obs], out=fields)
     wfield, sfield, qfield = fields
     for j in range(d):
         wfield *= k[j].reshape(axes[j])
 
     def add_pair(j, l, surf):
-        cells = len(obs) * block[j + 1] * block[l + 1]
-        flat = ints[:cells].reshape(-1, block[j + 1], block[l + 1])
-        np.add(idx[j][:, :, None] * shape[l], idx[l][:, None, :], out=flat)
+        flat = ints[:surf.size].reshape(surf.shape)
+        np.add(idx[j][:, None] * shape[l], idx[l][None], out=flat)
         # the predictor's buffer is free once the fields are made
-        scratch = floats[0, :cells].reshape(flat.shape)
-        for (a, b), vals in _pair_moments(surf, t[j][:, :, None],
-                                          t[l][:, None, :], scratch):
+        scratch = floats[0, :surf.size].reshape(surf.shape)
+        for (a, b), vals in _pair_moments(surf, t[j][:, None], t[l][None],
+                                          scratch):
             pair_sums[j, l][a, :, b] += np.bincount(
                 flat.ravel(), vals.ravel(), shape[j] * shape[l]
             ).reshape(shape[j], shape[l])
@@ -260,7 +265,7 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
 
 def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
     """The block engine: each block of B observations is evaluated on its
-    kernel windows, (B, W_1, ..., W_d), in views of the context's
+    kernel windows, (W_1, ..., W_d, B), in views of the context's
     workspace; see `_add_block` and the module docstring.
     """
     grid, n, shape = ctx.grid, ctx.dataset.n, ctx.grid.shape
@@ -304,8 +309,9 @@ class LlContext(FitContext):
         """One (obs, gathered) pair per block of observations: obs their
         indices, (B,), and gathered[j] the grid indices, kernel values k_j,
         t_j, trapezoid weights tw_j and their product k_j tw_j on each
-        observation's window of dimension j, each (B, W_j) for the block's
-        widest window W_j, padded with zero kernel cells."""
+        observation's window of dimension j, each a C-contiguous (W_j, B)
+        array for the block's widest window W_j, the observation axis
+        last, padded with zero kernel cells."""
         grid, rows, tvals = self.grid, self.rows, self.tvals
         blocks = []
         for obs, widths in _block_split(
@@ -313,12 +319,10 @@ class LlContext(FitContext):
             gathered = []
             for j, width in enumerate(widths):
                 lo = np.minimum(self.windows[j][0][obs], grid.shape[j] - width)
-                idx = lo[:, None] + np.arange(width)
-                k = np.take_along_axis(rows[j][obs], idx, 1)
+                idx = np.arange(width)[:, None] + lo
+                k = rows[j][obs, idx]
                 tw = grid.weights[j][idx]
-                gathered.append((idx, k,
-                                 np.take_along_axis(tvals[j][obs], idx, 1),
-                                 tw, k * tw))
+                gathered.append((idx, k, tvals[j][obs, idx], tw, k * tw))
             blocks.append((obs, gathered))
         return blocks
 
@@ -328,7 +332,7 @@ class LlContext(FitContext):
         array (the predictor and the three fields) and one (cells,) intp
         array for the largest block's padded cells; so one context serves
         one evaluation at a time."""
-        cells = max(len(obs) * prod(g[0].shape[1] for g in gathered)
+        cells = max(len(obs) * prod(g[0].shape[0] for g in gathered)
                     for obs, gathered in self.blocks)
         return np.empty((4, cells)), np.empty(cells, dtype=np.intp)
 

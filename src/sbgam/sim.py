@@ -23,7 +23,6 @@ quadrature and the extra dimensions factor out of the integrals.
 
 from __future__ import annotations
 
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FitError, InputError
+from .errors import FitError, InputError, require_integer
 from .family import get_family
 from .grid import (Dataset, Grid, default_bandwidths, resolve_bandwidths,
                    trapz_weights)
@@ -81,14 +80,9 @@ class SimModel:
             )
         if not -1.0 < self.rho < 1.0:
             raise InputError("rho must lie strictly inside (-1, 1)")
-        if self.extra_dims < 0:
-            raise InputError("extra_dims must be nonnegative")
-        if self.n < 10:
-            raise InputError("n must be at least 10")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise InputError("seed must be a non-negative integer")
+        require_integer("extra_dims", self.extra_dims, 0)
+        require_integer("n", self.n, 10)
+        require_integer("seed", self.seed, 0)
 
     @classmethod
     def from_label(cls, label: str, n: int = 100, seed: int = 0,
@@ -447,13 +441,10 @@ def run_study(
     """
     if estimator not in ("nw", "ll"):
         raise InputError(f"unknown estimator {estimator!r}; use 'nw' or 'll'")
-    if reps < 1:
-        raise InputError("reps must be positive")
+    require_integer("reps", reps, 1)
     if not 0.0 < interior_fraction <= 1.0:
         raise InputError("interior_fraction must be in (0, 1]")
-    if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
-            or n_jobs < 1):
-        raise InputError("n_jobs must be an integer of at least 1")
+    require_integer("n_jobs", n_jobs, 1)
     t_start = time.perf_counter()
     d = model.ndim
     # checked once, before any replication runs

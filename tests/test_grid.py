@@ -33,6 +33,10 @@ def test_grid_uniform_and_validation():
         Grid.uniform(0)
     with pytest.raises(InputError):
         Grid.uniform(1, 4)
+    # a bool dimension count or a float point count is not an integer
+    for args in ((2, 41.0), (True, 41)):
+        with pytest.raises(InputError, match="integer"):
+            Grid.uniform(*args)
     with pytest.raises(InputError):
         Grid((np.array([0.0, 0.5, 0.4, 0.8, 1.0]),))
 

@@ -165,6 +165,30 @@ def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
     _assert_matches_reference(ctx, -0.1, c0, c1, _block_marginals)
 
 
+@pytest.mark.parametrize("family", ["bernoulli", "quasi-gamma"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_marginals_do_not_depend_on_the_block_split(d, family, monkeypatch):
+    # one observation per block, each padded only to its own windows,
+    # against the default split's one block padded to the widest: pins
+    # the gathers and the scatter indices of the (W_1, ..., W_d, B) layout
+    # directly, at a random iterate
+    rng = np.random.default_rng([17, d, len(family)])
+    g = 13 if d < 3 else 9
+    fam = _quasi_gamma() if family == "quasi-gamma" else family
+    ds, h = _sim_dataset(2, 61, d, family), rng.uniform(0.25, 0.4, size=d)
+    iterate = (float(rng.normal()),
+               [0.4 * rng.normal(size=g) for _ in range(d)],
+               [0.2 * rng.normal(size=g) for _ in range(d)])
+    ctx = ll_prepare(ds, h, Grid.uniform(d, g), fam)
+    want = _block_marginals(ctx, *iterate)
+    assert len(ctx.blocks) == 1
+    monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 1)
+    ctx = ll_prepare(ds, h, Grid.uniform(d, g), fam)
+    got = _block_marginals(ctx, *iterate)
+    assert len(ctx.blocks) == ds.n
+    _assert_marginals_agree(got, want, 1e-14)
+
+
 def _quasi_gamma():
     """Log link with variance m^2; the weight -q2 = y exp(-u) depends on
     the response, and the family builds `fields` from its callables."""
@@ -211,7 +235,7 @@ def test_marginals_match_reference_on_random_grids(d, kernel, family,
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 6 * cells)
     ctx = ll_prepare(ds, h, grid, fam, kernel)
     _assert_blocks_partition(ctx)
-    widths = {tuple(g[0].shape[1] for g in gathered)
+    widths = {tuple(g[0].shape[0] for g in gathered)
               for _, gathered in ctx.blocks}
     assert len(widths) > 1
     c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
@@ -230,7 +254,7 @@ def _workspace_case(d):
     ds = Dataset.with_support(x, y, -1.0, 1.0)
     grid = Grid.uniform(d, g)
     ctx = ll_prepare(ds, 0.35, grid, "bernoulli")
-    widths = {tuple(gt[0].shape[1] for gt in gathered)
+    widths = {tuple(gt[0].shape[0] for gt in gathered)
               for _, gathered in ctx.blocks}
     assert len(ctx.blocks) > 2 and len(widths) > 1
     iterates = [(rng.normal(), [0.5 * rng.normal(size=g) for _ in range(d)],
@@ -257,7 +281,7 @@ def test_warm_marginals_allocate_less_than_one_block(d):
     # workspace; what a warm call allocates is window curves, pair
     # surfaces for d = 3 and grid-sized sums
     ctx, (a, b) = _workspace_case(d)
-    block_bytes = 8 * max(len(obs) * prod(gt[0].shape[1] for gt in gathered)
+    block_bytes = 8 * max(len(obs) * prod(gt[0].shape[0] for gt in gathered)
                           for obs, gathered in ctx.blocks)
     ll_marginals(ctx, *a)
     tracemalloc.start()

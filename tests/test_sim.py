@@ -38,6 +38,10 @@ def test_model_validation():
     for seed in (-1, 1.5, True, "3", None):
         with pytest.raises(InputError):
             SimModel(seed=seed)
+    # integer sizes are checked as integers first, not only by range
+    for kwargs in ({"n": 80.5}, {"extra_dims": 1.5}):
+        with pytest.raises(InputError, match="integer"):
+            SimModel(**kwargs)
     with pytest.raises(InputError):
         SimModel.from_label("1,1", seed=-1)
     assert SimModel(seed=np.int64(3)).seed == 3
@@ -240,8 +244,9 @@ def test_run_study_validation():
     m = SimModel.from_label("1,1", n=80)
     with pytest.raises(InputError):
         run_study(m, estimator="foo")
-    with pytest.raises(InputError):
-        run_study(m, reps=0)
+    for reps in (0, 2.5, True):
+        with pytest.raises(InputError):
+            run_study(m, reps=reps)
     with pytest.raises(InputError):
         run_study(m, interior_fraction=1.5)
     for n_jobs in (0, 2.0, True):
