@@ -156,6 +156,10 @@ class FitContext:
     y-part of the closed forms' score rows, and identity_moments the
     other moments of `identity_marginals`.  Both come from
     `weighted_moments`, as do the moments of `start_marginals`.
+    axis_rows[j], read only by `poisson_marginals`, holds the kernel
+    rows, the regressor offsets t_j (order 1), the window penalty (0 on
+    the window, -inf off it) and that producer's work buffer, each
+    C-contiguous with the observation axis last.
     """
 
     dataset: Dataset
@@ -225,6 +229,21 @@ class FitContext:
             for l in range(j + 1, len(cols)):
                 blocks[j, l] = left.T @ cols[l] / n
         return stacks, blocks
+
+    @cached_property
+    def axis_rows(self) -> list:
+        """(k_j, t_j, penalty_j, work_j) per dimension j, each a
+        C-contiguous array with the observation axis last: the kernel
+        rows, the regressor offsets (None for order 0) and the window
+        penalty, 0 where k_ij > 0 and -inf elsewhere, each (G_j, n), and
+        the ((2p + 1) G_j, n) buffer `poisson_marginals` works in, so
+        one context serves one evaluation at a time."""
+        return [(np.ascontiguousarray(k.T),
+                 np.ascontiguousarray(self.tvals[j].T) if self.order
+                 else None,
+                 np.where(k.T > 0.0, 0.0, -np.inf),
+                 np.empty(((2 * self.order + 1) * k.shape[1], k.shape[0])))
+                for j, k in enumerate(self.rows)]
 
     @cached_property
     def response_smooths(self) -> list:
@@ -361,80 +380,87 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     y u - e^u) times the kernel product splits into one-dimensional
     integrals over the observation's kernel windows.  With m_ij the
     largest a_ij where k_ij > 0, e_ij = exp(a_ij - m_ij) k_ij,
-    Phi_ij = integral e_ij, A_ij = integral a_ij k_ij and
-    E_i = exp(eta0 + sum_j m_ij), and since every kernel row integrates
-    to one under the trapezoid rule:
+    Phi_ij = integral e_ij and E_i = exp(eta0 + sum_j m_ij), and since
+    every kernel row integrates to one under the trapezoid rule:
 
         weight[j][k] = n^-1 sum_i t_ij^k e_ij E_i prod_{l != j} Phi_il,
         pairs[j, l] block (a, b) = n^-1 sum_i (t_ij^a e_ij) (t_il^b e_il)
                                    E_i prod_{m != j, l} Phi_im,
-        score[j][a]  = n^-1 sum_i y_i t_ij^a k_ij - weight[j][a],
-        sq = n^-1 sum_i y_i (eta0 + sum_j A_ij) - E_i prod_j Phi_ij.
+        score[j][a]  = R_j^a - weight[j][a],
+        sq = eta0 mean(y) + sum_j sum_a integral R_j^a c_j^a
+             - n^-1 sum_i E_i prod_j Phi_ij,
 
-    The y-part of score[j] does not depend on the iterate; it is
-    ctx.response_smooths[j], computed once per fit.  Each pair is one
-    (p + 1) G_j by (p + 1) G_l matrix product over the
-    observations; nothing of window-product size is formed.  The shift by
-    m_ij keeps every exponential factor at most 1, so a large term on
-    one axis offset by another cannot overflow.  Returns None unless the
-    family is PoissonLog and no window's predictor exceeds the family's
-    clamp, beyond which these identities stop holding.
+    with R_j^a = n^-1 sum_i y_i t_ij^a k_ij the response smooths
+    (ctx.response_smooths) and c_j^a the curves (c0_j, c1_j), so the
+    y-part of SQ needs no pass over the observations either.
+
+    Each call does only per-iterate work, on the arrays of
+    ctx.axis_rows, built once per fit with the observation axis last
+    (the kernel rows, t_j and the window penalty, each (G_j, n), and a
+    work buffer), so every pass over an axis runs along the
+    observations, and the only array of the rows' size a call allocates
+    is the scaled left operand of each pair product.  m_ij is the
+    maximum of a_ij plus the penalty, and a_ij - m_ij is clipped at 0
+    before exp: exp never sees -inf, and a large curve value at a grid
+    point in no window, where k_ij = 0, cannot overflow.  Inside the
+    windows the shift keeps every factor at most 1, so a large term on
+    one axis offset by another cannot overflow either.  Each pair is
+    one (p + 1) G_j by (p + 1) G_l matrix product over the
+    observations; nothing of window-product size is formed.  Returns
+    None unless the family is PoissonLog and no window's predictor
+    exceeds the family's clamp, beyond which these identities stop
+    holding.
     """
     fam = ctx.family
     if not isinstance(fam, PoissonLog):
         return None
-    grid, y, n = ctx.grid, ctx.dataset.y, ctx.dataset.n
-    tw, order = grid.weights, ctx.order
-    # moms[j], (n, p + 1, G_j), holds a_ij - m_ij in row 0 until the
-    # guard has passed, then t_ij^a e_ij in row a
-    moms, lin, top = [], [], np.full(n, float(eta0))
-    for j, k in enumerate(ctx.rows):
-        mom = np.empty((n, order + 1, grid.shape[j]))
-        a = mom[:, 0]
+    grid, n, order = ctx.grid, ctx.dataset.n, ctx.order
+    # work_j holds a_ij - m_ij in its first G_j rows until the guard has
+    # passed, then t_ij^k e_ij in row block k; its last block takes
+    # a_ij plus the penalty first
+    top = np.full(n, float(eta0))
+    for j, (k, t, pen, work) in enumerate(ctx.axis_rows):
+        g = len(k)
+        a = comps0[j][:, None]
         if order:
-            np.multiply(ctx.tvals[j], comps1[j], out=a)
-            a += comps0[j]
-        else:
-            a[:] = comps0[j]
-        lin.append((a * k) @ tw[j])
-        np.copyto(a, -np.inf, where=k <= 0.0)
-        m = a.max(axis=1)
-        a -= m[:, None]
+            a = np.multiply(t, comps1[j][:, None], out=work[:g])
+            a += comps0[j][:, None]
+        m = np.add(a, pen, out=work[-g:]).max(axis=0)
+        # outside the windows, where k_ij = 0, a_ij - m_ij may be positive
+        shifted = np.subtract(a, m, out=work[:g])
+        np.minimum(shifted, 0.0, out=shifted)
         top += m
-        moms.append(mom)
     if top.max() > fam.clamp_hi:
         return None
-    scale = np.exp(top) / n
-    phi = []
-    for j, mom in enumerate(moms):
-        e = mom[:, 0]
-        np.exp(e, out=e)
-        e *= ctx.rows[j]
-        if order:
-            np.multiply(ctx.tvals[j], e, out=mom[:, 1])
-        phi.append(e @ tw[j])
-        # column block a of this view is t_j^a e_j
-        moms[j] = mom.reshape(n, -1)
+    scale, phi = np.exp(top) / n, []
+    for (k, t, _, work), tw in zip(ctx.axis_rows, grid.weights):
+        g = len(k)
+        e = np.exp(work[:g], out=work[:g])
+        e *= k
+        for r in range(g, len(work), g):
+            np.multiply(t, work[r - g:r], out=work[r:r + g])
+        phi.append(tw @ e)
+    moms = [work for *_, work in ctx.axis_rows]
 
-    def others(vals, *skip):
-        return prod((v for l, v in enumerate(vals) if l not in skip),
-                    start=np.ones(n))
+    def coef(*skip):
+        """E_i / n times Phi_il over every axis l not skipped."""
+        return prod((v for l, v in enumerate(phi) if l not in skip),
+                    start=scale)
 
-    weight, score = [], []
-    for j, g in enumerate(grid.shape):
-        coef = scale * others(phi, j)
-        w = [coef @ moms[j]]
-        if order:
-            w.append(coef @ (ctx.tvals[j] * moms[j][:, g:]))
-        weight.append(np.concatenate(w).reshape(-1, g))
-        score.append(ctx.response_smooths[j] - weight[j][:order + 1])
-    pairs = {}
-    for j, l in combinations(range(grid.ndim), 2):
-        left = moms[j] * (scale * others(phi, j, l))[:, None]
-        pairs[j, l] = left.T @ moms[l]
-    ylin = eta0 + sum(lin)
+    weight = [(mom @ coef(j)).reshape(-1, g)
+              for j, (mom, g) in enumerate(zip(moms, grid.shape))]
+    score = [r - w[:order + 1] for r, w in zip(ctx.response_smooths, weight)]
+    # rows t_ij^a e_ij, a <= p, of each axis
+    cols = [mom[:(order + 1) * g] for mom, g in zip(moms, grid.shape)]
+    pairs = {(j, l): (cols[j] * coef(j, l)) @ cols[l].T
+             for j, l in combinations(range(grid.ndim), 2)}
+    curves = zip(comps0, *([comps1] if order else []))
+    data = sum(float(tw @ (r * c)) for tw, rs, cs in
+               zip(grid.weights, ctx.response_smooths, curves)
+               for r, c in zip(rs, cs))
     return Marginals(grid=grid, weight=weight, score=score, pairs=pairs,
-                     sq=float(y @ ylin) / n - float(scale @ prod(phi)))
+                     sq=float(eta0) * float(np.mean(ctx.dataset.y)) + data
+                     - float(coef().sum()))
 
 
 def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
@@ -601,12 +627,14 @@ class AdditiveFit:
     """Fitted additive predictor: the part both smoothers share.
 
     Subclasses name their intercept and centered component curves and
-    expose them as `intercept` and `curves`.
+    expose them as `intercept` and `curves`.  family is the family the
+    fit was made with, a built-in or a QuasiFamily, which maps the
+    predictor to the response mean.
     """
 
     grid: Grid
     bandwidths: np.ndarray
-    family: str
+    family: Family
     kernel: str
     lo: np.ndarray
     hi: np.ndarray
@@ -647,7 +675,7 @@ class AdditiveFit:
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Fitted response mean at original-scale covariate rows."""
-        return get_family(self.family).mean(self.predict(x))
+        return self.family.mean(self.predict(x))
 
 
 def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
@@ -697,6 +725,6 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     diag.residual_norm = marg.residual_norm()
     return fit_class(
         eta0, *blocks, grid=grid, bandwidths=ctx.bandwidths,
-        family=fam.name, kernel=ctx.kernel, lo=ctx.dataset.lo,
+        family=fam, kernel=ctx.kernel, lo=ctx.dataset.lo,
         hi=ctx.dataset.hi, diagnostics=diag,
     )

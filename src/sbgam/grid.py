@@ -188,6 +188,9 @@ class Dataset:
         d = x_raw.shape[1]
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,)).copy()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,)).copy()
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise InputError(f"support bounds must be finite, got "
+                             f"lo={lo.tolist()}, hi={hi.tolist()}")
         if np.any(hi <= lo):
             raise InputError("support bounds must satisfy hi > lo")
         u = (x_raw - lo) / (hi - lo)

@@ -34,7 +34,8 @@ regressors t_j enter only as per-observation, per-axis factors.  Under
 the Gaussian identity link every moment is a data moment, computed once
 per fit (`backfit.identity_marginals`); under the Poisson log link e^eta
 is a product over axes, so every moment comes from per-axis window
-integrals on the (n, G_j) kernel rows (`backfit.poisson_marginals`).
+integrals on the kernel rows and t_j laid out (G_j, n), the observation
+axis last, once per fit (`backfit.poisson_marginals`).
 Neither does per-cell work at any d, and neither does the constant start
 of any family: there each observation's predictor is one number on its
 whole window, so the moments are data moments weighted by its fields

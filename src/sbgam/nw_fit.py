@@ -10,8 +10,9 @@ smooth times the family's field at the kernel-local mean response; both
 smooths are a cached property of the context (`NwContext.dense_smooths`),
 built on first use, so each evaluation is one family call on the dense
 G x G grid.  For d >= 3 no d-dimensional tensor is ever materialized:
-Poisson log-link fits take `backfit.poisson_marginals` until the
-predictor reaches the family's clamp; beyond it, and for other families,
+Poisson log-link fits take `backfit.poisson_marginals`, per-axis window
+integrals on the kernel rows laid out (G_j, n), until the predictor
+reaches the family's clamp; beyond it, and for other families,
 the marginals are accumulated by streaming over observations on their
 kernel support windows.  `nw_marginals` is the router `backfit.marginals`
 under this module's name.

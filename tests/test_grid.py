@@ -110,6 +110,18 @@ def test_dataset_with_support():
         Dataset.with_support(np.array([[2.0]]), np.zeros(1), -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+    ([-1.0, -1.0], [1.0, np.nan]),
+])
+def test_dataset_with_support_rejects_non_finite_bounds(lo, hi):
+    # hi = inf rescales every covariate to 0 and lo = -inf to nan; either
+    # would surface much later as a bandwidth or covariate error
+    x = np.array([[-0.5, 0.2], [0.0, 0.4], [0.5, 0.1]])
+    with pytest.raises(InputError, match="support bounds must be finite"):
+        Dataset.with_support(x, np.zeros(3), lo, hi)
+
+
 def test_dataset_validation():
     with pytest.raises(InputError):
         Dataset.from_raw(np.zeros((1, 1)), np.zeros(1))

@@ -22,7 +22,7 @@ from sbgam.backfit import (FitConfig, newton_fit, poisson_marginals,
 from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
 from test_nw import (_assert_marginals_agree, _assert_same_marginals,
-                     _poisson_inputs)
+                     _poisson_inputs, _uncovered_point_inputs)
 
 
 def _sim_dataset(seed, n, d, family="gaussian"):
@@ -343,6 +343,41 @@ def test_poisson_shift_keeps_large_offsetting_terms_finite():
     for m in (*got.weight, *got.score, *got.pairs.values()):
         assert np.isfinite(m).all()
     _assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
+
+
+def test_poisson_large_curve_value_outside_every_window():
+    # +800 at a grid point of x_1 that lies in no observation's window,
+    # but inside the engine's padded windows: both stay finite
+    rng = np.random.default_rng(17)
+    ctx = ll_prepare(*_uncovered_point_inputs(rng), "poisson")
+    assert not ctx.rows[0][:, 18].any()
+    c0 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+    c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
+    c0[0][18] = 800.0
+    got = poisson_marginals(ctx, 0.1, c0, c1)
+    assert got is not None
+    for m in (*got.weight, *got.score, *got.pairs.values()):
+        assert np.isfinite(m).all()
+    _assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
+
+
+def test_poisson_marginals_match_block_engine_on_narrow_windows():
+    # criterion 2's shape, h = 0.13 on 41 points: each window spans about
+    # a quarter of the grid, so most kernel cells of an axis are zero
+    rng = np.random.default_rng(19)
+    n = 120
+    x = rng.uniform(-1, 1, size=(n, 2))
+    y = rng.poisson(np.exp(0.5 * np.sin(np.pi * x[:, 0]))).astype(float)
+    ctx = ll_prepare(Dataset.with_support(x, y, -1.0, 1.0), 0.13,
+                     Grid.uniform(2, 41), "poisson")
+    for _ in range(3):
+        eta00 = float(rng.normal())
+        c0 = [0.5 * rng.normal(size=g) for g in ctx.grid.shape]
+        c1 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+        got = poisson_marginals(ctx, eta00, c0, c1)
+        assert got is not None
+        _assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
+                                1e-13)
 
 
 def test_poisson_fit_never_builds_the_engine():

@@ -50,6 +50,22 @@ def _quasi_gamma():
         clamp_lo=-30.0, clamp_hi=30.0)
 
 
+@pytest.mark.parametrize("fitter", [fit_nw, fit_ll])
+def test_predict_mean_of_a_quasi_family_fit(fitter):
+    # the fit keeps the family object: get_family knows only the built-in
+    # names, so looking "quasi-gamma" up again raised InputError
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.0, 1.0, size=(80, 2))
+    y = np.exp(0.5 * np.sin(np.pi * x[:, 0])) * rng.gamma(4.0, 0.25, 80)
+    fam = _quasi_gamma()
+    fit = fitter(Dataset.with_support(x, y, -1.0, 1.0), 0.4,
+                 grid=Grid.uniform(2, 11), family=fam)
+    assert fit.family is fam
+    xq = rng.uniform(-1.0, 1.0, size=(5, 2))
+    means = fit.predict_mean(xq)
+    assert np.array_equal(means, np.exp(fit.predict(xq)))
+
+
 def test_dense_and_streamed_marginals_agree():
     # the streamed path stays the reference; sparse data on random grids
     # leave cells where phat is 0 and ybar falls back to mean(y)
@@ -206,6 +222,31 @@ def test_poisson_guard_at_three_dims():
     comps[1] -= 790.0
     got = poisson_marginals(ctx, 0.1, comps)
     assert got is not None
+    _assert_marginals_agree(got, _nw_marginals_streamed(ctx, 0.1, comps),
+                            1e-13)
+
+
+def _uncovered_point_inputs(rng, n=40):
+    """Poisson data on [0, 1]^3 whose x_1 stays in [0, 0.5]: with h = 0.1
+    on 21 points, grid point 18 of x_1 (0.9) lies in no window."""
+    x = rng.uniform(0.0, 1.0, size=(n, 3))
+    x[:, 0] *= 0.5
+    y = rng.poisson(np.exp(0.5 * np.sin(np.pi * x[:, 0]))).astype(float)
+    return Dataset.with_support(x, y, 0.0, 1.0), 0.1, Grid.uniform(3, 21)
+
+
+def test_poisson_large_curve_value_outside_every_window():
+    # +800 where x_1 has no observation's window: a_ij - m_ij is clipped
+    # at 0 there before exp, so nothing overflows to inf times k_ij = 0
+    rng = np.random.default_rng(16)
+    ctx = nw_prepare(*_uncovered_point_inputs(rng), "poisson")
+    assert not ctx.rows[0][:, 18].any()
+    comps = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
+    comps[0][18] = 800.0
+    got = poisson_marginals(ctx, 0.1, comps)
+    assert got is not None
+    for m in (*got.weight, *got.score, *got.pairs.values()):
+        assert np.isfinite(m).all()
     _assert_marginals_agree(got, _nw_marginals_streamed(ctx, 0.1, comps),
                             1e-13)
 
