@@ -21,8 +21,13 @@ fields are new arrays and u is left as it is.  With `out`, a triple of
 float arrays of the broadcast shape of u and y, the fields are written
 there, and u, then a float array of that shape too, is clamped in place
 and may serve as scratch: the built-in families make no array of that
-size, so a caller that evaluates block after block (the local linear
-engine) allocates nothing per block.
+size, so a caller that evaluates block after block allocates nothing per
+block.  The one such caller is the local linear engine's generic front
+end (`ll_fit._family_fields`), which serves a QuasiFamily, a Poisson
+iterate that could reach the clamp and a Bernoulli iterate beyond the
+clamp bound; a Bernoulli iterate within it never calls `fields`, as its
+engine fields come from per-axis exponentials (`ll_fit._logit_fields`).
+Every other caller takes new arrays.
 
 Because dQ/dm is linear in y, all three are affine in y, Q up to a term in
 y alone (Wedderburn 1974), so a weighted sum over observations is one

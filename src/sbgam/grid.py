@@ -125,6 +125,33 @@ def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
     return out
 
 
+def _covariate_matrix(x_raw) -> np.ndarray:
+    """Raw covariates as a float (n, d) matrix, a vector taken as one
+    column; InputError unless they form one of finite values with at
+    least two rows and one column, so no reduction or broadcast over
+    them can fail."""
+    x = np.asarray(x_raw, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise InputError(f"covariates must form an (n, d) matrix with "
+                         f"d >= 1, got shape {x.shape}")
+    if x.shape[0] < 2:
+        raise InputError("need at least two observations")
+    if not np.all(np.isfinite(x)):
+        raise InputError("covariates contain non-finite values")
+    return x
+
+
+def _per_covariate(values, d: int, what: str) -> np.ndarray:
+    """One value per covariate, (d,), from one value or d; InputError
+    for any other shape."""
+    v = np.asarray(values, dtype=float)
+    if v.shape not in ((), (1,), (d,)):
+        raise InputError(f"expected 1 or {d} {what}, got shape {v.shape}")
+    return np.broadcast_to(v, (d,)).copy()
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response vector with covariates rescaled to the unit cube.
@@ -164,11 +191,7 @@ class Dataset:
     @classmethod
     def from_raw(cls, x_raw: np.ndarray, y: np.ndarray) -> "Dataset":
         """Rescale each covariate by its own observed range."""
-        x_raw = np.asarray(x_raw, dtype=float)
-        if x_raw.ndim == 1:
-            x_raw = x_raw[:, None]
-        if not np.all(np.isfinite(x_raw)):
-            raise InputError("covariates contain non-finite values")
+        x_raw = _covariate_matrix(x_raw)
         lo = x_raw.min(axis=0)
         hi = x_raw.max(axis=0)
         flat = np.nonzero(hi <= lo)[0]
@@ -182,12 +205,9 @@ class Dataset:
     @classmethod
     def with_support(cls, x_raw: np.ndarray, y: np.ndarray, lo, hi) -> "Dataset":
         """Rescale by known support bounds instead of the observed range."""
-        x_raw = np.asarray(x_raw, dtype=float)
-        if x_raw.ndim == 1:
-            x_raw = x_raw[:, None]
-        d = x_raw.shape[1]
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,)).copy()
+        x_raw = _covariate_matrix(x_raw)
+        lo, hi = (_per_covariate(b, x_raw.shape[1], f"support bounds {nm}")
+                  for b, nm in ((lo, "lo"), (hi, "hi")))
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InputError(f"support bounds must be finite, got "
                              f"lo={lo.tolist()}, hi={hi.tolist()}")
@@ -236,10 +256,8 @@ def resolve_bandwidths(bandwidths, d: int, scale=1.0):
                          f"got {scale!r}")
     if bandwidths is None:
         return None
-    h = np.asarray(bandwidths, dtype=float) * scale
-    if h.shape not in ((), (1,), (d,)):
-        raise InputError(f"expected 1 or {d} bandwidths, got {h.size}")
-    return np.broadcast_to(h, (d,)).copy()
+    return _per_covariate(np.asarray(bandwidths, dtype=float) * scale, d,
+                          "bandwidths")
 
 
 # ---------------------------------------------------------------------------

@@ -47,19 +47,25 @@ fit, each padded only to its own widest windows, gathers per block what
 does not depend on the iterate (the kernel values k_j, the t_j and the
 per-axis integration weights k_j tw_j, each (W_j, B) with the
 observation axis last), and allocates one workspace sized to the
-largest block.  Per iterate, each block's predictor is written into a
-(W_1, ..., W_d, B) view of that workspace, so every per-axis and
-per-observation factor broadcasts along contiguous runs of B cells, and
-one family call per block writes the weight, score and quasi-likelihood
-fields beside it.  The kernel product is never formed: the weight field
-is scaled in place by each k_j, because its pair surfaces are scattered
-cell by cell, while the score and Q fields are only integrated, against
-the k_j tw_j.  Each field is integrated down to window curves and pair
-surfaces, the t_j are multiplied in there (the block-sized pair products
-again in the workspace), and the results are scattered onto the grid.
-Nothing of full product-grid size is formed, and for d >= 2 no array of
-block size is allocated once the blocks are built (at d = 1 the window
-curves are the block).
+largest block.  Per iterate, each block's per-axis terms
+a_j = c0_j + t_j c1_j are formed on the (W_j, B) windows, and the
+weight, score and quasi-likelihood fields are written into
+(W_1, ..., W_d, B) views of that workspace, so every per-axis and
+per-observation factor broadcasts along contiguous runs of B cells.
+Under the Bernoulli logit link, when |eta00| + sum_j max(|c0_j| + |c1_j|)
+is within the clamp (so no window cell can reach it), e^-u is a product
+over axes: exp runs only on the (W_j, B) terms, and the fields follow
+from products of per-axis factors (`_logit_fields`).  Every other
+evaluation writes the predictor into the workspace and makes one family
+call per block (`_family_fields`).  The kernel product is never formed:
+the weight field carries each k_j, because its pair surfaces are
+scattered cell by cell, while the score and Q fields are only
+integrated, against the k_j tw_j.  Each field is integrated down to
+window curves and pair surfaces, the t_j are multiplied in there (the
+block-sized pair products again in the workspace), and the results are
+scattered onto the grid.  Nothing of full product-grid size is formed,
+and for d >= 2 no array of block size is allocated once the blocks are
+built (at d = 1 the window curves are the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the router over the
@@ -80,7 +86,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .family import Family
+from .family import BernoulliLogit, Family
 from .grid import Dataset, Grid
 from .backfit import (
     AdditiveFit,
@@ -206,21 +212,108 @@ def _pair_moments(surf, tj, tl, scratch):
     yield (0, 1), np.multiply(tl, surf, out=scratch)
 
 
-def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
+def _outer_product(factors, out, scratch):
+    """prod_j factors[j], the (W_j, B) factors multiplied over the
+    block's axes, written into out, a C-contiguous (W_1, ..., W_d, B)
+    array.
+
+    One two-operand einsum per further axis, each against the product so
+    far flattened to (W_1 ... W_j, B); partial products alternate between
+    scratch, an array of out's size, and out, so the last lands in out.
+    A broadcast multiply took about 1.6 times as long: its inner loops
+    run over only B cells.
+    """
+    lead, flat, tmp = factors[0], out.reshape(-1), scratch.reshape(-1)
+    if len(factors) == 1:
+        np.copyto(out, lead)
+    for j, factor in enumerate(factors[1:], 2):
+        dst = (flat, tmp)[(len(factors) - j) % 2]
+        rows, width, cols = lead.shape[0], factor.shape[0], lead.shape[1]
+        lead = np.einsum("az,bz->abz", lead, factor,
+                         out=dst[:rows * width * cols].reshape(rows, width,
+                                                               cols))
+        lead = lead.reshape(rows * width, cols)
+
+
+def _family_fields(ctx, y, a, k, u, fields):
+    """The generic front end: the predictor sum_j a_j into u, one call of
+    the family's `fields`, and the weight field scaled by each k_j in
+    turn.  Q comes whole, so no part of SQ is returned apart."""
+    # axes[j] places a (W_j, B) factor on the block's axes j and d
+    d = len(a)
+    axes = [[-1 if i == j else 1 for i in range(d)] + [len(y)]
+            for j in range(d)]
+    # a[0] holds eta00, so each further axis is one broadcast add
+    lead = a[0].reshape(axes[0])
+    if d == 1:
+        np.copyto(u, lead)
+    for aj, ax in zip(a[1:], axes[1:]):
+        lead = np.add(lead, aj.reshape(ax), out=u)
+    ctx.family.fields(u, y, out=fields)
+    for kj, ax in zip(k, axes):
+        fields[0] *= kj.reshape(ax)
+    return 0.0
+
+
+def _logit_fields(bounds, y, a, k, kw, u, fields):
+    """The logit front end, from per-axis exponentials.
+
+    With E = e^-u = prod_j e^-a_j, the mean is m = 1 / (1 + E), the
+    weight times the kernel product is w K = (prod_j e^-a_j k_j) m^2 and
+    Q = (y - 1) u - log(1 + E).  So exp runs per axis, and per cell
+    this forms only E (in u), E K (in the weight buffer), D = 1 + E, m,
+    -log D = log m (in the Q buffer), w and s = y - m: no exp, clamp,
+    predictor or k_j scaling pass, and the weight keeps its digits at
+    u >> 0, where m (1 - m) loses them.  The linear part of Q is
+    integrated per axis, as every kernel row integrates to one:
+
+        integral (y_i - 1) u_i K_i = (y_i - 1) sum_j sum_w kw_j a_j,
+
+    and returned as this block's part of SQ apart from the Q field.
+    Each a_j is first clipped to +-bounds[j], which changes no window
+    cell (see `_logit_bounds`) and keeps the padded cells, where k_j = 0
+    and |t_j| may exceed 1, within the same bounds, so every E and D is
+    finite and no inf times 0 makes a NaN.
+    """
+    lin = 0.0
+    for aj, kwj, bj in zip(a, kw, bounds):
+        # two ufuncs cost less than np.clip's dispatch on arrays this small
+        np.minimum(aj, bj, out=aj)
+        np.maximum(aj, -bj, out=aj)
+        lin = lin + np.einsum("wb,wb->b", kwj, aj)
+    e = [np.exp(np.negative(aj, out=aj), out=aj) for aj in a]
+    wfield, sfield, qfield = fields
+    # the Q and score buffers are scratch until m is formed
+    _outer_product(e, u, qfield)
+    _outer_product([ej * kj for ej, kj in zip(e, k)], wfield, sfield)
+    u += 1.0
+    np.divide(1.0, u, out=sfield)
+    np.log(sfield, out=qfield)
+    wfield *= sfield
+    wfield *= sfield
+    np.subtract(y, sfield, out=sfield)
+    return float((y - 1.0) @ lin)
+
+
+def _add_block(sums, ctx, pairs, obs, gathered, bounds, eta00, comps0,
+               comps1):
     """Add one block's moments to sums; return its smoothed Q.
 
     sums is (weight, score, pairs) as `ll_marginals` fills them.  The
     block is laid out (W_1, ..., W_d, B), the observation axis last, so
     every per-axis or per-observation factor broadcasts along contiguous
-    runs of B cells.  The predictor is written into the workspace, with
-    eta00 joined to the first axis's term, and one call of the family's
-    `fields` writes the weight, score and quasi-likelihood fields beside
-    it, with the predictor as its scratch.  The kernel product K_ij K_il
-    does not depend on the iterate and is never formed: the weight field,
-    whose pair surfaces are scattered cell by cell, is scaled in place by
-    each k_j in turn, while the score and Q fields are integrated against
-    the per-axis weights k_j tw_j of the blocks, and each score window
-    curve is scaled by its own k_j afterwards.  What else the block needs
+    runs of B cells.  Per axis, a_j = c0_j + t_j c1_j on the (W_j, B)
+    window, with eta00 joined to a_0.  A front end then writes the
+    weight field times the kernel product, the score field and the Q
+    field into the workspace: `_logit_fields` from per-axis exponentials
+    when bounds is given (see `_logit_bounds`), else `_family_fields`,
+    from the predictor and one call of the family's `fields`.  The
+    kernel product K_ij K_il does not depend on the iterate and is never
+    formed: the weight field, whose pair surfaces are scattered cell by
+    cell, carries each k_j, while the score and Q fields are integrated
+    against the per-axis weights k_j tw_j of the blocks, and each score
+    window curve is scaled by its own k_j afterwards.  The per-axis
+    arrays are freed before the pair scatter; what else the block needs
     is of window-curve or pair-surface size and is freed when this
     returns.
     """
@@ -229,25 +322,21 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     idx, k, t, w, kw = zip(*gathered)
     block = tuple(i.shape[0] for i in idx) + (len(obs),)
     u, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
-    # axes[j] places a (W_j, B) factor on the block's axes j and d
-    axes = [[-1 if a == j else 1 for a in range(d)] + [len(obs)]
-            for j in range(d)]
-    terms = ((comps0[j][idx[j]] + t[j] * comps1[j][idx[j]]).reshape(axes[j])
-             for j in range(d))
-    # eta00 joins the first axis's term, so each further axis is one
-    # broadcast add into the predictor
-    lead = np.add(eta00, next(terms), out=u if d == 1 else None)
-    for term in terms:
-        lead = np.add(lead, term, out=u)
-    ctx.family.fields(u, ctx.dataset.y[obs], out=fields)
+    terms = [comps0[j][idx[j]] + t[j] * comps1[j][idx[j]] for j in range(d)]
+    np.add(eta00, terms[0], out=terms[0])
+    y = ctx.dataset.y[obs]
+    if bounds is None:
+        sq = _family_fields(ctx, y, terms, k, u, fields)
+    else:
+        sq = _logit_fields(bounds, y, terms, k, kw, u, fields)
+    del terms
     wfield, sfield, qfield = fields
-    for j in range(d):
-        wfield *= k[j].reshape(axes[j])
 
     def add_pair(j, l, surf):
         flat = ints[:surf.size].reshape(surf.shape)
         np.add(idx[j][:, None] * shape[l], idx[l][None], out=flat)
-        # the predictor's buffer is free once the fields are made
+        # the first buffer (the predictor, or e^-u) is free once the
+        # fields are made
         scratch = floats[0, :surf.size].reshape(surf.shape)
         for (a, b), vals in _pair_moments(surf, t[j][:, None], t[l][None],
                                           scratch):
@@ -261,7 +350,28 @@ def _add_block(sums, ctx, pairs, obs, gathered, eta00, comps0, comps1):
     for curve, kj in zip(scurves, k):
         curve *= kj
     _add_curves(score, scurves, t, idx, shape)
-    return float(_integrate_out(qfield, kw, ()).sum())
+    return sq + float(_integrate_out(qfield, kw, ()).sum())
+
+
+def _logit_bounds(ctx: LlContext, eta00: float, comps0, comps1):
+    """Per-axis bounds b_j on |a_ij| wherever k_ij > 0, |eta00| joined
+    to b_0, when the family is BernoulliLogit and their sum is within
+    the clamp; None otherwise.
+
+    Every kernel is supported on [-1, 1], so |t_ij| < 1 wherever
+    k_ij > 0 and |a_ij| = |c0_j + t_ij c1_j| <= max_g (|c0_j| + |c1_j|)
+    there, also after rounding, since rounding is monotone.  Within the
+    clamp no window cell's predictor reaches it, the family's clip
+    changes nothing, and e^-u is a product over axes.  The maximum runs
+    over every grid point, so a large value where no window reaches
+    still sends the evaluation to the generic front end.
+    """
+    if not isinstance(ctx.family, BernoulliLogit):
+        return None
+    bounds = [float((np.abs(c0) + np.abs(c1)).max())
+              for c0, c1 in zip(comps0, comps1)]
+    bounds[0] += abs(float(eta00))
+    return bounds if sum(bounds) <= ctx.family.clamp_hi else None
 
 
 def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
@@ -277,10 +387,10 @@ def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
     # block (a, b) of a pair's matrix, [a, :, b] here, is the moment
     # against t_j^a t_l^b
     blocks = {(j, l): np.zeros((2, shape[j], 2, shape[l])) for j, l in pairs}
-    sq = 0.0
+    bounds, sq = _logit_bounds(ctx, eta00, comps0, comps1), 0.0
     for obs, gathered in ctx.blocks:
         sq += _add_block((weight, score, blocks), ctx, pairs, obs, gathered,
-                         eta00, comps0, comps1)
+                         bounds, eta00, comps0, comps1)
     for m in [*weight, *score, *blocks.values()]:
         m /= n
     return Marginals(grid=grid, weight=weight, score=score,
@@ -330,7 +440,8 @@ class LlContext(FitContext):
     @cached_property
     def workspace(self) -> tuple:
         """The buffers the block engine works in, one (4, cells) float
-        array (the predictor and the three fields) and one (cells,) intp
+        array (the predictor, or e^-u under the logit front end, and the
+        three fields) and one (cells,) intp
         array for the largest block's padded cells; so one context serves
         one evaluation at a time."""
         cells = max(len(obs) * prod(g[0].shape[0] for g in gathered)

@@ -6,7 +6,8 @@ each.  Demo 03 runs a small Monte Carlo study in a few seconds; it writes
 `study_demo.csv` into the working directory, which here is a temporary
 one.  Demo 05 fits five covariates in about a second.  Demo 04, a study
 of Bernoulli local linear fits, takes seconds to minutes, so it is left
-to manual runs.
+to manual runs.  Each runs with RuntimeWarning as an error, as the test
+suite does, so an overflow or invalid value in a fast path fails it.
 """
 
 import os
@@ -25,7 +26,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, "-W", "error::RuntimeWarning",
+         os.path.join(ROOT, "demos", demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

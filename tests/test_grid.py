@@ -131,6 +131,34 @@ def test_dataset_validation():
         Dataset.from_raw(np.zeros((3, 1, 1)), np.zeros(3))
 
 
+@pytest.mark.parametrize("x, lo, match", [
+    (np.zeros((3, 2)), [0.0, 0.0, 0.0], "support bounds lo"),
+    (np.zeros((3, 2)), [[-1.0, -1.0]], "support bounds lo"),
+    (np.float64(0.5), -1.0, "matrix"),
+    (np.zeros((2, 3, 2)), -1.0, "matrix"),
+    (np.zeros((0, 2)), -1.0, "at least two observations"),
+    (np.zeros(0), -1.0, "at least two observations"),
+], ids=["bounds-too-long", "bounds-2d", "x-0d", "x-3d", "no-rows",
+        "empty-vector"])
+def test_dataset_with_support_rejects_malformed_inputs(x, lo, match):
+    # each ended in numpy's own ValueError or IndexError before
+    with pytest.raises(InputError, match=match):
+        Dataset.with_support(x, np.zeros(np.shape(x)[:1]), lo, 1.0)
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.float64(0.5), "matrix"),
+    (np.zeros((2, 3, 2)), "matrix"),
+    (np.zeros((0, 2)), "at least two observations"),
+    (np.zeros((3, 0)), "matrix"),
+], ids=["x-0d", "x-3d", "no-rows", "no-columns"])
+def test_dataset_from_raw_rejects_malformed_inputs(x, match):
+    # a (2, 3, 2) array was blamed on "column 1 is constant", and zero
+    # rows ended in numpy's empty-reduction ValueError
+    with pytest.raises(InputError, match=match):
+        Dataset.from_raw(x, np.zeros(np.shape(x)[:1]))
+
+
 def test_default_bandwidths():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, size=(200, 3))

@@ -21,6 +21,7 @@ from sbgam.backfit import (FitConfig, newton_fit, poisson_marginals,
                            start_marginals)
 from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
+from sbgam.sim import SimModel, make_dataset
 from test_nw import (_assert_marginals_agree, _assert_same_marginals,
                      _poisson_inputs, _uncovered_point_inputs)
 
@@ -414,6 +415,188 @@ def test_engine_computes_windows_on_first_use():
     for (lo, hi), rows in zip(ctx.windows, ctx.rows):
         want_lo, want_hi = row_windows(rows)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def _quasi_logit():
+    """The logit family as a QuasiFamily: the engine evaluates it through
+    `fields` on the predictor, never from per-axis exponentials."""
+    return QuasiFamily(
+        name="quasi-logit", link=lambda m: np.log(m) - np.log1p(-m),
+        mean=expit, link_deriv=lambda m: 1.0 / (m * (1.0 - m)),
+        variance=lambda m: m * (1.0 - m),
+        q2=lambda u, y: -expit(u) * expit(-u),
+        qll=lambda u, y: y * u - np.logaddexp(0.0, u),
+        clamp_lo=-30.0, clamp_hi=30.0)
+
+
+def _refuse(*args):
+    raise AssertionError("this front end must not run")
+
+
+def _assert_logit_factored(ctx, iterate, monkeypatch):
+    # the factored front end alone, against the generic engine on the
+    # QuasiFamily copy and against the full-grid reference
+    assert ll_fit._logit_bounds(ctx, *iterate) is not None
+    generic = ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
+                         _quasi_logit(), ctx.kernel)
+    want = _block_marginals(generic, *iterate)
+    with monkeypatch.context() as m:
+        m.setattr(ll_fit, "_family_fields", _refuse)
+        got = _block_marginals(ctx, *iterate)
+        _assert_matches_reference(ctx, *iterate, _block_marginals)
+    _assert_marginals_agree(got, want, 1e-13)
+    return got
+
+
+def _logit_context(rng, d, n=40, kernel="epanechnikov"):
+    """Bernoulli data with a quarter of the points near the edges, random
+    bandwidths and a random non-uniform grid."""
+    x = rng.uniform(-1, 1, size=(n, d))
+    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
+    y = (rng.random(n) < expit(np.sin(np.pi * x[:, 0]))).astype(float)
+    return ll_prepare(Dataset.with_support(x, y, -1.0, 1.0),
+                      rng.uniform(0.25, 0.45, size=d), _random_grid(rng, d),
+                      "bernoulli", kernel)
+
+
+def _random_iterate(rng, ctx, scale=1.0):
+    return (float(rng.normal()),
+            [scale * 0.5 * rng.normal(size=g) for g in ctx.grid.shape],
+            [scale * 0.3 * rng.normal(size=g) for g in ctx.grid.shape])
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_logit_factored_fields_match_generic_engine(d, kernel, monkeypatch):
+    # in ragged blocks of differing window widths, at random iterates
+    rng = np.random.default_rng([21, d, len(kernel)])
+    ctx = _logit_context(rng, d, kernel=kernel)
+    cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
+    monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 6 * cells + cells // 2)
+    ctx = _logit_context(np.random.default_rng([21, d, len(kernel)]), d,
+                         kernel=kernel)
+    _assert_blocks_partition(ctx)
+    assert len(ctx.blocks) > 1
+    for _ in range(2):
+        _assert_logit_factored(ctx, _random_iterate(rng, ctx), monkeypatch)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_logit_factored_fields_at_higher_d(d, monkeypatch):
+    # the per-cell products alternate their partial products between
+    # the output and a scratch buffer; at d = 4 one passes through the
+    # output.  Against the generic engine alone, which the tests above
+    # pin to the full-grid reference
+    rng = np.random.default_rng([26, d])
+    ctx = _logit_context(rng, d)
+    iterate = _random_iterate(rng, ctx)
+    assert ll_fit._logit_bounds(ctx, *iterate) is not None
+    want = _block_marginals(ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
+                                       _quasi_logit()), *iterate)
+    monkeypatch.setattr(ll_fit, "_family_fields", _refuse)
+    _assert_marginals_agree(_block_marginals(ctx, *iterate), want, 1e-13)
+
+
+def test_logit_factored_fields_on_narrow_windows(monkeypatch):
+    # criterion 2's shape, h = 0.13 on 41 points: most kernel cells of an
+    # axis are zero, and most padded cells lie far outside the windows
+    rng = np.random.default_rng(22)
+    n = 120
+    x = rng.uniform(-1, 1, size=(n, 2))
+    y = (rng.random(n) < expit(np.sin(np.pi * x[:, 0]))).astype(float)
+    ctx = ll_prepare(Dataset.with_support(x, y, -1.0, 1.0), 0.13,
+                     Grid.uniform(2, 41), "bernoulli")
+    for _ in range(2):
+        _assert_logit_factored(ctx, _random_iterate(rng, ctx), monkeypatch)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_logit_path_is_chosen_by_the_bound(d, monkeypatch):
+    # eta00 set so that |eta00| + sum_j max_g (|c0_j| + |c1_j|) lies just
+    # inside the clamp at 30, then just outside it: there the evaluation
+    # must take the generic front end
+    rng = np.random.default_rng([23, d])
+    ctx = _logit_context(rng, d)
+    _, c0, c1 = _random_iterate(rng, ctx)
+    span = sum(float((np.abs(a) + np.abs(b)).max()) for a, b in zip(c0, c1))
+    inside = (30.0 - span - 1e-9, c0, c1)
+    outside = (30.0 - span + 1e-9, c0, c1)
+    assert ll_fit._logit_bounds(ctx, *inside) is not None
+    assert ll_fit._logit_bounds(ctx, *outside) is None
+    assert ll_fit._logit_bounds(ctx, -inside[0], c0, c1) is not None
+    assert ll_fit._logit_bounds(ctx, -outside[0], c0, c1) is None
+    _assert_logit_factored(ctx, inside, monkeypatch)
+    _assert_logit_factored(ctx, (-inside[0], c0, c1), monkeypatch)
+    monkeypatch.setattr(ll_fit, "_logit_fields", _refuse)
+    _assert_matches_reference(ctx, *outside, _block_marginals)
+
+
+def test_logit_large_slope_keeps_padded_cells_finite(monkeypatch):
+    # x_1's grid has 501 points on [0, 0.5] and one at 1: observations near
+    # 1 have one-cell windows, padded to the block's 21 cells back on
+    # [0.48, 0.5], where |t| exceeds 50.  A slope of -25 keeps the bound
+    # within the clamp, but there a_1 passes 1000, and e^-a_1 would
+    # overflow to inf times k = 0 without the clip
+    rng = np.random.default_rng(24)
+    n = 40
+    x = np.column_stack([rng.uniform(0.0, 0.5, n), rng.uniform(0.0, 1.0, n)])
+    x[:4, 0] = rng.uniform(0.992, 1.0, 4)
+    y = (rng.random(n) < expit(np.sin(np.pi * x[:, 1]))).astype(float)
+    grid = Grid((np.append(np.linspace(0.0, 0.5, 501), 1.0),
+                 np.linspace(0.0, 1.0, 11)))
+    ctx = ll_prepare(Dataset.with_support(x, y, 0.0, 1.0), [0.01, 0.3],
+                     grid, "bernoulli")
+    c0 = [0.1 * rng.normal(size=g) for g in grid.shape]
+    c1 = [np.full(grid.shape[0], -25.0), 0.1 * rng.normal(size=11)]
+    padded = max(float(np.abs(c0[0][idx] + t * c1[0][idx])[k == 0].max(
+        initial=0.0)) for _, ((idx, k, t, *_), _) in ctx.blocks)
+    assert padded > 1000.0
+    got = _assert_logit_factored(ctx, (0.1, c0, c1), monkeypatch)
+    for m in (*got.weight, *got.score, *got.pairs.values()):
+        assert np.isfinite(m).all()
+    assert np.isfinite(got.sq)
+
+
+def test_logit_large_curve_value_outside_every_window(monkeypatch):
+    # +800 at a grid point of x_1 in no observation's window: the bound
+    # counts every grid point, so the evaluation takes the generic engine
+    rng = np.random.default_rng(25)
+    ds, h, grid = _uncovered_point_inputs(rng)
+    ds = Dataset.with_support(ds.x, (ds.y > 1).astype(float), 0.0, 1.0)
+    ctx = ll_prepare(ds, h, grid, "bernoulli")
+    assert not ctx.rows[0][:, 18].any()
+    c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
+    c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
+    c0[0][18] = 800.0
+    assert ll_fit._logit_bounds(ctx, 0.1, c0, c1) is None
+    monkeypatch.setattr(ll_fit, "_logit_fields", _refuse)
+    got = _block_marginals(ctx, 0.1, c0, c1)
+    for m in (*got.weight, *got.score, *got.pairs.values()):
+        assert np.isfinite(m).all()
+    _assert_marginals_agree(got, _block_marginals(
+        ll_prepare(ds, h, grid, _quasi_logit()), 0.1, c0, c1), 1e-13)
+
+
+def test_logit_fit_keeps_its_counts(monkeypatch):
+    # the first replication of criterion 10's study (model (1,1),
+    # n = 2000, h = 0.25): every engine evaluation of a Bernoulli fit is
+    # factored, and the fit keeps the steps, sweeps and curves of the
+    # generic engine
+    ds = make_dataset(SimModel.from_label("1,1", n=2000, seed=77),
+                      np.random.default_rng(np.random.SeedSequence([77, 0])))
+    grid = Grid.uniform(2, 41)
+    want = fit_ll(ds, 0.25, grid=grid, family=_quasi_logit())
+    monkeypatch.setattr(ll_fit, "_family_fields", _refuse)
+    fit = fit_ll(ds, 0.25, grid=grid, family="bernoulli")
+    got_d, want_d = fit.diagnostics, want.diagnostics
+    assert got_d.converged and want_d.converged
+    assert got_d.outer_iterations == want_d.outer_iterations
+    assert got_d.inner_sweep_counts == want_d.inner_sweep_counts
+    assert np.allclose(got_d.sq_path, want_d.sq_path, rtol=0, atol=1e-13)
+    assert abs(fit.eta00 - want.eta00) < 1e-13
+    for curves in ("components0", "components1"):
+        for g, w in zip(getattr(fit, curves), getattr(want, curves)):
+            assert np.abs(g - w).max() < 1e-13, curves
 
 
 def _start_context(family, d):
