@@ -23,7 +23,9 @@ using only the weight's one- and two-dimensional marginals.
 After every Newton step the components are recentered against the weight
 marginals of the updated iterate, and the intercept absorbs the shifts,
 which leaves the fitted predictor untouched and the constraints satisfied
-to machine precision.
+to machine precision.  The evaluation after the last step serves only
+that recentering, the last SQ and the residual norm; no inner solve
+reads its pair moments, so it omits them (`damped_step`).
 
 The local constant system is the order-0 case of the local linear one,
 so one algorithm serves both smoothers: `FitContext` (inputs, kernel
@@ -34,14 +36,16 @@ the weight check), `inner_solve` (block Gauss-Seidel sweeps on operators
 formed once per Newton step), `newton_fit` (outer loop and diagnostics),
 `damped_step` (step and recentering) and `AdditiveFit` (prediction).  A
 producer maps an iterate (ctx, eta0, *blocks) to its `Marginals`, or to
-None where it does not apply; `identity_marginals` (Gaussian identity
-link), `start_marginals` (any family at the constant start, from
-weighted data moments) and `poisson_marginals` (Poisson log link) serve
-either order.  A smoother supplies its fit class and its context class,
-which declares the order p (0 in `nw_fit`, 1 in `ll_fit`) and the
-producers to try in turn, the last applying everywhere; the router
-`marginals` returns the first result, checked against the positivity
-floor.
+None where it does not apply, and with pairs=False may leave out the
+pair moments, the largest part of an evaluation where they are not
+precomputed (the LL block engine and `poisson_marginals` do);
+`identity_marginals` (Gaussian identity link), `start_marginals` (any
+family at the constant start, from weighted data moments) and
+`poisson_marginals` (Poisson log link) serve either order.  A smoother
+supplies its fit class and its context class, which declares the order
+p (0 in `nw_fit`, 1 in `ll_fit`) and the producers to try in turn, the
+last applying everywhere; the router `marginals` returns the first
+result, checked against the positivity floor.
 """
 
 from __future__ import annotations
@@ -288,12 +292,15 @@ class Marginals:
     (x_j, x_l) grid; sq is the smoothed quasi-likelihood.  mass and
     score_total, the weight and score integrated over the whole grid,
     are derived from the first curves, as the trapezoid rule is exact.
+    pairs is None where the producer was asked to leave them out
+    (pairs=False): only `inner_solve` reads them, and it rejects such
+    marginals.
     """
 
     grid: Grid
     weight: list
     score: list
-    pairs: dict
+    pairs: dict | None
     sq: float
 
     @cached_property
@@ -340,12 +347,15 @@ class Marginals:
         return self
 
 
-def marginals(ctx: FitContext, eta0: float, *blocks) -> Marginals:
+def marginals(ctx: FitContext, eta0: float, *blocks,
+              pairs: bool = True) -> Marginals:
     """The marginals at the iterate (eta0, *blocks), checked against the
     positivity floor: the first result of the context's producers that is
-    not None.  Each smoother keeps this router under its own name."""
+    not None.  With pairs=False the producers may leave out the pair
+    moments, which `damped_step` asks for when no inner solve will read
+    them.  Each smoother keeps this router under its own name."""
     for produce in ctx.producers:
-        marg = produce(ctx, eta0, *blocks)
+        marg = produce(ctx, eta0, *blocks, pairs=pairs)
         if marg is not None:
             return marg.check_weight()
 
@@ -370,7 +380,8 @@ def _inverse_moments(m):
     return np.array([[m[2], -m[1]], [-m[1], m[0]]]) / det
 
 
-def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None,
+                      pairs: bool = True):
     """Exact Poisson log-link marginals of order p from per-axis integrals.
 
     Of the context's order p: comps1 holds the slopes when p = 1.
@@ -406,7 +417,8 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     windows the shift keeps every factor at most 1, so a large term on
     one axis offset by another cannot overflow either.  Each pair is
     one (p + 1) G_j by (p + 1) G_l matrix product over the
-    observations; nothing of window-product size is formed.  Returns
+    observations, the largest single step of a call, left out with
+    pairs=False; nothing of window-product size is formed.  Returns
     None unless the family is PoissonLog and no window's predictor
     exceeds the family's clamp, beyond which these identities stop
     holding.
@@ -452,18 +464,20 @@ def poisson_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     score = [r - w[:order + 1] for r, w in zip(ctx.response_smooths, weight)]
     # rows t_ij^a e_ij, a <= p, of each axis
     cols = [mom[:(order + 1) * g] for mom, g in zip(moms, grid.shape)]
-    pairs = {(j, l): (cols[j] * coef(j, l)) @ cols[l].T
-             for j, l in combinations(range(grid.ndim), 2)}
+    blocks = ({(j, l): (cols[j] * coef(j, l)) @ cols[l].T
+               for j, l in combinations(range(grid.ndim), 2)}
+              if pairs else None)
     curves = zip(comps0, *([comps1] if order else []))
     data = sum(float(tw @ (r * c)) for tw, rs, cs in
                zip(grid.weights, ctx.response_smooths, curves)
                for r, c in zip(rs, cs))
-    return Marginals(grid=grid, weight=weight, score=score, pairs=pairs,
+    return Marginals(grid=grid, weight=weight, score=score, pairs=blocks,
                      sq=float(eta0) * float(np.mean(ctx.dataset.y)) + data
                      - float(coef().sum()))
 
 
-def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None,
+                       pairs: bool = True):
     """Exact Gaussian identity-link marginals of the context's order p.
 
     With q2 = -1, q1 = y - u and every kernel row integrating to one, the
@@ -478,9 +492,10 @@ def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
     or z = R - Q c on the stack c of all curves with eta0 added to the
     first, as C_jl D_l maps a constant to M_j^a; SQ is
     -1/2 [mean Y^2 - (D c).(R + z)].  This is the smooth backfitting
-    system of Mammen, Linton and Nielsen (1999).  Returns None unless the
-    family is GaussianIdentity: a QuasiFamily with an identity link can
-    have a weight that depends on the iterate.
+    system of Mammen, Linton and Nielsen (1999).  The pairs are data
+    moments, computed once per fit, so pairs=False changes nothing.
+    Returns None unless the family is GaussianIdentity: a QuasiFamily
+    with an identity link can have a weight that depends on the iterate.
     """
     if not isinstance(ctx.family, GaussianIdentity):
         return None
@@ -494,7 +509,8 @@ def identity_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
                      sq=-0.5 * (y2m - float((dw * c) @ (resp + z))))
 
 
-def start_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
+def start_marginals(ctx: FitContext, eta0: float, comps0, comps1=None,
+                    pairs: bool = True):
     """Exact marginals of the context's order p at the constant start.
 
     Where every curve and every slope is zero, observation i's predictor
@@ -508,7 +524,9 @@ def start_marginals(ctx: FitContext, eta0: float, comps0, comps1=None):
         score[j][a]  = n^-1 sum_i s_i t_ij^a K_ij,  a <= p,
         sq = n^-1 sum_i q_i.
 
-    Returns None unless every curve and every slope is zero.
+    The constant start is never a fit's last evaluation, so pairs=False
+    changes nothing.  Returns None unless every curve and every slope is
+    zero.
     """
     if any(c.any() for cs in (comps0, comps1 or ()) for c in cs):
         return None
@@ -540,8 +558,12 @@ def inner_solve(marg: Marginals, config: FitConfig):
 
     Returns (xi0, *xi, sweeps, contraction, change_history), one list of
     d curves in xi per block entry, sweeps the number of sweeps used and
-    contraction the ratio of the last two sweep-change norms.
+    contraction the ratio of the last two sweep-change norms.  Marginals
+    evaluated without their pairs raise ValueError.
     """
+    if marg.pairs is None:
+        raise ValueError("inner_solve needs the pair moments; these "
+                         "marginals were evaluated with pairs=False")
     tw, shape, mass = marg.grid.weights, marg.grid.shape, marg.mass
     k = len(marg.score[0])
     spans, end = [], 0
@@ -598,13 +620,40 @@ def _additive_sup(const: float, curves) -> float:
     return max(abs(hi), abs(lo))
 
 
+def _relative(change: float, sup: float) -> float:
+    """A predictor change relative to the predictor's sup norm, or to 1
+    if that is smaller: the quantity `newton_fit` stops on."""
+    return change / max(1.0, sup)
+
+
+def _last_step(change: float, sup: float, eta0: float, curves,
+               tol: float) -> bool:
+    """Whether a step of sup norm change, from a predictor of sup norm
+    sup to eta0 + sum_j curves[j], stops the Newton loop: its change
+    relative to the new predictor is below tol.  The loop tests the
+    recentered predictor, whose sup norm differs from this one by
+    rounding only.  sup + change bounds the new sup norm, so the exact
+    one is taken only when that bound lets the step be the last."""
+    return (_relative(change, sup + change) < tol
+            and _relative(change, _additive_sup(eta0, curves)) < tol)
+
+
 def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
-                config: FitConfig, marginals):
+                config: FitConfig, marginals, sup: float):
     """Damped Newton step, then recentering against marg.constraint.
 
     blocks and xi hold one list of d curves per block entry, component
     curves first; only those are shifted, and the intercept absorbs the
-    shifts.  Returns (eta0, *blocks, marginals, residual, change).
+    shifts.  sup is the sup norm of the current predictor.  The step's
+    size is known before the new marginals are evaluated, so
+    `_last_step` tells whether the step will stop the Newton loop; then
+    no inner solve reads the new pair moments, and they are left out
+    (pairs=False).  Should the recentered predictor prove that
+    prediction wrong, which only rounding can do, the marginals are
+    evaluated again with pairs at the same iterate, so a fit's results
+    never depend on the prediction.  Returns (eta0, *blocks, marginals,
+    residual, change, sup), change the step's sup norm and sup the
+    recentered predictor's.
     """
     d = ctx.grid.ndim
     step0 = config.damping * xi0
@@ -612,14 +661,19 @@ def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
     change = _additive_sup(step0, steps[0])
     new_eta0 = eta0 + step0
     new = [[b[j] + s[j] for j in range(d)] for b, s in zip(blocks, steps)]
-    marg = marginals(ctx, new_eta0, *new)
+    last = _last_step(change, sup, new_eta0, new[0], config.tol_outer)
+    marg = marginals(ctx, new_eta0, *new, pairs=not last)
     shifts = [marg.constraint(j, *(b[j] for b in new)) / marg.mass
               for j in range(d)]
-    new[0] = [new[0][j] - shifts[j] for j in range(d)]
-    new_eta0 = new_eta0 + sum(shifts)
+    centered = [new[0][j] - shifts[j] for j in range(d)]
+    centered_eta0 = new_eta0 + sum(shifts)
+    sup = _additive_sup(centered_eta0, centered)
+    if last and _relative(change, sup) >= config.tol_outer:
+        marg = marginals(ctx, new_eta0, *new)
+    new[0], new_eta0 = centered, centered_eta0
     residual = max(abs(marg.constraint(j, *(b[j] for b in new)))
                    for j in range(d))
-    return (new_eta0, *new, marg, residual, change)
+    return (new_eta0, *new, marg, residual, change, sup)
 
 
 @dataclass(kw_only=True)
@@ -684,7 +738,11 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
 
     Starts from eta_0 = g(mean(y)) and ctx.order + 1 lists of zero curves
     and stops when the relative sup-norm change of the fitted predictor
-    falls below tol_outer.  Returns fit_class(eta0, *blocks, ...).
+    falls below tol_outer.  The marginals after the last step serve only
+    the recentering, the last sq_path entry, weight_total and
+    residual_norm, so `damped_step` evaluates them without pair moments;
+    every evaluation an inner solve reads has them.  Returns
+    fit_class(eta0, *blocks, ...).
     """
     config = config or FitConfig()
     grid = ctx.grid
@@ -698,13 +756,15 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
         )
     blocks = [[np.zeros(g) for g in grid.shape] for _ in range(ctx.order + 1)]
     marg = marginals(ctx, eta0, *blocks)
+    # the sup norm of the start, whose curves are zero
+    sup = abs(eta0)
     diag = FitDiagnostics(sq_path=[marg.sq])
     for _ in range(config.max_outer):
         xi0, *xi, sweeps, contraction, history = inner_solve(marg, config)
-        eta0, *blocks, marg, resid, change = outer_update(
-            ctx, eta0, *blocks, xi0, *xi, config
+        eta0, *blocks, marg, resid, change, sup = outer_update(
+            ctx, eta0, *blocks, xi0, *xi, config, sup
         )
-        rel = change / max(1.0, _additive_sup(eta0, blocks[0]))
+        rel = _relative(change, sup)
         diag.outer_iterations += 1
         diag.outer_changes.append(rel)
         diag.inner_sweep_counts.append(sweeps)

@@ -125,12 +125,21 @@ def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
     return out
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array; InputError, not numpy's ValueError or
+    TypeError, when they are not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be numeric: {exc}") from None
+
+
 def _covariate_matrix(x_raw) -> np.ndarray:
     """Raw covariates as a float (n, d) matrix, a vector taken as one
     column; InputError unless they form one of finite values with at
     least two rows and one column, so no reduction or broadcast over
     them can fail."""
-    x = np.asarray(x_raw, dtype=float)
+    x = _floats(x_raw, "covariates")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] == 0:
@@ -146,7 +155,7 @@ def _covariate_matrix(x_raw) -> np.ndarray:
 def _per_covariate(values, d: int, what: str) -> np.ndarray:
     """One value per covariate, (d,), from one value or d; InputError
     for any other shape."""
-    v = np.asarray(values, dtype=float)
+    v = _floats(values, what)
     if v.shape not in ((), (1,), (d,)):
         raise InputError(f"expected 1 or {d} {what}, got shape {v.shape}")
     return np.broadcast_to(v, (d,)).copy()
@@ -169,8 +178,8 @@ class Dataset:
     hi: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        y = _floats(self.y, "responses")
+        x = _floats(self.x, "covariates")
         if x.ndim != 2:
             raise InputError("covariates must form an (n, d) matrix")
         if y.shape != (x.shape[0],):
@@ -185,8 +194,8 @@ class Dataset:
             raise InputError("rescaled covariates must lie in [0, 1]")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", np.clip(x, 0.0, 1.0))
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        object.__setattr__(self, "lo", _floats(self.lo, "support bounds"))
+        object.__setattr__(self, "hi", _floats(self.hi, "support bounds"))
 
     @classmethod
     def from_raw(cls, x_raw: np.ndarray, y: np.ndarray) -> "Dataset":
@@ -256,7 +265,7 @@ def resolve_bandwidths(bandwidths, d: int, scale=1.0):
                          f"got {scale!r}")
     if bandwidths is None:
         return None
-    return _per_covariate(np.asarray(bandwidths, dtype=float) * scale, d,
+    return _per_covariate(_floats(bandwidths, "bandwidths") * scale, d,
                           "bandwidths")
 
 

@@ -63,9 +63,13 @@ scattered cell by cell, while the score and Q fields are only
 integrated, against the k_j tw_j.  Each field is integrated down to
 window curves and pair surfaces, the t_j are multiplied in there (the
 block-sized pair products again in the workspace), and the results are
-scattered onto the grid.  Nothing of full product-grid size is formed,
-and for d >= 2 no array of block size is allocated once the blocks are
-built (at d = 1 the window curves are the block).
+scattered onto the grid.  The evaluation after a fit's last Newton step
+is read by no inner solve, so it skips the pair moments, about 45% of an
+evaluation at d = 2: no flat pair index, pair products or scatter, and at
+d >= 3 only the (0, l) surfaces, which give the window curves.  Nothing
+of full product-grid size is formed, and for d >= 2 no array of block
+size is allocated once the blocks are built (at d = 1 the window curves
+are the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the router over the
@@ -295,11 +299,14 @@ def _logit_fields(bounds, y, a, k, kw, u, fields):
     return float((y - 1.0) @ lin)
 
 
-def _add_block(sums, ctx, pairs, obs, gathered, bounds, eta00, comps0,
+def _add_block(sums, ctx, surfaces, obs, gathered, bounds, eta00, comps0,
                comps1):
     """Add one block's moments to sums; return its smoothed Q.
 
-    sums is (weight, score, pairs) as `ll_marginals` fills them.  The
+    sums is (weight, score, pairs) as `_block_marginals` fills them, pairs
+    None when the pair moments are left out, and surfaces the (j, l) of
+    the weight's pair surfaces to make: every (0, l), from which the
+    window curves come, and with the pairs every other.  The
     block is laid out (W_1, ..., W_d, B), the observation axis last, so
     every per-axis or per-observation factor broadcasts along contiguous
     runs of B cells.  Per axis, a_j = c0_j + t_j c1_j on the (W_j, B)
@@ -344,9 +351,10 @@ def _add_block(sums, ctx, pairs, obs, gathered, bounds, eta00, comps0,
                 flat.ravel(), vals.ravel(), shape[j] * shape[l]
             ).reshape(shape[j], shape[l])
 
-    _add_curves(weight, _window_marginals(wfield, w, pairs, add_pair), t,
-                idx, shape)
-    scurves = _window_marginals(sfield, kw, pairs[:d - 1])
+    use_surface = None if pair_sums is None else add_pair
+    _add_curves(weight, _window_marginals(wfield, w, surfaces, use_surface),
+                t, idx, shape)
+    scurves = _window_marginals(sfield, kw, surfaces[:d - 1])
     for curve, kj in zip(scurves, k):
         curve *= kj
     _add_curves(score, scurves, t, idx, shape)
@@ -374,28 +382,40 @@ def _logit_bounds(ctx: LlContext, eta00: float, comps0, comps1):
     return bounds if sum(bounds) <= ctx.family.clamp_hi else None
 
 
-def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1):
+def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1,
+                     pairs: bool = True):
     """The block engine: each block of B observations is evaluated on its
     kernel windows, (W_1, ..., W_d, B), in views of the context's
     workspace; see `_add_block` and the module docstring.
+
+    With pairs=False the pair moments are left out: no flat index, pair
+    products or scatter, and at d >= 3 only the (0, l) surfaces, which
+    give the window curves (at d = 2 the one surface is the field
+    itself).  Everything else is computed as with them, to the bit.
     """
     grid, n, shape = ctx.grid, ctx.dataset.n, ctx.grid.shape
     # combinations lists the pairs (0, 1), ..., (0, d - 1) first
-    pairs = list(combinations(range(grid.ndim), 2))
+    surfaces = list(combinations(range(grid.ndim), 2))
     weight = [np.zeros((3, g)) for g in shape]
     score = [np.zeros((2, g)) for g in shape]
     # block (a, b) of a pair's matrix, [a, :, b] here, is the moment
     # against t_j^a t_l^b
-    blocks = {(j, l): np.zeros((2, shape[j], 2, shape[l])) for j, l in pairs}
+    blocks = None
+    if pairs:
+        blocks = {(j, l): np.zeros((2, shape[j], 2, shape[l]))
+                  for j, l in surfaces}
+    else:
+        surfaces = surfaces[:grid.ndim - 1]
     bounds, sq = _logit_bounds(ctx, eta00, comps0, comps1), 0.0
     for obs, gathered in ctx.blocks:
-        sq += _add_block((weight, score, blocks), ctx, pairs, obs, gathered,
-                         bounds, eta00, comps0, comps1)
-    for m in [*weight, *score, *blocks.values()]:
+        sq += _add_block((weight, score, blocks), ctx, surfaces, obs,
+                         gathered, bounds, eta00, comps0, comps1)
+    for m in [*weight, *score, *(blocks or {}).values()]:
         m /= n
-    return Marginals(grid=grid, weight=weight, score=score,
-                     pairs={p: m.reshape(2 * shape[p[0]], 2 * shape[p[1]])
-                            for p, m in blocks.items()},
+    if pairs:
+        blocks = {p: m.reshape(2 * shape[p[0]], 2 * shape[p[1]])
+                  for p, m in blocks.items()}
+    return Marginals(grid=grid, weight=weight, score=score, pairs=blocks,
                      sq=sq / n)
 
 
@@ -457,13 +477,15 @@ ll_inner_solve = inner_solve
 
 
 def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,
-                    xi00: float, xi0, xi1, config: FitConfig):
+                    xi00: float, xi0, xi1, config: FitConfig, sup: float):
     """Apply one damped Newton step and recenter at the new iterate.
 
-    Returns (eta00, comps0, comps1, marginals, constraint_residual, change).
+    sup is the sup norm of the current predictor.  Returns (eta00,
+    comps0, comps1, marginals, constraint_residual, change, sup); see
+    `backfit.damped_step`.
     """
     return damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
-                       config, ll_marginals)
+                       config, ll_marginals, sup)
 
 
 @dataclass

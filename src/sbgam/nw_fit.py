@@ -59,10 +59,11 @@ def _dense_curves(field, tw):
     return [field @ tw[1], tw[0] @ field]
 
 
-def _nw_marginals_dense(ctx, eta0, components):
+def _nw_marginals_dense(ctx, eta0, components, pairs=True):
     """Marginals for d <= 2: each smoothed field is phat times the family's
-    field at the kernel-local mean response, plus sq_offset for SQ.
-    Returns None for d >= 3."""
+    field at the kernel-local mean response, plus sq_offset for SQ.  The
+    one pair surface is the weight field itself, so pairs=False changes
+    nothing.  Returns None for d >= 3."""
     if ctx.grid.ndim > 2:
         return None
     tw = ctx.grid.weights
@@ -84,9 +85,9 @@ def _nw_marginals_dense(ctx, eta0, components):
     )
 
 
-def _nw_marginals_streamed(ctx, eta0, components):
+def _nw_marginals_streamed(ctx, eta0, components, pairs=True):
     """Marginals at any d, accumulated observation by observation on the
-    product of its kernel windows."""
+    product of its kernel windows; pairs=False changes nothing."""
     grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
     d = grid.ndim
     n = ctx.dataset.n
@@ -161,17 +162,19 @@ nw_inner_solve = inner_solve
 
 
 def nw_outer_update(ctx: NwContext, eta0: float, components, xi0: float, xi,
-                    config: FitConfig):
+                    config: FitConfig, sup: float):
     """Apply one damped Newton step and recenter at the new iterate.
 
-    Returns (eta0, components, marginals, constraint_residual, change)
-    where marginals are evaluated at the updated predictor (they serve the
-    next iteration), constraint_residual is the largest component
-    constraint integral after recentering, and change is the exact sup-norm
-    of the predictor update over the grid.
+    sup is the sup norm of the current predictor.  Returns (eta0,
+    components, marginals, constraint_residual, change, sup) where
+    marginals are evaluated at the updated predictor (they serve the next
+    iteration, and may leave out the pairs after the last step),
+    constraint_residual is the largest component constraint integral
+    after recentering, change is the exact sup-norm of the predictor
+    update over the grid and sup that of the updated predictor.
     """
     return damped_step(ctx, eta0, [components], xi0, [xi], config,
-                       nw_marginals)
+                       nw_marginals, sup)
 
 
 @dataclass

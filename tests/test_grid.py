@@ -8,7 +8,8 @@ import pytest
 
 from sbgam.errors import InputError
 from sbgam.grid import (Dataset, Grid, MarginalAccumulator,
-                        default_bandwidths, integrate_tensor, trapz_weights)
+                        default_bandwidths, integrate_tensor,
+                        resolve_bandwidths, trapz_weights)
 
 
 def test_trapz_weights_polynomial():
@@ -120,6 +121,24 @@ def test_dataset_with_support_rejects_non_finite_bounds(lo, hi):
     x = np.array([[-0.5, 0.2], [0.0, 0.4], [0.5, 0.1]])
     with pytest.raises(InputError, match="support bounds must be finite"):
         Dataset.with_support(x, np.zeros(3), lo, hi)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dataset.with_support(np.array([[0.0], [0.5], [1.0]]),
+                                 ["a", "b", "c"], 0, 1),
+    lambda: Dataset.with_support([["a"], ["b"]], np.zeros(2), 0, 1),
+    lambda: Dataset.with_support(np.zeros((2, 1)), np.zeros(2), "lo", 1),
+    lambda: Dataset.from_raw(np.array([[0.0], [1.0]]), ["x", "y"]),
+    lambda: Dataset.from_raw([[0.0], [object()]], np.zeros(2)),
+    lambda: Dataset(y=np.zeros(2), x=[["a"], ["b"]], lo=0.0, hi=1.0),
+    lambda: Dataset(y=np.zeros(2), x=np.zeros((2, 1)), lo="a", hi=1.0),
+    lambda: resolve_bandwidths(["wide"], 1),
+], ids=["y-support", "x-support", "bound", "y-raw", "x-object", "x-init",
+        "bound-init", "bandwidth"])
+def test_non_numeric_inputs_raise_input_error(build):
+    # each let numpy's ValueError or TypeError through before
+    with pytest.raises(InputError, match="must be numeric"):
+        build()
 
 
 def test_dataset_validation():
