@@ -66,7 +66,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .family import Family, GaussianIdentity, PoissonLog, get_family
-from .grid import Dataset, Grid
+from .grid import Dataset, Grid, as_floats
 
 __all__ = [
     "WEIGHT_FLOOR",
@@ -716,7 +716,7 @@ class AdditiveFit:
         the training support are clamped to its edges.
         """
         d = self.grid.ndim
-        x = np.asarray(x, dtype=float)
+        x = as_floats(x, "covariate rows")
         x = np.atleast_2d(x[:, None] if x.ndim == 1 and d == 1 else x)
         if x.ndim != 2 or x.shape[1] != d:
             raise InputError(f"expected covariate rows of width {d}, got "

@@ -14,20 +14,14 @@ linear predictor u = g(m):
 For the built-in canonical pairs (identity/Gaussian, logit/Bernoulli,
 log/Poisson) these reduce to y - g^{-1}(u) and -(g^{-1})'(u).
 
-A family implements one method, `fields(u, y, out=None)`: the weight -q2,
-the score q1 and Q on the same cells, from one clamp and one evaluation of
-the mean.  `q1`, `q2`, `qll` and `psi` derive from it.  Without `out` the
-fields are new arrays and u is left as it is.  With `out`, a triple of
-float arrays of the broadcast shape of u and y, the fields are written
-there, and u, then a float array of that shape too, is clamped in place
-and may serve as scratch: the built-in families make no array of that
-size, so a caller that evaluates block after block allocates nothing per
-block.  The one such caller is the local linear engine's generic front
-end (`ll_fit._family_fields`), which serves a QuasiFamily, a Poisson
-iterate that could reach the clamp and a Bernoulli iterate beyond the
-clamp bound; a Bernoulli iterate within it never calls `fields`, as its
-engine fields come from per-axis exponentials (`ll_fit._logit_fields`).
-Every other caller takes new arrays.
+A family implements one method, `fields(u, y)`: the weight -q2, the
+score q1 and Q on the same cells, from one clamp and one evaluation of the
+mean, each a new array, u left as it is.  `q1`, `q2`, `qll` and `psi`
+derive from it.  The logit algebra past e^-u is one function,
+`logit_from_exp`, which writes into the caller's buffers: it serves
+`BernoulliLogit.fields` and the local linear engine's logit front end
+(`ll_fit._logit_fields`), which forms e^-u as a product of per-axis
+exponentials and allocates nothing per block.
 
 Because dQ/dm is linear in y, all three are affine in y, Q up to a term in
 y alone (Wedderburn 1974), so a weighted sum over observations is one
@@ -59,8 +53,27 @@ __all__ = [
     "PoissonLog",
     "QuasiFamily",
     "get_family",
+    "logit_from_exp",
     "FAMILY_NAMES",
 ]
+
+
+def logit_from_exp(e, ek, y, w, s, q):
+    """The logit fields from E = e^-u: w = ek m^2, s = y - m and
+    q = log m, with m = 1 / (1 + E), written into w, s and q.
+
+    ek is E times any factor (a kernel product, or 1 with ek = e), so
+    w is that factor times the weight E m^2 = m (1 - m), which keeps its
+    digits at u >> 0, where 1 - m does not.  w may be ek, and e may be
+    either, as only the first pass reads it; none may be s or q.  Six
+    ufunc passes, no allocation.
+    """
+    np.add(e, 1.0, out=s)
+    np.divide(1.0, s, out=s)
+    np.log(s, out=q)
+    np.multiply(ek, s, out=w)
+    w *= s
+    np.subtract(y, s, out=s)
 
 
 class Family:
@@ -111,38 +124,29 @@ class Family:
 
     # ---- quasi-likelihood on the predictor scale -----------------------
 
-    def fields(self, u: np.ndarray, y, out=None):
+    def fields(self, u: np.ndarray, y):
         """Weight, score and quasi-likelihood (-q2, q1, Q) at (u, y).
 
-        Without `out`, each is a new float array of the broadcast shape of
-        u and y, so callers may scale it in place, and u is not changed.
-        With `out`, three float arrays of that shape, the fields are
-        written there and `out` is returned; u must then be a float array
-        of the same shape, and may be overwritten.  This is the one method
-        a family implements; everything below derives from it.
+        Each is a new float array of the broadcast shape of u and y, so
+        callers may scale it in place, and u is not changed.  This is the
+        one method a family implements; everything below derives from it.
         """
         raise NotImplementedError
 
-    def _buffers(self, u, y, out):
-        """Clamped u, writable and of the broadcast shape, and `out`.
-
-        Without `out`, u is clamped into a new array and three new field
-        arrays are made; with it, u itself is clamped in place.  Every
-        field is then computed with ufunc `out=` arguments, so 0-d inputs
-        give 0-d arrays, not numpy scalars.
+    def _buffers(self, u, y):
+        """u clamped into a new array of the broadcast shape of u and y,
+        which `fields` may use as scratch, and three new arrays of that
+        shape for the fields.  Every field is computed with ufunc `out=`
+        arguments, so 0-d inputs give 0-d arrays, not numpy scalars.
         """
-        if out is None:
-            u = np.asarray(u, dtype=float)
-            shape = np.broadcast_shapes(u.shape, np.shape(y))
-            scratch = np.empty(shape)
-            out = (np.empty(shape), np.empty(shape), np.empty(shape))
-        else:
-            scratch = u
+        u = np.asarray(u, dtype=float)
+        shape = np.broadcast_shapes(u.shape, np.shape(y))
+        scratch = np.empty(shape)
         if self.clamp_lo is not None or self.clamp_hi is not None:
             np.clip(u, self.clamp_lo, self.clamp_hi, out=scratch)
-        elif scratch is not u:
+        else:
             np.copyto(scratch, u)
-        return scratch, out
+        return scratch, (np.empty(shape), np.empty(shape), np.empty(shape))
 
     def q1(self, u: np.ndarray, y) -> np.ndarray:
         """Score q1(u, y) = d/du Q(g^{-1}(u), y)."""
@@ -218,8 +222,8 @@ class GaussianIdentity(Family):
     def variance(self, m):
         return np.ones_like(np.asarray(m, dtype=float))
 
-    def fields(self, u, y, out=None):
-        u, out = self._buffers(u, y, out)
+    def fields(self, u, y):
+        u, out = self._buffers(u, y)
         w, r, q = out
         w.fill(1.0)
         np.subtract(y, u, out=r)
@@ -259,29 +263,16 @@ class BernoulliLogit(Family):
         m = np.asarray(m, dtype=float)
         return m * (1.0 - m)
 
-    def fields(self, u, y, out=None):
-        u, out = self._buffers(u, y, out)
-        w, m, q = out
-        # Q = y u - log(1 + e^u) = y u - max(u, 0) + log max(m, 1 - m);
-        # exact to rounding up to the clamp, unlike log1p(-m) for u >> 0.
-        # w holds max(u, 0) until u has served as scratch for m and log
-        np.maximum(u, 0.0, out=w)
-        np.multiply(y, u, out=q)
-        # m = 1 / (1 + e^-u), within an ulp of expit, with u as scratch
-        np.negative(u, out=u)
-        np.exp(u, out=u)
-        u += 1.0
-        np.divide(1.0, u, out=m)
-        np.subtract(1.0, m, out=u)
-        # max(m, 1 - m) picks m exactly when u >= 0, where m >= 1/2
-        np.maximum(m, u, out=u)
-        np.log(u, out=u)
-        u -= w
+    def fields(self, u, y):
+        u, (w, s, q) = self._buffers(u, y)
+        # Q = (y - 1) u + log m: its linear part first, then E = e^-u,
+        # after which u is scratch and takes log m
+        np.subtract(y, 1.0, out=q)
+        q *= u
+        np.exp(np.negative(u, out=w), out=w)
+        logit_from_exp(w, w, y, w, s, u)
         q += u
-        np.subtract(1.0, m, out=w)
-        w *= m
-        np.subtract(y, m, out=m)
-        return out
+        return w, s, q
 
     def validate_response(self, y):
         super().validate_response(y)
@@ -317,8 +308,8 @@ class PoissonLog(Family):
     def variance(self, m):
         return np.asarray(m, dtype=float)
 
-    def fields(self, u, y, out=None):
-        u, out = self._buffers(u, y, out)
+    def fields(self, u, y):
+        u, out = self._buffers(u, y)
         m, s, q = out
         np.exp(u, out=m)
         np.multiply(y, u, out=q)
@@ -356,7 +347,7 @@ class QuasiFamily(Family):
     The score in `fields` comes from the defining relation
     q1 = (y - m) / [V(m) g'(m)]; the weight and Q from the q2 and qll
     callables.  The callables make new arrays, which `fields` copies into
-    `out` when it is given.
+    arrays of the broadcast shape.
     """
 
     def __init__(
@@ -395,8 +386,8 @@ class QuasiFamily(Family):
     def variance(self, m):
         return np.asarray(self._variance(np.asarray(m, dtype=float)))
 
-    def fields(self, u, y, out=None):
-        u, out = self._buffers(u, y, out)
+    def fields(self, u, y):
+        u, out = self._buffers(u, y)
         m = np.asarray(self._mean(u))
         score = (y - m) / (self.variance(m) * self.link_deriv(m))
         for o, f in zip(out, (-np.asarray(self._q2(u, y)), score,

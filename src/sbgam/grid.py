@@ -67,7 +67,7 @@ class Grid:
     shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(np.asarray(p, dtype=float) for p in self.points)
+        pts = tuple(as_floats(p, "grid points") for p in self.points)
         if not pts:
             raise InputError("grid needs at least one dimension")
         for p in pts:
@@ -125,7 +125,7 @@ def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
     return out
 
 
-def _floats(values, what: str) -> np.ndarray:
+def as_floats(values, what: str) -> np.ndarray:
     """values as a float array; InputError, not numpy's ValueError or
     TypeError, when they are not numeric."""
     try:
@@ -139,7 +139,7 @@ def _covariate_matrix(x_raw) -> np.ndarray:
     column; InputError unless they form one of finite values with at
     least two rows and one column, so no reduction or broadcast over
     them can fail."""
-    x = _floats(x_raw, "covariates")
+    x = as_floats(x_raw, "covariates")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] == 0:
@@ -152,10 +152,10 @@ def _covariate_matrix(x_raw) -> np.ndarray:
     return x
 
 
-def _per_covariate(values, d: int, what: str) -> np.ndarray:
+def per_covariate(values, d: int, what: str) -> np.ndarray:
     """One value per covariate, (d,), from one value or d; InputError
     for any other shape."""
-    v = _floats(values, what)
+    v = as_floats(values, what)
     if v.shape not in ((), (1,), (d,)):
         raise InputError(f"expected 1 or {d} {what}, got shape {v.shape}")
     return np.broadcast_to(v, (d,)).copy()
@@ -178,8 +178,8 @@ class Dataset:
     hi: np.ndarray
 
     def __post_init__(self):
-        y = _floats(self.y, "responses")
-        x = _floats(self.x, "covariates")
+        y = as_floats(self.y, "responses")
+        x = as_floats(self.x, "covariates")
         if x.ndim != 2:
             raise InputError("covariates must form an (n, d) matrix")
         if y.shape != (x.shape[0],):
@@ -194,8 +194,8 @@ class Dataset:
             raise InputError("rescaled covariates must lie in [0, 1]")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", np.clip(x, 0.0, 1.0))
-        object.__setattr__(self, "lo", _floats(self.lo, "support bounds"))
-        object.__setattr__(self, "hi", _floats(self.hi, "support bounds"))
+        object.__setattr__(self, "lo", as_floats(self.lo, "support bounds"))
+        object.__setattr__(self, "hi", as_floats(self.hi, "support bounds"))
 
     @classmethod
     def from_raw(cls, x_raw: np.ndarray, y: np.ndarray) -> "Dataset":
@@ -215,7 +215,7 @@ class Dataset:
     def with_support(cls, x_raw: np.ndarray, y: np.ndarray, lo, hi) -> "Dataset":
         """Rescale by known support bounds instead of the observed range."""
         x_raw = _covariate_matrix(x_raw)
-        lo, hi = (_per_covariate(b, x_raw.shape[1], f"support bounds {nm}")
+        lo, hi = (per_covariate(b, x_raw.shape[1], f"support bounds {nm}")
                   for b, nm in ((lo, "lo"), (hi, "hi")))
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InputError(f"support bounds must be finite, got "
@@ -265,8 +265,8 @@ def resolve_bandwidths(bandwidths, d: int, scale=1.0):
                          f"got {scale!r}")
     if bandwidths is None:
         return None
-    return _per_covariate(_floats(bandwidths, "bandwidths") * scale, d,
-                          "bandwidths")
+    return per_covariate(as_floats(bandwidths, "bandwidths") * scale, d,
+                         "bandwidths")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InputError
-from .grid import trapz_weights
+from .grid import per_covariate, trapz_weights
 
 __all__ = [
     "KernelConstants",
@@ -129,11 +129,7 @@ def base_kernel_cdf(t: np.ndarray, name: str = "epanechnikov") -> np.ndarray:
 
 def validate_bandwidths(h, ndim: int) -> np.ndarray:
     """Broadcast and check bandwidths, one per covariate, each in (0, 1/2]."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if h.size == 1:
-        h = np.full(ndim, h[0])
-    if h.shape != (ndim,):
-        raise InputError(f"expected {ndim} bandwidths, got shape {h.shape}")
+    h = per_covariate(h, ndim, "bandwidths")
     if not np.all(np.isfinite(h)):
         raise InputError("bandwidths must be finite")
     if np.any(h <= 0.0) or np.any(h > 0.5):

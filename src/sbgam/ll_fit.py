@@ -49,15 +49,16 @@ per-axis integration weights k_j tw_j, each (W_j, B) with the
 observation axis last), and allocates one workspace sized to the
 largest block.  Per iterate, each block's per-axis terms
 a_j = c0_j + t_j c1_j are formed on the (W_j, B) windows, and the
-weight, score and quasi-likelihood fields are written into
-(W_1, ..., W_d, B) views of that workspace, so every per-axis and
-per-observation factor broadcasts along contiguous runs of B cells.
-Under the Bernoulli logit link, when |eta00| + sum_j max(|c0_j| + |c1_j|)
-is within the clamp (so no window cell can reach it), e^-u is a product
-over axes: exp runs only on the (W_j, B) terms, and the fields follow
-from products of per-axis factors (`_logit_fields`).  Every other
-evaluation writes the predictor into the workspace and makes one family
-call per block (`_family_fields`).  The kernel product is never formed:
+weight, score and quasi-likelihood fields are made on
+(W_1, ..., W_d, B) cells, so every per-axis and per-observation factor
+broadcasts along contiguous runs of B cells.  Under the Bernoulli logit
+link, when |eta00| + sum_j max(|c0_j| + |c1_j|) is within the clamp (so
+no window cell can reach it), e^-u is a product over axes: exp runs
+only on the (W_j, B) terms, and the family's `logit_from_exp` writes
+the fields into views of the workspace (`_logit_fields`).  Every other
+evaluation writes the predictor into the workspace and makes one call
+of the family's `fields` per block, which returns new arrays
+(`_family_fields`).  The kernel product is never formed:
 the weight field carries each k_j, because its pair surfaces are
 scattered cell by cell, while the score and Q fields are only
 integrated, against the k_j tw_j.  Each field is integrated down to
@@ -67,9 +68,9 @@ scattered onto the grid.  The evaluation after a fit's last Newton step
 is read by no inner solve, so it skips the pair moments, about 45% of an
 evaluation at d = 2: no flat pair index, pair products or scatter, and at
 d >= 3 only the (0, l) surfaces, which give the window curves.  Nothing
-of full product-grid size is formed, and for d >= 2 no array of block
-size is allocated once the blocks are built (at d = 1 the window curves
-are the block).
+of full product-grid size is formed, and on the logit front end, for
+d >= 2, no array of block size is allocated once the blocks are built
+(at d = 1 the window curves are the block).
 
 The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the router over the
@@ -90,7 +91,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .family import BernoulliLogit, Family
+from .family import BernoulliLogit, Family, logit_from_exp
 from .grid import Dataset, Grid
 from .backfit import (
     AdditiveFit,
@@ -239,10 +240,11 @@ def _outer_product(factors, out, scratch):
         lead = lead.reshape(rows * width, cols)
 
 
-def _family_fields(ctx, y, a, k, u, fields):
+def _family_fields(ctx, y, a, k, u):
     """The generic front end: the predictor sum_j a_j into u, one call of
-    the family's `fields`, and the weight field scaled by each k_j in
-    turn.  Q comes whole, so no part of SQ is returned apart."""
+    the family's `fields`, which makes the three fields as new arrays,
+    and the weight field scaled by each k_j in turn.  Q comes whole, so
+    no part of SQ is returned apart."""
     # axes[j] places a (W_j, B) factor on the block's axes j and d
     d = len(a)
     axes = [[-1 if i == j else 1 for i in range(d)] + [len(y)]
@@ -253,27 +255,27 @@ def _family_fields(ctx, y, a, k, u, fields):
         np.copyto(u, lead)
     for aj, ax in zip(a[1:], axes[1:]):
         lead = np.add(lead, aj.reshape(ax), out=u)
-    ctx.family.fields(u, y, out=fields)
+    w, s, q = ctx.family.fields(u, y)
     for kj, ax in zip(k, axes):
-        fields[0] *= kj.reshape(ax)
-    return 0.0
+        w *= kj.reshape(ax)
+    return 0.0, (w, s, q)
 
 
 def _logit_fields(bounds, y, a, k, kw, u, fields):
     """The logit front end, from per-axis exponentials.
 
-    With E = e^-u = prod_j e^-a_j, the mean is m = 1 / (1 + E), the
-    weight times the kernel product is w K = (prod_j e^-a_j k_j) m^2 and
-    Q = (y - 1) u - log(1 + E).  So exp runs per axis, and per cell
-    this forms only E (in u), E K (in the weight buffer), D = 1 + E, m,
-    -log D = log m (in the Q buffer), w and s = y - m: no exp, clamp,
-    predictor or k_j scaling pass, and the weight keeps its digits at
-    u >> 0, where m (1 - m) loses them.  The linear part of Q is
-    integrated per axis, as every kernel row integrates to one:
+    E = e^-u = prod_j e^-a_j, and with m = 1 / (1 + E) the weight times
+    the kernel product is (prod_j e^-a_j k_j) m^2 and Q = (y - 1) u +
+    log m.  So exp runs per axis, and per cell this forms only E (in u)
+    and E K (in the weight buffer), from which `logit_from_exp` writes
+    the fields into the workspace: no exp, clamp, predictor or k_j
+    scaling pass.  The linear part of Q is integrated per axis, as every
+    kernel row integrates to one:
 
         integral (y_i - 1) u_i K_i = (y_i - 1) sum_j sum_w kw_j a_j,
 
-    and returned as this block's part of SQ apart from the Q field.
+    and returned, as this block's part of SQ apart from the Q field,
+    with the fields.
     Each a_j is first clipped to +-bounds[j], which changes no window
     cell (see `_logit_bounds`) and keeps the padded cells, where k_j = 0
     and |t_j| may exceed 1, within the same bounds, so every E and D is
@@ -287,16 +289,11 @@ def _logit_fields(bounds, y, a, k, kw, u, fields):
         lin = lin + np.einsum("wb,wb->b", kwj, aj)
     e = [np.exp(np.negative(aj, out=aj), out=aj) for aj in a]
     wfield, sfield, qfield = fields
-    # the Q and score buffers are scratch until m is formed
+    # the Q and score buffers are scratch until the fields are written
     _outer_product(e, u, qfield)
     _outer_product([ej * kj for ej, kj in zip(e, k)], wfield, sfield)
-    u += 1.0
-    np.divide(1.0, u, out=sfield)
-    np.log(sfield, out=qfield)
-    wfield *= sfield
-    wfield *= sfield
-    np.subtract(y, sfield, out=sfield)
-    return float((y - 1.0) @ lin)
+    logit_from_exp(u, wfield, y, wfield, sfield, qfield)
+    return float((y - 1.0) @ lin), fields
 
 
 def _add_block(sums, ctx, surfaces, obs, gathered, bounds, eta00, comps0,
@@ -310,32 +307,32 @@ def _add_block(sums, ctx, surfaces, obs, gathered, bounds, eta00, comps0,
     block is laid out (W_1, ..., W_d, B), the observation axis last, so
     every per-axis or per-observation factor broadcasts along contiguous
     runs of B cells.  Per axis, a_j = c0_j + t_j c1_j on the (W_j, B)
-    window, with eta00 joined to a_0.  A front end then writes the
+    window, with eta00 joined to a_0.  A front end then returns the
     weight field times the kernel product, the score field and the Q
-    field into the workspace: `_logit_fields` from per-axis exponentials
-    when bounds is given (see `_logit_bounds`), else `_family_fields`,
-    from the predictor and one call of the family's `fields`.  The
+    field: `_logit_fields`, from per-axis exponentials into the
+    workspace, when bounds is given (see `_logit_bounds`), else
+    `_family_fields`, from the predictor and one call of the family's
+    `fields`, as new arrays.  The
     kernel product K_ij K_il does not depend on the iterate and is never
     formed: the weight field, whose pair surfaces are scattered cell by
     cell, carries each k_j, while the score and Q fields are integrated
     against the per-axis weights k_j tw_j of the blocks, and each score
     window curve is scaled by its own k_j afterwards.  The per-axis
     arrays are freed before the pair scatter; what else the block needs
-    is of window-curve or pair-surface size and is freed when this
-    returns.
+    (and the generic front end's fields) is freed when this returns.
     """
     d, shape, (floats, ints) = len(gathered), ctx.grid.shape, ctx.workspace
     weight, score, pair_sums = sums
     idx, k, t, w, kw = zip(*gathered)
     block = tuple(i.shape[0] for i in idx) + (len(obs),)
-    u, *fields = (buf[:prod(block)].reshape(block) for buf in floats)
+    u, *bufs = (buf[:prod(block)].reshape(block) for buf in floats)
     terms = [comps0[j][idx[j]] + t[j] * comps1[j][idx[j]] for j in range(d)]
     np.add(eta00, terms[0], out=terms[0])
     y = ctx.dataset.y[obs]
     if bounds is None:
-        sq = _family_fields(ctx, y, terms, k, u, fields)
+        sq, fields = _family_fields(ctx, y, terms, k, u)
     else:
-        sq = _logit_fields(bounds, y, terms, k, kw, u, fields)
+        sq, fields = _logit_fields(bounds, y, terms, k, kw, u, bufs)
     del terms
     wfield, sfield, qfield = fields
 
@@ -460,8 +457,8 @@ class LlContext(FitContext):
     @cached_property
     def workspace(self) -> tuple:
         """The buffers the block engine works in, one (4, cells) float
-        array (the predictor, or e^-u under the logit front end, and the
-        three fields) and one (cells,) intp
+        array (the predictor or e^-u, and the logit front end's three
+        fields) and one (cells,) intp
         array for the largest block's padded cells; so one context serves
         one evaluation at a time."""
         cells = max(len(obs) * prod(g[0].shape[0] for g in gathered)

@@ -198,7 +198,9 @@ def test_fields_equal_separate_calls(name):
     u = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0]])
     u = np.tile(u, (len(ys), 1))
     y = np.array(ys)[:, None]
+    u_before, y_before = u.copy(), y.copy()
     weight, score, q = fam.fields(u, y)
+    assert np.array_equal(u, u_before) and np.array_equal(y, y_before)
     for got, want in ((weight, -fam.q2(u, y)), (score, fam.q1(u, y)),
                       (q, fam.qll(u, y))):
         assert got.shape == u.shape and got.dtype == float
@@ -242,31 +244,12 @@ def test_bernoulli_fields_quasi_likelihood_is_exact():
 
 
 def test_softplus_through_log1p_of_expit_misses_the_bound():
-    # why fields takes the log of max(m, 1 - m): 1 - expit(u) has lost
-    # almost all its digits by u = 30
+    # why fields forms Q as (y - 1) u + log m, not y u + log(1 - m):
+    # 1 - expit(u) has lost almost all its digits by u = 30
     u = np.linspace(-30.0, 30.0, 6001)
     exact = u - np.logaddexp(0.0, u)
     naive = u + np.log1p(-expit(u))
     assert np.abs(naive - exact).max() > 1e-4
-
-
-@pytest.mark.parametrize("name", sorted(FIELD_CASES))
-def test_fields_into_out_equal_new_arrays(name):
-    # the local linear engine passes its workspace as out and its
-    # predictor as scratch; u covers both clamp edges and 0, y is a column
-    fam, ys = FIELD_CASES[name]
-    u = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0]])
-    u = np.tile(u, (len(ys), 1))
-    y = np.array(ys)[:, None]
-    u_before, y_before = u.copy(), y.copy()
-    want = fam.fields(u, y)
-    assert np.array_equal(u, u_before)
-    bufs = tuple(np.full(u.shape, np.nan) for _ in range(3))
-    got = fam.fields(u.copy(), y, out=bufs)
-    assert len(got) == 3 and all(g is b for g, b in zip(got, bufs))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    assert np.array_equal(y, y_before)
 
 
 def test_bernoulli_fields_within_two_ulp_of_expit():
@@ -279,3 +262,14 @@ def test_bernoulli_fields_within_two_ulp_of_expit():
         weight, score, _ = b.fields(u, y)
         assert np.abs(weight - m * (1.0 - m)).max() <= 2 * ulp
         assert np.abs(score - (y - m)).max() <= 2 * ulp
+
+
+def test_bernoulli_weight_keeps_its_relative_digits():
+    # the weight is E m^2 with E = e^-u, not m (1 - m): at u = 29 the
+    # difference 1 - m left it a relative error of 3.8e-4
+    b = family.get_family("bernoulli")
+    u = np.linspace(-30.0, 30.0, 60001)
+    want = expit(u) * expit(-u)
+    for y in (0.0, 0.3, 1.0):
+        weight = b.fields(u, y)[0]
+        assert (np.abs(weight - want) / want).max() <= 4 * np.finfo(float).eps

@@ -10,6 +10,7 @@ from sbgam.errors import InputError
 from sbgam.grid import (Dataset, Grid, MarginalAccumulator,
                         default_bandwidths, integrate_tensor,
                         resolve_bandwidths, trapz_weights)
+from sbgam.nw_fit import fit_nw
 
 
 def test_trapz_weights_polynomial():
@@ -133,8 +134,13 @@ def test_dataset_with_support_rejects_non_finite_bounds(lo, hi):
     lambda: Dataset(y=np.zeros(2), x=[["a"], ["b"]], lo=0.0, hi=1.0),
     lambda: Dataset(y=np.zeros(2), x=np.zeros((2, 1)), lo="a", hi=1.0),
     lambda: resolve_bandwidths(["wide"], 1),
+    lambda: fit_nw(Dataset.from_raw(np.arange(8.0), np.arange(8.0)), "abc"),
+    lambda: Grid(points=(["a", "b", "c", "d", "e"],)),
+    lambda: fit_nw(Dataset.from_raw(np.arange(16.0).reshape(8, 2),
+                                    np.arange(8.0)), 0.4).predict([["a", "b"]]),
 ], ids=["y-support", "x-support", "bound", "y-raw", "x-object", "x-init",
-        "bound-init", "bandwidth"])
+        "bound-init", "bandwidth", "fit-bandwidth", "grid-points",
+        "predict-rows"])
 def test_non_numeric_inputs_raise_input_error(build):
     # each let numpy's ValueError or TypeError through before
     with pytest.raises(InputError, match="must be numeric"):
