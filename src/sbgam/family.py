@@ -21,7 +21,11 @@ derive from it.  The logit algebra past e^-u is one function,
 `logit_from_exp`, which writes into the caller's buffers: it serves
 `BernoulliLogit.fields` and the local linear engine's logit front end
 (`ll_fit._logit_fields`), which forms e^-u as a product of per-axis
-exponentials and allocates nothing per block.
+exponentials and allocates nothing per block.  `BernoulliLogit.mean`
+and its derivatives take the same algebra, with numpy alone:
+m = 1 / (1 + E), m' = E m^2 and m'' = E m^2 expm1(-u) m, as
+1 - 2 m = expm1(-u) m, so neither derivative takes the difference 1 - m,
+which has lost its digits at u >> 0.
 
 Because dQ/dm is linear in y, all three are affine in y, Q up to a term in
 y alone (Wedderburn 1974), so a weighted sum over observations is one
@@ -42,7 +46,6 @@ and bounded without changing anything in the numerically relevant range.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 
@@ -244,16 +247,24 @@ class BernoulliLogit(Family):
         m = np.asarray(m, dtype=float)
         return np.log(m) - np.log1p(-m)
 
+    def _exp_mean(self, u):
+        """E = e^-u and m = 1 / (1 + E) at the clamped u."""
+        e = np.exp(-u)
+        return e, 1.0 / (1.0 + e)
+
     def mean(self, u):
-        return expit(self.clamp(u))
+        return self._exp_mean(self.clamp(u))[1]
 
     def mean_d1(self, u):
-        m = self.mean(u)
-        return m * (1.0 - m)
+        # E m^2 = m (1 - m), without the difference 1 - m
+        e, m = self._exp_mean(self.clamp(u))
+        return e * m * m
 
     def mean_d2(self, u):
-        m = self.mean(u)
-        return m * (1.0 - m) * (1.0 - 2.0 * m)
+        # m (1 - m) (1 - 2 m) with 1 - 2 m = expm1(-u) m
+        u = self.clamp(u)
+        e, m = self._exp_mean(u)
+        return e * m * m * (np.expm1(-u) * m)
 
     def link_deriv(self, m):
         m = np.asarray(m, dtype=float)

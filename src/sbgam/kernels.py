@@ -22,6 +22,11 @@ downstream.
 Conventions: `v` is the data location, `u` the evaluation point, both in
 [0, 1]; bandwidths satisfy 0 < h <= 1/2 so at most one edge correction is
 active at a time.
+
+Everything here runs on numpy but `kernel_constants`, whose boundary
+constant kappa is a `scipy.integrate.quad` integral that only the
+asymptotic formulas of `oracles` read: scipy is imported on its first
+call, so importing sbgam, fitting and running studies never load it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError
 from .grid import per_covariate, trapz_weights
@@ -259,8 +263,14 @@ class KernelConstants:
 
 @lru_cache(maxsize=None)
 def kernel_constants(name: str = "epanechnikov") -> KernelConstants:
-    """Moment constants for a base kernel by name."""
+    """Moment constants for a base kernel by name.
+
+    scipy is imported here, after the name is checked; the cache pays
+    that import once.
+    """
     _, _, mu2, rough = _base(name)
+    from scipy.integrate import quad
+
     kappa, _ = quad(
         lambda t: partial_moment(1, -t, name) / partial_moment(0, -t, name),
         0.0,

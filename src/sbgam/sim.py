@@ -24,7 +24,6 @@ quadrature and the extra dimensions factor out of the integrals.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -462,6 +461,8 @@ def run_study(
     if n_jobs == 1:
         raw = [_study_rep(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             raw = list(pool.map(_study_rep, *zip(*args), chunksize=4))
     raw.sort(key=lambda r: r[0])

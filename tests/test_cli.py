@@ -1,5 +1,6 @@
 """Command line interface: subcommands, file outputs, exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -296,7 +297,8 @@ def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
         raise AssertionError("study work started")
 
     monkeypatch.setattr(sim, "make_dataset", forbidden)
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", forbidden)
+    # run_study imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     out = tmp_path / "s"
     _assert_input_error(out, _run(["study", "--model", "1,1", "--n", 80,
                                    "--reps", 2, *flags, "--out-dir", out]))

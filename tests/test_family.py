@@ -273,3 +273,34 @@ def test_bernoulli_weight_keeps_its_relative_digits():
     for y in (0.0, 0.3, 1.0):
         weight = b.fields(u, y)[0]
         assert (np.abs(weight - want) / want).max() <= 4 * np.finfo(float).eps
+
+
+def test_bernoulli_mean_within_one_ulp_of_expit():
+    # mean is 1 / (1 + e^-u), the algebra of fields, not scipy's expit
+    b = family.get_family("bernoulli")
+    u = np.linspace(-30.0, 30.0, 60001)
+    assert np.abs(b.mean(u) - expit(u)).max() <= np.finfo(float).eps
+    # past the clamp the mean is expit at the bound
+    far = np.array([30.0, 31.0, 1e3, np.inf])
+    assert (b.mean(far) == expit(30.0)).all()
+    assert (b.mean(-far) == expit(-30.0)).all()
+    # a 0-d input gives a numpy scalar, as expit did
+    for u0 in (0.4, np.asarray(0.4), np.float64(-45.0)):
+        m0 = b.mean(u0)
+        assert np.ndim(m0) == 0 and isinstance(m0, np.float64)
+        assert abs(m0 - expit(b.clamp(u0))) <= np.finfo(float).eps
+
+
+def test_bernoulli_mean_derivatives_keep_their_relative_digits():
+    # E m^2 and E m^2 expm1(-u) m, not m (1 - m) and m (1 - m) (1 - 2 m):
+    # at u = 29 the difference 1 - m left both a relative error of 3.8e-4
+    b = family.get_family("bernoulli")
+    u = np.linspace(-30.0, 30.0, 60001)
+    eps = np.finfo(float).eps
+    d1 = expit(u) * expit(-u)
+    assert (np.abs(b.mean_d1(u) - d1) / d1).max() <= 4 * eps
+    d2 = d1 * -np.tanh(u / 2.0)
+    got = b.mean_d2(u)
+    nz = d2 != 0.0
+    assert (np.abs(got[nz] - d2[nz]) / np.abs(d2[nz])).max() <= 6 * eps
+    assert (got[~nz] == 0.0).all() and (u[~nz] == 0.0).all()

@@ -137,6 +137,11 @@ def test_kernel_constants_reference_values():
     assert t.roughness == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_kernel_constants_unknown_name():
+    with pytest.raises(InputError, match="unknown kernel"):
+        kernels.kernel_constants("gaussian")
+
+
 @pytest.mark.parametrize("name", KERNELS)
 def test_partial_moments_against_quadrature(name):
     # partial_moment integrates u^j K(u) from c to 1 exactly; compare to
