@@ -23,9 +23,9 @@ using only the weight's one- and two-dimensional marginals.
 After every Newton step the components are recentered against the weight
 marginals of the updated iterate, and the intercept absorbs the shifts,
 which leaves the fitted predictor untouched and the constraints satisfied
-to machine precision.  The evaluation after the last step serves only
-that recentering, the last SQ and the residual norm; no inner solve
-reads its pair moments, so it omits them (`damped_step`).
+to machine precision.  The evaluation after the step that stops the
+loop serves only that recentering, the last SQ and the residual norm;
+no inner solve reads its pair moments, so it omits them (`damped_step`).
 
 The local constant system is the order-0 case of the local linear one,
 so one algorithm serves both smoothers: `FitContext` (inputs, kernel
@@ -154,7 +154,8 @@ class FitContext:
     turn.  The fields are the inputs and rows[j], the kernel rows of
     dimension j, (n, G_j), computed by `build`.  Everything else a path
     reads is a cached property, computed on its first access and kept,
-    so a path that never reads it never pays for it: windows[j] is the
+    so a path that never reads it never pays for it: tvals[j] holds the
+    regressor offsets t_j, read only by order-1 paths, windows[j] the
     (lo, hi) pair of `kernels.row_windows(rows[j])`, read only by the
     streamed NW path and the LL block engine, response_smooths[j] the
     y-part of the closed forms' score rows, and identity_moments the
@@ -194,6 +195,13 @@ class FitContext:
         ]
         return cls(dataset=dataset, grid=grid, family=fam, bandwidths=h,
                    kernel=kernel, rows=rows)
+
+    @cached_property
+    def tvals(self) -> list:
+        """Regressor offsets t_j = (X_ij - x_j) / h_j, (n, G_j) per j."""
+        x, points, h = self.dataset.x, self.grid.points, self.bandwidths
+        return [(x[:, j][:, None] - points[j][None, :]) / h[j]
+                for j in range(len(points))]
 
     @cached_property
     def windows(self) -> list:
@@ -352,8 +360,8 @@ def marginals(ctx: FitContext, eta0: float, *blocks,
     """The marginals at the iterate (eta0, *blocks), checked against the
     positivity floor: the first result of the context's producers that is
     not None.  With pairs=False the producers may leave out the pair
-    moments, which `damped_step` asks for when no inner solve will read
-    them.  Each smoother keeps this router under its own name."""
+    moments, which `damped_step` asks for after the step that stops the
+    Newton loop.  Each smoother keeps this router under its own name."""
     for produce in ctx.producers:
         marg = produce(ctx, eta0, *blocks, pairs=pairs)
         if marg is not None:
@@ -620,60 +628,36 @@ def _additive_sup(const: float, curves) -> float:
     return max(abs(hi), abs(lo))
 
 
-def _relative(change: float, sup: float) -> float:
-    """A predictor change relative to the predictor's sup norm, or to 1
-    if that is smaller: the quantity `newton_fit` stops on."""
-    return change / max(1.0, sup)
-
-
-def _last_step(change: float, sup: float, eta0: float, curves,
-               tol: float) -> bool:
-    """Whether a step of sup norm change, from a predictor of sup norm
-    sup to eta0 + sum_j curves[j], stops the Newton loop: its change
-    relative to the new predictor is below tol.  The loop tests the
-    recentered predictor, whose sup norm differs from this one by
-    rounding only.  sup + change bounds the new sup norm, so the exact
-    one is taken only when that bound lets the step be the last."""
-    return (_relative(change, sup + change) < tol
-            and _relative(change, _additive_sup(eta0, curves)) < tol)
-
-
 def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
-                config: FitConfig, marginals, sup: float):
+                config: FitConfig, marginals):
     """Damped Newton step, then recentering against marg.constraint.
 
     blocks and xi hold one list of d curves per block entry, component
     curves first; only those are shifted, and the intercept absorbs the
-    shifts.  sup is the sup norm of the current predictor.  The step's
-    size is known before the new marginals are evaluated, so
-    `_last_step` tells whether the step will stop the Newton loop; then
-    no inner solve reads the new pair moments, and they are left out
-    (pairs=False).  Should the recentered predictor prove that
-    prediction wrong, which only rounding can do, the marginals are
-    evaluated again with pairs at the same iterate, so a fit's results
-    never depend on the prediction.  Returns (eta0, *blocks, marginals,
-    residual, change, sup), change the step's sup norm and sup the
-    recentered predictor's.
+    shifts.  The step's relative change, its sup norm over that of the
+    new predictor or 1 if that is smaller, is known before the new
+    marginals are evaluated, and is the quantity `newton_fit` stops on:
+    a step whose change falls below tol_outer is the last, no inner
+    solve reads its marginals' pair moments, and they are left out
+    (pairs=False).  Recentering leaves the predictor, and so its sup
+    norm, unchanged up to rounding.  Returns (eta0, *blocks, marginals,
+    residual, change).
     """
     d = ctx.grid.ndim
     step0 = config.damping * xi0
     steps = [[config.damping * s[j] for j in range(d)] for s in xi]
-    change = _additive_sup(step0, steps[0])
     new_eta0 = eta0 + step0
     new = [[b[j] + s[j] for j in range(d)] for b, s in zip(blocks, steps)]
-    last = _last_step(change, sup, new_eta0, new[0], config.tol_outer)
-    marg = marginals(ctx, new_eta0, *new, pairs=not last)
+    change = (_additive_sup(step0, steps[0])
+              / max(1.0, _additive_sup(new_eta0, new[0])))
+    marg = marginals(ctx, new_eta0, *new, pairs=change >= config.tol_outer)
     shifts = [marg.constraint(j, *(b[j] for b in new)) / marg.mass
               for j in range(d)]
-    centered = [new[0][j] - shifts[j] for j in range(d)]
-    centered_eta0 = new_eta0 + sum(shifts)
-    sup = _additive_sup(centered_eta0, centered)
-    if last and _relative(change, sup) >= config.tol_outer:
-        marg = marginals(ctx, new_eta0, *new)
-    new[0], new_eta0 = centered, centered_eta0
+    new[0] = [new[0][j] - shifts[j] for j in range(d)]
+    new_eta0 += sum(shifts)
     residual = max(abs(marg.constraint(j, *(b[j] for b in new)))
                    for j in range(d))
-    return (new_eta0, *new, marg, residual, change, sup)
+    return (new_eta0, *new, marg, residual, change)
 
 
 @dataclass(kw_only=True)
@@ -737,12 +721,12 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     """Newton steps over smoothed backfitting, shared by both smoothers.
 
     Starts from eta_0 = g(mean(y)) and ctx.order + 1 lists of zero curves
-    and stops when the relative sup-norm change of the fitted predictor
-    falls below tol_outer.  The marginals after the last step serve only
-    the recentering, the last sq_path entry, weight_total and
-    residual_norm, so `damped_step` evaluates them without pair moments;
-    every evaluation an inner solve reads has them.  Returns
-    fit_class(eta0, *blocks, ...).
+    and stops on the step whose relative sup-norm change of the fitted
+    predictor, as `damped_step` returns it, is below tol_outer.  The
+    marginals after it serve only the recentering, the last sq_path
+    entry, weight_total and residual_norm, so `damped_step` evaluates
+    them without pair moments; every evaluation an inner solve reads has
+    them.  Returns fit_class(eta0, *blocks, ...).
     """
     config = config or FitConfig()
     grid = ctx.grid
@@ -756,23 +740,20 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
         )
     blocks = [[np.zeros(g) for g in grid.shape] for _ in range(ctx.order + 1)]
     marg = marginals(ctx, eta0, *blocks)
-    # the sup norm of the start, whose curves are zero
-    sup = abs(eta0)
     diag = FitDiagnostics(sq_path=[marg.sq])
     for _ in range(config.max_outer):
         xi0, *xi, sweeps, contraction, history = inner_solve(marg, config)
-        eta0, *blocks, marg, resid, change, sup = outer_update(
-            ctx, eta0, *blocks, xi0, *xi, config, sup
+        eta0, *blocks, marg, resid, change = outer_update(
+            ctx, eta0, *blocks, xi0, *xi, config
         )
-        rel = _relative(change, sup)
         diag.outer_iterations += 1
-        diag.outer_changes.append(rel)
+        diag.outer_changes.append(change)
         diag.inner_sweep_counts.append(sweeps)
         diag.inner_contractions.append(contraction)
         diag.inner_change_histories.append(history)
         diag.constraint_residuals.append(resid)
         diag.sq_path.append(marg.sq)
-        if rel < config.tol_outer:
+        if change < config.tol_outer:
             diag.converged = True
             break
     if not diag.converged:

@@ -23,6 +23,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -290,7 +291,7 @@ def _cmd_fit(opts) -> int:
                 rec.append(f"{derivs[j][g]:.12g}")
             rows.append(rec)
         path = os.path.join(out_dir, f"component_{j + 1}.csv")
-        with open(path, "w", newline="") as fh:
+        with _writing(path), open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
 
     _write_json(os.path.join(out_dir, "fit.json"), {
@@ -327,7 +328,7 @@ def _cmd_simulate(opts) -> int:
     path = opts["out"]
     if os.path.dirname(path) == "" and opts["out_dir"] != ".":
         path = os.path.join(opts["out_dir"], path)
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow([f"x{j + 1}" for j in range(model.ndim)] + ["y"])
         for i in range(model.n):
@@ -350,13 +351,25 @@ def _cmd_study(opts) -> int:
         n_jobs=int(opts["n_jobs"]),
     )
     out_dir = opts["out_dir"]
-    write_study_csv([result], os.path.join(out_dir, "study.csv"))
-    write_study_json(result, os.path.join(out_dir, "study.json"))
+    with _writing(out_dir):
+        write_study_csv([result], os.path.join(out_dir, "study.csv"))
+        write_study_json(result, os.path.join(out_dir, "study.json"))
     return 0
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised inside into an InputError naming the file,
+    or else path: an output that cannot be created or written."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write output {exc.filename or path}: "
+                         f"{exc.strerror or exc}") from exc
+
+
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -380,7 +393,8 @@ def main(argv=None) -> int:
     try:
         opts = _merge_options(args, _command_flags(parser, args.command))
         out_dir = str(opts.get("out_dir") or ".")
-        os.makedirs(out_dir, exist_ok=True)
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
         handler = {"fit": _cmd_fit, "simulate": _cmd_simulate,
                    "study": _cmd_study}[args.command]
         return handler(opts)

@@ -161,15 +161,28 @@ def per_covariate(values, d: int, what: str) -> np.ndarray:
     return np.broadcast_to(v, (d,)).copy()
 
 
+def _support_bounds(lo, hi, d: int):
+    """Support bounds (lo, hi), each (d,) from one value or d; InputError
+    unless they are finite with hi > lo."""
+    lo, hi = (per_covariate(b, d, f"support bounds {nm}")
+              for b, nm in ((lo, "lo"), (hi, "hi")))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InputError(f"support bounds must be finite, got "
+                         f"lo={lo.tolist()}, hi={hi.tolist()}")
+    if np.any(hi <= lo):
+        raise InputError("support bounds must satisfy hi > lo")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response vector with covariates rescaled to the unit cube.
 
     y : ndarray, shape (n,)
     x : ndarray, shape (n, d), entries in [0, 1]
-    lo, hi : ndarray, shape (d,)
-        Original-coordinate bounds realizing the rescaling; `to_original`
-        and `from_original` convert between the two scales.
+    lo, hi : ndarray, shape (d,), from one value or d
+        Original-coordinate bounds, finite with hi > lo, realizing the
+        rescaling; `from_original` applies it and `to_original` undoes it.
     """
 
     y: np.ndarray
@@ -180,8 +193,8 @@ class Dataset:
     def __post_init__(self):
         y = as_floats(self.y, "responses")
         x = as_floats(self.x, "covariates")
-        if x.ndim != 2:
-            raise InputError("covariates must form an (n, d) matrix")
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise InputError("covariates must form an (n, d) matrix, d >= 1")
         if y.shape != (x.shape[0],):
             raise InputError(
                 f"response length {y.shape} does not match {x.shape[0]} rows"
@@ -194,8 +207,9 @@ class Dataset:
             raise InputError("rescaled covariates must lie in [0, 1]")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", np.clip(x, 0.0, 1.0))
-        object.__setattr__(self, "lo", as_floats(self.lo, "support bounds"))
-        object.__setattr__(self, "hi", as_floats(self.hi, "support bounds"))
+        lo, hi = _support_bounds(self.lo, self.hi, x.shape[1])
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def from_raw(cls, x_raw: np.ndarray, y: np.ndarray) -> "Dataset":
@@ -215,13 +229,7 @@ class Dataset:
     def with_support(cls, x_raw: np.ndarray, y: np.ndarray, lo, hi) -> "Dataset":
         """Rescale by known support bounds instead of the observed range."""
         x_raw = _covariate_matrix(x_raw)
-        lo, hi = (per_covariate(b, x_raw.shape[1], f"support bounds {nm}")
-                  for b, nm in ((lo, "lo"), (hi, "hi")))
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise InputError(f"support bounds must be finite, got "
-                             f"lo={lo.tolist()}, hi={hi.tolist()}")
-        if np.any(hi <= lo):
-            raise InputError("support bounds must satisfy hi > lo")
+        lo, hi = _support_bounds(lo, hi, x_raw.shape[1])
         u = (x_raw - lo) / (hi - lo)
         if u.min() < -1e-9 or u.max() > 1.0 + 1e-9:
             raise InputError("data fall outside the stated support bounds")

@@ -76,9 +76,9 @@ The Newton loop, the one block Gauss-Seidel solver, the marginals type
 with its constraint functional and weight check, the router over the
 producers, the damped step with recentering, input preparation and the
 fitted-model base live in `backfit`.  This module supplies only the
-engine and the order-1 context, whose regressor offsets, blocks and
-workspace are cached properties built on first use, and whose producers
-are the order-1 closed forms there, tried first, and then the engine.
+engine and the order-1 context, whose engine blocks and workspace are
+cached properties built on first use, and whose producers are the
+order-1 closed forms there, tried first, and then the engine.
 """
 
 from __future__ import annotations
@@ -417,20 +417,13 @@ def _block_marginals(ctx: LlContext, eta00: float, comps0, comps1,
 
 
 class LlContext(FitContext):
-    """The order-1 context: `FitContext` plus the regressor offsets and
-    the block engine's blocks and workspace, which a Gaussian or Poisson
-    fit that never falls back to the engine never builds."""
+    """The order-1 context: `FitContext` plus the block engine's blocks
+    and workspace, which a Gaussian or Poisson fit that never falls back
+    to the engine never builds."""
 
     order = 1
     producers = (identity_marginals, start_marginals, poisson_marginals,
                  _block_marginals)
-
-    @cached_property
-    def tvals(self) -> list:
-        """Regressor offsets t_j = (X_ij - x_j) / h_j, (n, G_j) per j."""
-        x, points, h = self.dataset.x, self.grid.points, self.bandwidths
-        return [(x[:, j][:, None] - points[j][None, :]) / h[j]
-                for j in range(len(points))]
 
     @cached_property
     def blocks(self) -> list:
@@ -474,15 +467,15 @@ ll_inner_solve = inner_solve
 
 
 def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,
-                    xi00: float, xi0, xi1, config: FitConfig, sup: float):
+                    xi00: float, xi0, xi1, config: FitConfig):
     """Apply one damped Newton step and recenter at the new iterate.
 
-    sup is the sup norm of the current predictor.  Returns (eta00,
-    comps0, comps1, marginals, constraint_residual, change, sup); see
+    Returns (eta00, comps0, comps1, marginals, constraint_residual,
+    change), change the relative sup-norm change of the predictor; see
     `backfit.damped_step`.
     """
     return damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
-                       config, ll_marginals, sup)
+                       config, ll_marginals)
 
 
 @dataclass

@@ -162,19 +162,19 @@ nw_inner_solve = inner_solve
 
 
 def nw_outer_update(ctx: NwContext, eta0: float, components, xi0: float, xi,
-                    config: FitConfig, sup: float):
+                    config: FitConfig):
     """Apply one damped Newton step and recenter at the new iterate.
 
-    sup is the sup norm of the current predictor.  Returns (eta0,
-    components, marginals, constraint_residual, change, sup) where
-    marginals are evaluated at the updated predictor (they serve the next
-    iteration, and may leave out the pairs after the last step),
+    Returns (eta0, components, marginals, constraint_residual, change)
+    where marginals are evaluated at the updated predictor (they serve
+    the next iteration, and leave out the pairs after the last step),
     constraint_residual is the largest component constraint integral
-    after recentering, change is the exact sup-norm of the predictor
-    update over the grid and sup that of the updated predictor.
+    after recentering and change is the exact sup norm of the predictor
+    update over the grid relative to that of the updated predictor, or
+    to 1 if that is smaller; see `backfit.damped_step`.
     """
     return damped_step(ctx, eta0, [components], xi0, [xi], config,
-                       nw_marginals, sup)
+                       nw_marginals)
 
 
 @dataclass

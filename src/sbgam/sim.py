@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -77,8 +78,9 @@ class SimModel:
             raise InputError(
                 f"unknown response family {self.response!r} for simulation"
             )
-        if not -1.0 < self.rho < 1.0:
-            raise InputError("rho must lie strictly inside (-1, 1)")
+        if (isinstance(self.rho, bool) or not isinstance(self.rho, Real)
+                or not -1.0 < self.rho < 1.0):
+            raise InputError("rho must be a number strictly inside (-1, 1)")
         require_integer("extra_dims", self.extra_dims, 0)
         require_integer("n", self.n, 10)
         require_integer("seed", self.seed, 0)

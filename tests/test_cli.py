@@ -356,3 +356,24 @@ def test_console_script_installed():
     assert r.returncode == 0
     for word in ("fit", "simulate", "study"):
         assert word in r.stdout
+
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["simulate", "--out", "nodir/data.csv"], "nodir/data.csv"),
+    (["simulate", "--out-dir", "afile"], "afile"),
+    (["simulate", "--out-dir", "afile/sub"], "afile/sub"),
+    (["study", "--n", 80, "--reps", 2, "--bandwidth", "0.3",
+      "--grid-points", 21, "--out-dir", "st"], "st/study.csv"),
+], ids=["out-missing-dir", "out-dir-is-file", "out-dir-under-file",
+        "study-csv-is-dir"])
+def test_unwritable_output_paths_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                        path):
+    # each printed "internal error" and exited 4 before: FileNotFoundError,
+    # FileExistsError, NotADirectoryError and IsADirectoryError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "st" / "study.csv").mkdir(parents=True)
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {path}: "), err

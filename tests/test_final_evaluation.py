@@ -12,8 +12,9 @@ from math import prod
 import numpy as np
 import pytest
 
-from sbgam import backfit, ll_fit, nw_fit
+from sbgam import ll_fit, nw_fit
 from sbgam.backfit import FitConfig, inner_solve, poisson_marginals
+from sbgam.errors import NonConvergenceError
 from sbgam.grid import Grid
 from sbgam.ll_fit import _block_marginals, fit_ll, ll_prepare
 from sbgam.nw_fit import fit_nw, nw_prepare
@@ -145,16 +146,22 @@ def _assert_same_fit(got, want):
         assert getattr(a, nm) == getattr(b, nm), nm
 
 
+class _RouterCalls(list):
+    """The pairs flag of every call through each smoother's router; with
+    force_pairs set, the router is passed pairs=True whatever it asked."""
+
+    force_pairs = False
+
+
 @pytest.fixture
 def router_calls(monkeypatch):
-    """The pairs flag of every call through each smoother's router."""
-    flags = []
+    flags = _RouterCalls()
     for module, name in ((nw_fit, "nw_marginals"), (ll_fit, "ll_marginals")):
         route = getattr(module, name)
 
         def recording(*args, _route=route, pairs=True):
             flags.append(pairs)
-            return _route(*args, pairs=pairs)
+            return _route(*args, pairs=pairs or flags.force_pairs)
 
         monkeypatch.setattr(module, name, recording)
     return flags
@@ -164,59 +171,37 @@ def router_calls(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("est", ["nw", "ll"])
 def test_fit_with_a_pairless_last_evaluation_is_unchanged(
-        est, family, d, router_calls, monkeypatch):
+        est, family, d, router_calls):
     fit = _fit(est, family, d)
     steps = fit.diagnostics.outer_iterations
     # only the last evaluation goes without pairs
     assert router_calls == [True] * steps + [False]
     router_calls.clear()
-    monkeypatch.setattr(backfit, "_last_step", lambda *args: False)
+    router_calls.force_pairs = True
     want = _fit(est, family, d)
-    assert router_calls == [True] * (steps + 1)
+    assert router_calls == [True] * steps + [False]
     _assert_same_fit(fit, want)
 
 
-@pytest.mark.parametrize("est, family, d", [
-    ("ll", "bernoulli", 2), ("ll", "poisson", 3), ("nw", "bernoulli", 3),
-    ("ll", "quasi-gamma", 1)])
-def test_wrong_prediction_is_evaluated_again_with_pairs(
-        est, family, d, router_calls, monkeypatch):
-    want = _fit(est, family, d)
+@pytest.mark.parametrize("est, family, d, damping", [
+    ("ll", "bernoulli", 2, 1.0), ("ll", "poisson", 3, 0.5),
+    ("nw", "bernoulli", 3, 0.5), ("ll", "quasi-gamma", 1, 1.0)])
+def test_pairs_are_left_out_only_after_the_step_that_stops_the_loop(
+        est, family, d, damping, router_calls):
+    ds, grid, fam = _fit_inputs(family, d)
+    fitter = fit_nw if est == "nw" else fit_ll
+    config = FitConfig(damping=damping)
+    diag = fitter(ds, 0.4, grid=grid, family=fam, config=config).diagnostics
+    # the start, then one evaluation per step: the one after the step
+    # whose recorded change is the first below tol_outer goes without
+    # pairs, and it is the last
+    below = [c < config.tol_outer for c in diag.outer_changes]
+    assert diag.converged and below == [False] * (len(below) - 1) + [True]
+    assert router_calls == [True] + [not b for b in below]
+    # a fit stopped by max_outer never leaves them out
     router_calls.clear()
-    # every step predicted the last: each one that is not is evaluated
-    # again, at the same iterate, before the next inner solve reads it
-    monkeypatch.setattr(backfit, "_last_step", lambda *args: True)
-    fit = _fit(est, family, d)
-    _assert_same_fit(fit, want)
-    steps = want.diagnostics.outer_iterations
-    assert router_calls == [True] + [False, True] * (steps - 1) + [False]
-
-
-def test_prediction_takes_the_exact_sup_only_near_the_end(monkeypatch):
-    # the step's sup norm and the recentered predictor's are taken at every
-    # step, as before; the new predictor's only where the bound sup +
-    # change lets the step be the last, here on the last step alone
-    calls = []
-    sup = backfit._additive_sup
-
-    def counting(*args):
-        calls.append(1)
-        return sup(*args)
-
-    monkeypatch.setattr(backfit, "_additive_sup", counting)
-    fit = _fit("ll", "bernoulli", 2)
-    assert len(calls) == 2 * fit.diagnostics.outer_iterations + 1
-
-
-def test_last_step_prediction_matches_the_stop_test():
-    tol = 1e-6
-    curves = [np.array([-1.0, 2.0]), np.array([0.5, 3.0])]
-    # the new predictor 1 + curves has sup norm 6
-    assert backfit._last_step(5.9e-6, 6.0, 1.0, curves, tol)
-    assert not backfit._last_step(6.1e-6, 6.0, 1.0, curves, tol)
-    # sup + change below the step: the bound alone rules the step out
-    assert not backfit._last_step(1e-5, 0.0, 1.0, curves, tol)
-    # a sup norm below 1 counts as 1
-    assert backfit._last_step(9e-7, 0.1, 0.0, [np.zeros(2)], tol)
-    assert not backfit._last_step(1.1e-6, 0.1, 0.0, [np.zeros(2)], tol)
-
+    short = replace(config, max_outer=len(below) - 1)
+    with pytest.raises(NonConvergenceError, match="Newton steps") as info:
+        fitter(ds, 0.4, grid=grid, family=fam, config=short)
+    assert info.value.history == diag.outer_changes[:-1]
+    assert router_calls == [True] * len(below)

@@ -156,19 +156,45 @@ def test_dataset_validation():
         Dataset.from_raw(np.zeros((3, 1, 1)), np.zeros(3))
 
 
-@pytest.mark.parametrize("x, lo, match", [
-    (np.zeros((3, 2)), [0.0, 0.0, 0.0], "support bounds lo"),
-    (np.zeros((3, 2)), [[-1.0, -1.0]], "support bounds lo"),
-    (np.float64(0.5), -1.0, "matrix"),
-    (np.zeros((2, 3, 2)), -1.0, "matrix"),
-    (np.zeros((0, 2)), -1.0, "at least two observations"),
-    (np.zeros(0), -1.0, "at least two observations"),
+def _init(x, y, lo, hi):
+    """The constructor, on covariates already rescaled to [0, 1]."""
+    return Dataset(y=y, x=x, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("make, x, lo, hi, match", [
+    (Dataset.with_support, np.zeros((3, 2)), [0.0, 0.0, 0.0], 1.0,
+     "support bounds lo"),
+    (Dataset.with_support, np.zeros((3, 2)), [[-1.0, -1.0]], 1.0,
+     "support bounds lo"),
+    (Dataset.with_support, np.float64(0.5), -1.0, 1.0, "matrix"),
+    (Dataset.with_support, np.zeros((2, 3, 2)), -1.0, 1.0, "matrix"),
+    (Dataset.with_support, np.zeros((0, 2)), -1.0, 1.0,
+     "at least two observations"),
+    (Dataset.with_support, np.zeros(0), -1.0, 1.0,
+     "at least two observations"),
+    (_init, np.zeros((3, 2)), [0.0, 0.0, 0.0], 1.0, "support bounds lo"),
+    (_init, np.zeros((3, 2)), 0.0, [1.0, 1.0, 1.0], "support bounds hi"),
+    (_init, np.zeros((3, 2)), 0.0, [1.0, 0.0], "hi > lo"),
+    (_init, np.zeros((3, 2)), [0.0, np.nan], 1.0, "must be finite"),
+    (_init, np.zeros((3, 0)), 0.0, 1.0, "matrix"),
 ], ids=["bounds-too-long", "bounds-2d", "x-0d", "x-3d", "no-rows",
-        "empty-vector"])
-def test_dataset_with_support_rejects_malformed_inputs(x, lo, match):
-    # each ended in numpy's own ValueError or IndexError before
+        "empty-vector", "init-bounds-too-long", "init-hi-too-long",
+        "init-bounds-reversed", "init-bounds-nan", "init-no-columns"])
+def test_dataset_with_support_rejects_malformed_inputs(make, x, lo, hi,
+                                                       match):
+    # each ended in numpy's own ValueError or IndexError before; the
+    # constructor took the bounds and left the error to `predict`
     with pytest.raises(InputError, match=match):
-        Dataset.with_support(x, np.zeros(np.shape(x)[:1]), lo, 1.0)
+        make(x, np.zeros(np.shape(x)[:1]), lo, hi)
+
+
+def test_dataset_takes_one_support_bound_for_every_covariate():
+    # lo=[0] and hi=[1] at d = 2 ended in IndexError in `predict`
+    rng = np.random.default_rng(3)
+    ds = Dataset(y=rng.normal(size=40), x=rng.uniform(size=(40, 2)),
+                 lo=[0.0], hi=[1.0])
+    assert ds.lo.tolist() == [0.0, 0.0] and ds.hi.tolist() == [1.0, 1.0]
+    assert np.isfinite(fit_nw(ds, 0.4).predict([0.5, 0.5])).all()
 
 
 @pytest.mark.parametrize("x, match", [

@@ -308,6 +308,20 @@ def test_fits_that_never_stream_never_compute_windows(d):
     assert "blocks" not in vars(ctx) and "workspace" not in vars(ctx)
 
 
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nw_fits_never_build_the_regressor_offsets(family, d):
+    # tvals lives on the shared context, but only order-1 paths read it:
+    # the closed forms, the dense and streamed paths and the Poisson
+    # producer of an NW fit go without it
+    ctx = nw_prepare(_sim_dataset(18, 80, d, family), 0.4,
+                     Grid.uniform(d, 11), family)
+    fit = newton_fit(ctx, None, NwFit, nw_marginals, nw_inner_solve,
+                     nw_outer_update)
+    assert fit.diagnostics.converged
+    assert "tvals" not in vars(ctx)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("family, builds", [("gaussian", 0),
                                             ("bernoulli", 1)])

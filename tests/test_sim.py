@@ -29,8 +29,10 @@ def test_model_validation():
         SimModel.from_label("3,1")
     with pytest.raises(InputError):
         SimModel(response="gamma")
-    with pytest.raises(InputError):
-        SimModel(rho=1.0)
+    # a string or None ended in TypeError from the range check
+    for rho in (1.0, float("nan"), True, "0.5", None):
+        with pytest.raises(InputError, match="rho"):
+            SimModel(rho=rho)
     with pytest.raises(InputError):
         SimModel(extra_dims=-1)
     with pytest.raises(InputError):
