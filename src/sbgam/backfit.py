@@ -33,8 +33,9 @@ rows, and every other precomputation cached on first use), `Marginals`
 (weight moments and score marginals of local-polynomial order p on their
 grid, from which it derives the totals, the constraint functional and
 the weight check), `inner_solve` (block Gauss-Seidel sweeps on operators
-formed once per Newton step), `newton_fit` (outer loop and diagnostics),
-`damped_step` (step and recentering) and `AdditiveFit` (prediction).  A
+formed once per Newton step: (xi0, xi, changes)), `damped_step` (step
+and recentering: (eta0, blocks, marg, residual, change)), `newton_fit`
+(outer loop and diagnostics) and `AdditiveFit` (prediction).  A
 producer maps an iterate (ctx, eta0, *blocks) to its `Marginals`, or to
 None where it does not apply, and with pairs=False may leave out the
 pair moments, the largest part of an evaluation where they are not
@@ -64,6 +65,7 @@ from .errors import (
     InitializerError,
     InputError,
     NonConvergenceError,
+    require_integer,
 )
 from .family import Family, GaussianIdentity, PoissonLog, get_family
 from .grid import Dataset, Grid, as_floats
@@ -111,10 +113,8 @@ class FitConfig:
         if not all(_is(v, numbers.Real) and isfinite(v) and v > 0.0
                    for v in (self.tol_outer, self.tol_inner)):
             raise InputError("tolerances must be finite and positive")
-        if not all(_is(v, numbers.Integral) and v >= 1
-                   for v in (self.max_outer, self.max_inner)):
-            raise InputError("iteration limits must be integers of at "
-                             "least 1")
+        require_integer("max_outer", self.max_outer, 1)
+        require_integer("max_inner", self.max_inner, 1)
 
 
 def _is(value, kind) -> bool:
@@ -127,21 +127,36 @@ class FitDiagnostics:
     """Per-iteration record of a fit.
 
     outer_changes holds the relative sup-norm predictor changes, one per
-    Newton step; constraint_residuals the largest component-constraint
-    integral after each step's recentering; sq_path the smoothed
-    quasi-likelihood at the start and after each step.
+    Newton step; inner_change_histories each step's sweep-change norms;
+    constraint_residuals the largest component-constraint integral after
+    each step's recentering; sq_path the smoothed quasi-likelihood at the
+    start and after each step.  The counts derive from the first two.
     """
 
     converged: bool = False
-    outer_iterations: int = 0
     outer_changes: list = field(default_factory=list)
-    inner_sweep_counts: list = field(default_factory=list)
-    inner_contractions: list = field(default_factory=list)
     inner_change_histories: list = field(default_factory=list)
     constraint_residuals: list = field(default_factory=list)
     sq_path: list = field(default_factory=list)
     weight_total: float = 0.0
     residual_norm: float = float("nan")
+
+    @property
+    def outer_iterations(self) -> int:
+        """The number of Newton steps taken."""
+        return len(self.outer_changes)
+
+    @property
+    def inner_sweep_counts(self) -> list:
+        """The number of backfitting sweeps of each step."""
+        return [len(h) for h in self.inner_change_histories]
+
+    @property
+    def inner_contractions(self) -> list:
+        """Each step's ratio of its last two sweep changes; 0.0 when it
+        took one sweep or its second-last change is 0."""
+        return [h[-1] / h[-2] if len(h) >= 2 and h[-2] > 0.0 else 0.0
+                for h in self.inner_change_histories]
 
 
 @dataclass
@@ -564,10 +579,10 @@ def inner_solve(marg: Marginals, config: FitConfig):
     call to the operators A_jl = M_j^-1 C_jl D_l and to the right-hand
     sides b_j = M_j^-1 (z_j - xi0 m_j) instead of in every sweep.
 
-    Returns (xi0, *xi, sweeps, contraction, change_history), one list of
-    d curves in xi per block entry, sweeps the number of sweeps used and
-    contraction the ratio of the last two sweep-change norms.  Marginals
-    evaluated without their pairs raise ValueError.
+    Returns (xi0, xi, changes): xi holds one list of d curves per block
+    entry, component steps first, and changes the sup-norm change of each
+    sweep, so its length is the number of sweeps.  Marginals evaluated
+    without their pairs raise ValueError.
     """
     if marg.pairs is None:
         raise ValueError("inner_solve needs the pair moments; these "
@@ -613,12 +628,8 @@ def inner_solve(marg: Marginals, config: FitConfig):
             f"iterations (last change {changes[-1]:.3e})",
             history=changes, loop="inner",
         )
-    contraction = 0.0
-    if len(changes) >= 2 and changes[-2] > 0.0:
-        contraction = changes[-1] / changes[-2]
     blocks = [xi[span].reshape(k, -1) for span in spans]
-    return (xi0, *([b[a] for b in blocks] for a in range(k)), len(changes),
-            contraction, changes)
+    return xi0, [[b[a] for b in blocks] for a in range(k)], changes
 
 
 def _additive_sup(const: float, curves) -> float:
@@ -640,8 +651,9 @@ def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
     a step whose change falls below tol_outer is the last, no inner
     solve reads its marginals' pair moments, and they are left out
     (pairs=False).  Recentering leaves the predictor, and so its sup
-    norm, unchanged up to rounding.  Returns (eta0, *blocks, marginals,
-    residual, change).
+    norm, unchanged up to rounding.  marginals is the router.  Returns
+    (eta0, blocks, marg, residual, change), marg the new marginals and
+    residual the largest constraint integral after recentering.
     """
     d = ctx.grid.ndim
     step0 = config.damping * xi0
@@ -657,7 +669,7 @@ def damped_step(ctx: FitContext, eta0: float, blocks, xi0: float, xi,
     new_eta0 += sum(shifts)
     residual = max(abs(marg.constraint(j, *(b[j] for b in new)))
                    for j in range(d))
-    return (new_eta0, *new, marg, residual, change)
+    return new_eta0, new, marg, residual, change
 
 
 @dataclass(kw_only=True)
@@ -726,7 +738,10 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     marginals after it serve only the recentering, the last sq_path
     entry, weight_total and residual_norm, so `damped_step` evaluates
     them without pair moments; every evaluation an inner solve reads has
-    them.  Returns fit_class(eta0, *blocks, ...).
+    them.  The blocks travel as one list through inner_solve(marg,
+    config) and outer_update(ctx, eta0, blocks, xi0, xi, config,
+    marginals), which return as `inner_solve` and `damped_step` do.
+    Returns fit_class(eta0, *blocks, ...).
     """
     config = config or FitConfig()
     grid = ctx.grid
@@ -742,14 +757,11 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     marg = marginals(ctx, eta0, *blocks)
     diag = FitDiagnostics(sq_path=[marg.sq])
     for _ in range(config.max_outer):
-        xi0, *xi, sweeps, contraction, history = inner_solve(marg, config)
-        eta0, *blocks, marg, resid, change = outer_update(
-            ctx, eta0, *blocks, xi0, *xi, config
+        xi0, xi, history = inner_solve(marg, config)
+        eta0, blocks, marg, resid, change = outer_update(
+            ctx, eta0, blocks, xi0, xi, config, marginals
         )
-        diag.outer_iterations += 1
         diag.outer_changes.append(change)
-        diag.inner_sweep_counts.append(sweeps)
-        diag.inner_contractions.append(contraction)
         diag.inner_change_histories.append(history)
         diag.constraint_residuals.append(resid)
         diag.sq_path.append(marg.sq)

@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "fit": {
+        "data": None, "response": None,
         "estimator": "nw", "family": "gaussian", "kernel": "epanechnikov",
         "bandwidth": None, "bandwidth_scale": 1.0, "grid_points": 41,
         "covariates": None, "tol_outer": None, "tol_inner": None,
@@ -133,7 +134,7 @@ def _merge_options(args: argparse.Namespace, flags: dict) -> dict:
             raise InputError("config file must hold a JSON object")
         for key, val in loaded.items():
             k = key.replace("-", "_")
-            if k not in opts and k not in ("data", "response"):
+            if k not in opts:
                 raise InputError(f"unknown config key {key!r}")
             if val is not None:
                 opts[k] = _check_config_value(flags[k], key, val)
@@ -184,6 +185,8 @@ def _parse_bandwidth(spec):
 
 
 def _read_csv_dataset(path, response, covariates):
+    if path is None:
+        raise InputError("no data file given; pass --data")
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -247,8 +250,8 @@ def _fit_config(opts) -> FitConfig | None:
 
 
 def _cmd_fit(opts) -> int:
-    ds, names = _read_csv_dataset(opts.get("data"), opts.get("response"),
-                                  opts.get("covariates"))
+    ds, names = _read_csv_dataset(opts["data"], opts["response"],
+                                  opts["covariates"])
     scale = float(opts["bandwidth_scale"])
     h = resolve_bandwidths(_parse_bandwidth(opts["bandwidth"]), ds.ndim, scale)
     if h is None:

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .grid import per_covariate, trapz_weights
+from .grid import per_covariate
 
 __all__ = [
     "KernelConstants",
@@ -49,6 +49,7 @@ __all__ = [
     "partial_moment",
     "row_windows",
     "validate_bandwidths",
+    "validate_kernel",
     "KERNEL_NAMES",
 ]
 
@@ -111,13 +112,17 @@ _BASES = {
 }
 
 
-def _base(name: str):
-    try:
-        return _BASES[name]
-    except KeyError:
+def validate_kernel(name: str) -> str:
+    """Return name, or raise InputError unless it names a base kernel."""
+    if name not in _BASES:
         raise InputError(
             f"unknown kernel {name!r}; choose one of {', '.join(KERNEL_NAMES)}"
-        ) from None
+        )
+    return name
+
+
+def _base(name: str):
+    return _BASES[validate_kernel(name)]
 
 
 def base_kernel(t: np.ndarray, name: str = "epanechnikov") -> np.ndarray:
@@ -174,8 +179,8 @@ def kernel_rows(
     grid_points: np.ndarray,
     v: np.ndarray,
     h: float,
-    name: str = "epanechnikov",
-    weights: np.ndarray | None = None,
+    name: str,
+    weights: np.ndarray,
 ) -> np.ndarray:
     """Discrete kernel rows, one per data location, trapezoid-normalized.
 
@@ -189,8 +194,8 @@ def kernel_rows(
         Bandwidth in (0, 1/2].
     name : str
         Base kernel name.
-    weights : ndarray, shape (G,), optional
-        Trapezoid weights of the grid; recomputed if omitted.
+    weights : ndarray, shape (G,)
+        Trapezoid weights of the grid.
 
     Returns
     -------
@@ -203,8 +208,6 @@ def kernel_rows(
     """
     grid_points = np.asarray(grid_points, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if weights is None:
-        weights = trapz_weights(grid_points)
     t = np.subtract(grid_points[None, :], v[:, None])
     t /= h
     rows = _base(name)[0](t, t)

@@ -459,23 +459,12 @@ class LlContext(FitContext):
         return np.empty((4, cells)), np.empty(cells, dtype=np.intp)
 
 
-# LlContext.build, the router and the one solver of `backfit` under LL's
-# own names (see nw_prepare)
+# LlContext.build, the router, the one solver and the outer update of
+# `backfit` under LL's own names (see nw_prepare)
 ll_prepare = LlContext.build
 ll_marginals = marginals
 ll_inner_solve = inner_solve
-
-
-def ll_outer_update(ctx: LlContext, eta00: float, comps0, comps1,
-                    xi00: float, xi0, xi1, config: FitConfig):
-    """Apply one damped Newton step and recenter at the new iterate.
-
-    Returns (eta00, comps0, comps1, marginals, constraint_residual,
-    change), change the relative sup-norm change of the predictor; see
-    `backfit.damped_step`.
-    """
-    return damped_step(ctx, eta00, [comps0, comps1], xi00, [xi0, xi1],
-                       config, ll_marginals)
+ll_outer_update = damped_step
 
 
 @dataclass

@@ -154,27 +154,13 @@ class NwContext(FitContext):
         return phat, ybar, sq_offset
 
 
-# each smoother's preparation, router and inner solve keep their own
-# module-level names, so that each can be wrapped or traced on its own
+# each smoother's preparation, router, inner solve and outer update keep
+# their own module-level names, so that each can be wrapped or traced on
+# its own
 nw_prepare = NwContext.build
 nw_marginals = marginals
 nw_inner_solve = inner_solve
-
-
-def nw_outer_update(ctx: NwContext, eta0: float, components, xi0: float, xi,
-                    config: FitConfig):
-    """Apply one damped Newton step and recenter at the new iterate.
-
-    Returns (eta0, components, marginals, constraint_residual, change)
-    where marginals are evaluated at the updated predictor (they serve
-    the next iteration, and leave out the pairs after the last step),
-    constraint_residual is the largest component constraint integral
-    after recentering and change is the exact sup norm of the predictor
-    update over the grid relative to that of the updated predictor, or
-    to 1 if that is smaller; see `backfit.damped_step`.
-    """
-    return damped_step(ctx, eta0, [components], xi0, [xi], config,
-                       nw_marginals)
+nw_outer_update = damped_step
 
 
 @dataclass

@@ -30,6 +30,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import kernels
 from .errors import FitError, InputError, require_integer
 from .family import get_family
 from .grid import (Dataset, Grid, default_bandwidths, resolve_bandwidths,
@@ -450,6 +451,9 @@ def run_study(
     d = model.ndim
     # checked once, before any replication runs
     h = resolve_bandwidths(bandwidths, d, bandwidth_scale)
+    if h is not None:
+        kernels.validate_bandwidths(h, d)
+    kernels.validate_kernel(kernel)
     grid = Grid.uniform(d, grid_points)
     truth = true_components(model)
     axes = [2.0 * grid.points[j] - 1.0 for j in range(d)]

@@ -186,14 +186,24 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert info["family"] == "bernoulli"
 
 
-def test_unknown_config_key_exits_2(tmp_path):
+@pytest.mark.parametrize("command, key", [("fit", "bandwdith"),
+                                          ("simulate", "data"),
+                                          ("study", "data")])
+def test_unknown_config_key_exits_2(tmp_path, command, key):
+    # each command accepts exactly its own keys: data is fit's alone
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bandwdith": 0.3}))
+    cfg.write_text(json.dumps({key: 0.3}))
     out = tmp_path / "cfgerr"
-    code = _run(["fit", "--config", cfg, "--out-dir", out])
+    code = _run([command, "--config", cfg, "--out-dir", out])
     assert code == 2
     err = json.loads((out / "error.json").read_text())
-    assert "bandwdith" in err["message"]
+    assert key in err["message"]
+
+
+def test_fit_without_data_exits_2(tmp_path):
+    out = tmp_path / "nodata"
+    _assert_input_error(out, _run(["fit", "--response", "y",
+                                   "--out-dir", out]))
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -284,11 +294,14 @@ def test_fit_empty_bandwidth_entry_exits_2(tmp_path, spec):
                                    ["--n-jobs", 0],
                                    ["--seed", -1],
                                    ["--bandwidth-scale", -1],
-                                   ["--bandwidth-scale", 0]],
+                                   ["--bandwidth-scale", 0],
+                                   ["--kernel", "gauss"],
+                                   ["--bandwidth", "0.9"]],
                          ids=["bandwidth-count", "bandwidth-empty-entry",
                               "bandwidth-trailing-comma", "n-jobs-0",
                               "seed-negative", "bandwidth-scale-negative",
-                              "bandwidth-scale-0"])
+                              "bandwidth-scale-0", "kernel-unknown",
+                              "bandwidth-out-of-range"])
 def test_study_input_errors_exit_2_before_any_work(tmp_path, monkeypatch,
                                                    flags):
     # neither a replication nor a worker process may start: either would

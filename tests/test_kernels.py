@@ -202,3 +202,12 @@ def test_row_mass_property(name, h, v):
     rows = kernels.kernel_rows(g, np.array([v]), h, name, w)
     assert rows[0] @ w == pytest.approx(1.0, abs=1e-13)
     assert (rows >= 0).all()
+
+
+def test_validate_kernel_is_the_one_name_check():
+    for name in kernels.KERNEL_NAMES:
+        assert kernels.validate_kernel(name) == name
+    with pytest.raises(InputError, match="unknown kernel 'gauss'"):
+        kernels.validate_kernel("gauss")
+    with pytest.raises(InputError, match="unknown kernel 'gauss'"):
+        kernels.base_kernel(np.zeros(3), "gauss")
