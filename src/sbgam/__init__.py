@@ -12,6 +12,11 @@ the unit cube) plus bandwidths on the rescaled scale and return a fit
 object with the intercept, component curves and diagnostics.  `run_study`
 drives Monte Carlo experiments; the `sbgam` console script exposes
 fitting, simulation and studies from the shell.
+
+`import sbgam` loads numpy and the fitting modules alone.  The study
+names `SimModel`, `StudyResult`, `run_study` and `true_components` load
+`sbgam.sim` on first use, and only `sim.asymptotic_inputs` loads
+`sbgam.oracles`, so a fit or a study never reads the limit formulas.
 """
 
 from .backfit import FitConfig, FitDiagnostics
@@ -35,7 +40,6 @@ from .grid import Dataset, Grid, default_bandwidths
 from .kernels import KernelConstants, kernel_constants
 from .ll_fit import LlFit, fit_ll
 from .nw_fit import NwFit, fit_nw
-from .sim import SimModel, StudyResult, run_study, true_components
 
 __version__ = "0.1.0"
 
@@ -69,3 +73,18 @@ __all__ = [
     "DegenerateWeightError",
     "__version__",
 ]
+
+# the study harness, resolved on first access (PEP 562) so that fits
+# start without it
+_SIM_NAMES = ("SimModel", "StudyResult", "run_study", "true_components")
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_SIM_NAMES])

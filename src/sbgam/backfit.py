@@ -605,9 +605,15 @@ def inner_solve(marg: Marginals, config: FitConfig):
                 block = marg.pairs[j, l] if j < l else marg.pairs[l, j].T
                 aug[:, spans[l]] = block * cols[spans[l]]
         aug[:, end] = (marg.score[j] - xi0 * moments[:k]).ravel()
-        # row a G_j + g of aug belongs to regressor a at grid point g
-        aug = np.einsum("abg,bgc->agc", _inverse_moments(moments),
-                        aug.reshape(k, shape[j], -1)).reshape(aug.shape)
+        # row a G_j + g of aug belongs to regressor a at grid point g; at
+        # order 0 the pointwise inverse is a reciprocal, and a product
+        # costs less than the 1 x 1 einsum
+        inverse = _inverse_moments(moments)
+        if k == 1:
+            aug *= inverse[0, 0][:, None]
+        else:
+            aug = np.einsum("abg,bgc->agc", inverse,
+                            aug.reshape(k, shape[j], -1)).reshape(aug.shape)
         # the centering shift: the constraint functional over the mass
         aug[:shape[j]] -= ((tw[j] * moments[:k]).ravel() / mass) @ aug
         ops.append(aug[:, :end])

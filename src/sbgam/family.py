@@ -92,8 +92,11 @@ class Family:
     def clamp(self, u: np.ndarray) -> np.ndarray:
         """Clip the linear predictor to the family's safe range."""
         u = np.asarray(u, dtype=float)
-        if self.clamp_lo is not None or self.clamp_hi is not None:
-            u = np.clip(u, self.clamp_lo, self.clamp_hi)
+        # two ufuncs cost less than np.clip's dispatch on small arrays
+        if self.clamp_lo is not None:
+            u = np.maximum(u, self.clamp_lo)
+        if self.clamp_hi is not None:
+            u = np.minimum(u, self.clamp_hi)
         return u
 
     def link(self, m: np.ndarray) -> np.ndarray:
@@ -145,9 +148,13 @@ class Family:
         u = np.asarray(u, dtype=float)
         shape = np.broadcast_shapes(u.shape, np.shape(y))
         scratch = np.empty(shape)
-        if self.clamp_lo is not None or self.clamp_hi is not None:
-            np.clip(u, self.clamp_lo, self.clamp_hi, out=scratch)
-        else:
+        # two ufuncs cost less than np.clip's dispatch on small arrays
+        src = u
+        if self.clamp_lo is not None:
+            src = np.maximum(src, self.clamp_lo, out=scratch)
+        if self.clamp_hi is not None:
+            src = np.minimum(src, self.clamp_hi, out=scratch)
+        if src is u:
             np.copyto(scratch, u)
         return scratch, (np.empty(shape), np.empty(shape), np.empty(shape))
 

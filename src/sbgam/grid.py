@@ -152,6 +152,14 @@ def _covariate_matrix(x_raw) -> np.ndarray:
     return x
 
 
+def _responses(y, n: int) -> np.ndarray:
+    """Responses as a float (n,) vector; InputError for any other shape."""
+    y = as_floats(y, "responses")
+    if y.shape != (n,):
+        raise InputError(f"response length {y.shape} does not match {n} rows")
+    return y
+
+
 def per_covariate(values, d: int, what: str) -> np.ndarray:
     """One value per covariate, (d,), from one value or d; InputError
     for any other shape."""
@@ -191,14 +199,13 @@ class Dataset:
     hi: np.ndarray
 
     def __post_init__(self):
+        # validates direct construction; from_raw and with_support check
+        # their inputs themselves and build through _rescaled
         y = as_floats(self.y, "responses")
         x = as_floats(self.x, "covariates")
         if x.ndim != 2 or x.shape[1] == 0:
             raise InputError("covariates must form an (n, d) matrix, d >= 1")
-        if y.shape != (x.shape[0],):
-            raise InputError(
-                f"response length {y.shape} does not match {x.shape[0]} rows"
-            )
+        y = _responses(y, x.shape[0])
         if x.shape[0] < 2:
             raise InputError("need at least two observations")
         if not np.all(np.isfinite(x)):
@@ -223,7 +230,7 @@ class Dataset:
                 f"covariate column {flat[0] + 1} is constant and cannot "
                 f"be rescaled"
             )
-        return cls(y=y, x=(x_raw - lo) / (hi - lo), lo=lo, hi=hi)
+        return cls._rescaled(y, (x_raw - lo) / (hi - lo), lo, hi)
 
     @classmethod
     def with_support(cls, x_raw: np.ndarray, y: np.ndarray, lo, hi) -> "Dataset":
@@ -233,7 +240,22 @@ class Dataset:
         u = (x_raw - lo) / (hi - lo)
         if u.min() < -1e-9 or u.max() > 1.0 + 1e-9:
             raise InputError("data fall outside the stated support bounds")
-        return cls(y=y, x=np.clip(u, 0.0, 1.0), lo=lo, hi=hi)
+        return cls._rescaled(y, u, lo, hi)
+
+    @classmethod
+    def _rescaled(cls, y, u, lo, hi) -> "Dataset":
+        """A Dataset of covariates u that the caller checked and rescaled
+        by checked bounds into [0, 1] up to rounding.  Left to check are
+        the responses and u's finiteness (hi - lo may overflow); the rest
+        of `__post_init__` would repeat the caller's checks."""
+        y = _responses(y, u.shape[0])
+        if not np.all(np.isfinite(u)):
+            raise InputError("covariates contain non-finite values")
+        data = object.__new__(cls)
+        for name, value in (("y", y), ("x", np.clip(u, 0.0, 1.0)),
+                            ("lo", lo), ("hi", hi)):
+            object.__setattr__(data, name, value)
+        return data
 
     @property
     def n(self) -> int:

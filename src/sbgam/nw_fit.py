@@ -59,6 +59,13 @@ def _dense_curves(field, tw):
     return [field @ tw[1], tw[0] @ field]
 
 
+def _dense_integral(field, tw) -> float:
+    """Trapezoid integral of a field on a 1-D or 2-D grid, through its
+    first marginal alone."""
+    first = field if field.ndim == 1 else field @ tw[1]
+    return float(tw[0] @ first)
+
+
 def _nw_marginals_dense(ctx, eta0, components, pairs=True):
     """Marginals for d <= 2: each smoothed field is phat times the family's
     field at the kernel-local mean response, plus sq_offset for SQ.  The
@@ -81,7 +88,7 @@ def _nw_marginals_dense(ctx, eta0, components, pairs=True):
         weight=[w[None] for w in wcurves],
         score=[s[None] for s in scurves],
         pairs={(0, 1): wfield} if wfield.ndim == 2 else {},
-        sq=float(tw[0] @ _dense_curves(qfield, tw)[0]) + sq_offset,
+        sq=_dense_integral(qfield, tw) + sq_offset,
     )
 
 
@@ -150,7 +157,7 @@ class NwContext(FitContext):
         q0 = self.family.fields(np.zeros(phat.shape), ybar)[2] * phat
         tw = self.grid.weights
         sq_offset = float(np.mean(self.family.fields(0.0, y)[2])
-                          - float(tw[0] @ _dense_curves(q0, tw)[0]))
+                          - _dense_integral(q0, tw))
         return phat, ybar, sq_offset
 
 

@@ -37,7 +37,6 @@ from .grid import (Dataset, Grid, default_bandwidths, resolve_bandwidths,
                    trapz_weights)
 from .ll_fit import fit_ll
 from .nw_fit import fit_nw
-from .oracles import AsymptoticInputs, ComponentTruth
 
 __all__ = [
     "SimModel",
@@ -266,12 +265,16 @@ def true_components(model: SimModel, nodes: int = 201) -> TruthSpec:
 
 
 def asymptotic_inputs(model: SimModel, n: int, bandwidths,
-                      kernel: str = "epanechnikov") -> AsymptoticInputs:
+                      kernel: str = "epanechnikov") -> "AsymptoticInputs":
     """Limit-formula inputs for a simulation model, in rescaled coordinates.
 
     bandwidths are on the rescaled [0, 1] scale, matching what the fitters
     take; deltas are n^{1/5} times those.
     """
+    # the only use of oracles in this module: fits and studies load
+    # neither it nor the limit formulas
+    from .oracles import AsymptoticInputs, ComponentTruth
+
     d = model.ndim
     h = np.broadcast_to(np.asarray(bandwidths, dtype=float), (d,))
     truth = true_components(model)

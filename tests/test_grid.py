@@ -210,6 +210,22 @@ def test_dataset_from_raw_rejects_malformed_inputs(x, match):
         Dataset.from_raw(x, np.zeros(np.shape(x)[:1]))
 
 
+@pytest.mark.parametrize("make", [
+    Dataset.from_raw,
+    lambda x, y: Dataset.with_support(x, y, -1e308, 1e308),
+], ids=["from-raw", "with-support"])
+def test_dataset_rescaling_keeps_the_constructor_checks(make):
+    # both build without __post_init__, so they check the responses and
+    # the rescaled covariates themselves; a span of 2e308 overflows to
+    # inf, and the largest covariate rescales to inf / inf
+    x = np.array([[-1e308], [0.0], [1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match=r"\(2,\) does not match 3"):
+            make(x, np.zeros(2))
+        with pytest.raises(InputError, match="non-finite"):
+            make(x, np.zeros(3))
+
+
 def test_default_bandwidths():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, size=(200, 3))

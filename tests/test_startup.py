@@ -1,7 +1,10 @@
-"""Start-up: importing, fitting, studies and the CLI run on numpy alone.
+"""Start-up: importing, fitting, studies and the CLI run on numpy alone,
+and fits on the fitting core alone.
 
 scipy is loaded only by `kernel_constants`, whose kappa is a `quad`
-integral; a worker pool module only by a study with n_jobs > 1.  Both are
+integral; a worker pool module only by a study with n_jobs > 1; the
+study harness `sbgam.sim` only by a study name or `sbgam.cli`; and the
+limit formulas `sbgam.oracles` only by `sim.asymptotic_inputs`.  All are
 checked in a fresh interpreter, since this test process has long loaded
 them.
 """
@@ -11,6 +14,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+import sbgam
+from sbgam import oracles, sim
+
 SCRIPT = r"""
 import json
 import sys
@@ -19,12 +27,12 @@ import sys
 def loaded():
     return sorted(m for m in sys.modules
                   if m == "scipy" or m.startswith("scipy.")
-                  or m == "concurrent.futures.process")
+                  or m == "concurrent.futures.process"
+                  or m in ("sbgam.sim", "sbgam.oracles"))
 
 
 report = {}
 import sbgam
-import sbgam.cli
 report["import"] = loaded()
 
 import numpy as np
@@ -44,10 +52,13 @@ for name, y in responses.items():
         fit.predict_mean(x[:5])
 report["fits"] = loaded()
 
+# the first access to a study name loads sim
 sbgam.run_study(sbgam.SimModel.from_label("1,1", n=60), reps=2,
                 bandwidths=0.3, grid_points=21)
 report["study"] = loaded()
 
+import sbgam.cli
+report["cli_import"] = loaded()
 code = sbgam.cli.main(["study", "--model", "2,1", "--n", "60", "--reps", "2",
                        "--bandwidth", "0.3", "--grid-points", "21",
                        "--out-dir", sys.argv[1]])
@@ -86,10 +97,28 @@ def test_numpy_alone_until_kernel_constants(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    for stage in ("import", "fits", "study", "cli_study", "unknown_kernel"):
+    for stage in ("import", "fits"):
         assert report.get(stage) == [], (stage, report.get(stage))
+    for stage in ("study", "cli_import", "cli_study", "unknown_kernel"):
+        assert report.get(stage) == ["sbgam.sim"], (stage, report.get(stage))
     assert (tmp_path / "study.json").exists()
     # the first kernel_constants call imports quad, and kappa is the
     # value quad gives to the bit
     assert report["after_constants"]
     assert report["kappa"] == report["kappa_direct"]
+
+
+def test_study_names_resolve_to_sim_on_first_access():
+    from sbgam import SimModel, StudyResult, run_study, true_components
+
+    names = ("SimModel", "StudyResult", "run_study", "true_components")
+    assert (SimModel, StudyResult, run_study, true_components) == tuple(
+        getattr(sim, name) for name in names)
+    assert sbgam.run_study is sim.run_study
+    assert set(names) <= set(dir(sbgam)) and set(names) <= set(sbgam.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sbgam.no_such_name
+    inputs = sim.asymptotic_inputs(SimModel.from_label("2,2"), 400, 0.3)
+    assert isinstance(inputs, oracles.AsymptoticInputs)
+    assert all(isinstance(c, oracles.ComponentTruth)
+               for c in inputs.components)
