@@ -11,9 +11,9 @@ Three subcommands:
 
 Options can also be supplied as a flat JSON object via ``--config``;
 explicit flags win over config file values, which win over defaults.
-Exit codes: 0 success, 2 invalid input, 3 fit failure (diagnostics are
-still written when available), 4 internal error.  Every failure leaves a
-machine readable ``error.json`` in the output directory.
+Exit codes: 0 success, 2 invalid input or command line, 3 fit failure
+(diagnostics are still written when available), 4 internal error.  Every
+failure leaves a machine readable ``error.json`` in the output directory.
 """
 
 from __future__ import annotations
@@ -38,8 +38,15 @@ from .sim import SimModel, gen_covariates, gen_response, run_study, \
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so `main` exits 2 with error.json."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sbgam",
         description="additive quasi-likelihood smoothing",
     )
@@ -113,12 +120,12 @@ _DEFAULTS = {
 }
 
 
-def _merge_options(args: argparse.Namespace, flags: dict) -> dict:
+def _merge_options(args: argparse.Namespace, command) -> dict:
     """Defaults, then config file values, then explicit flags.
 
-    flags maps each option of the command to its argparse action; a config
-    value goes through the action's type and choices, as its flag would,
-    and a null value counts as not given.
+    The command's parser reads each config value as it reads the value of
+    its flag, with the same type and choices; a null value counts as not
+    given.
     """
     opts = dict(_DEFAULTS[args.command])
     opts["out_dir"] = "."
@@ -137,7 +144,12 @@ def _merge_options(args: argparse.Namespace, flags: dict) -> dict:
             if k not in opts:
                 raise InputError(f"unknown config key {key!r}")
             if val is not None:
-                opts[k] = _check_config_value(flags[k], key, val)
+                flag = "--" + k.replace("_", "-")
+                try:
+                    opts[k] = getattr(command.parse_args([f"{flag}={val}"]), k)
+                except InputError as exc:
+                    raise InputError(f"config value {val!r} of {key!r}: "
+                                     f"{exc}") from None
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -146,33 +158,15 @@ def _merge_options(args: argparse.Namespace, flags: dict) -> dict:
     return opts
 
 
-def _command_flags(parser, command) -> dict:
-    """Each option of the command, by destination, with its action."""
+def _command_parser(parser, command) -> argparse.ArgumentParser:
+    """The subcommand's own parser."""
     (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
-    return {a.dest: a for a in commands[command]._actions}
-
-
-def _check_config_value(action, key, val):
-    """val converted by the flag's type, as if given on the command line;
-    InputError where the flag would be rejected."""
-    converted = val
-    if action.type is not None:
-        try:
-            converted = action.type(str(val))
-        except ValueError:
-            raise InputError(f"config value {val!r} of {key!r} is not a "
-                             f"valid {action.type.__name__}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise InputError(f"config value {val!r} of {key!r} is not one of "
-                         + ", ".join(action.choices))
-    return converted
+    return commands[command]
 
 
 def _parse_bandwidth(spec):
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
-        return float(spec)
     entries = str(spec).split(",")
     if not all(p.strip() for p in entries):
         # a missing value would shift the ones after it to other covariates
@@ -389,12 +383,24 @@ def _record_error(out_dir, exc, code) -> None:
         pass
 
 
+def _out_dir_flag(argv) -> str:
+    """The --out-dir of a command line that fails to parse, else '.'."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--out-dir", nargs="?")
+    return pre.parse_known_args(argv)[0].out_dir or "."
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    out_dir = getattr(args, "out_dir", None) or "."
+    out_dir = "."
     try:
-        opts = _merge_options(args, _command_flags(parser, args.command))
+        try:
+            args = parser.parse_args(argv)
+        except InputError:
+            out_dir = _out_dir_flag(argv)
+            raise
+        out_dir = args.out_dir or "."
+        opts = _merge_options(args, _command_parser(parser, args.command))
         out_dir = str(opts.get("out_dir") or ".")
         with _writing(out_dir):
             os.makedirs(out_dir, exist_ok=True)

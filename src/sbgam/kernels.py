@@ -22,17 +22,12 @@ downstream.
 Conventions: `v` is the data location, `u` the evaluation point, both in
 [0, 1]; bandwidths satisfy 0 < h <= 1/2 so at most one edge correction is
 active at a time.
-
-Everything here runs on numpy but `kernel_constants`, whose boundary
-constant kappa is a `scipy.integrate.quad` integral that only the
-asymptotic formulas of `oracles` read: scipy is imported on its first
-call, so importing sbgam, fitting and running studies never load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,11 +99,20 @@ def _triangular_cdf(t: np.ndarray) -> np.ndarray:
     return np.where(tc < 0.0, lower, upper)
 
 
-# name -> (pdf, cdf, mu2, roughness); mu2 and roughness are closed forms
+# name -> (pdf, cdf, mu2, roughness, kappa), the constants in closed form;
+# kappa integrates mu1(-t) / mu0(-t) over [0, 1], a rational function of t:
+#   epanechnikov  3 (1 - t)^2 / (4 (2 - t))
+#   quartic       5 (1 - t)^3 / (2 (3 t^2 - 9 t + 8))
+#   triangular    (1 - t)^2 (1 + 2 t) / (3 (1 + 2 t - t^2))
 _BASES = {
-    "epanechnikov": (_epanechnikov, _epanechnikov_cdf, 0.2, 0.6),
-    "quartic": (_quartic, _quartic_cdf, 1.0 / 7.0, 5.0 / 7.0),
-    "triangular": (_triangular, _triangular_cdf, 1.0 / 6.0, 2.0 / 3.0),
+    "epanechnikov": (_epanechnikov, _epanechnikov_cdf, 0.2, 0.6,
+                     0.75 * math.log(2.0) - 0.375),
+    "quartic": (_quartic, _quartic_cdf, 1.0 / 7.0, 5.0 / 7.0,
+                math.sqrt(15.0) / 6.0 * math.atan(math.sqrt(15.0) / 7.0)
+                + 5.0 / 18.0 * math.log(2.0) - 5.0 / 12.0),
+    "triangular": (_triangular, _triangular_cdf, 1.0 / 6.0, 2.0 / 3.0,
+                   math.sqrt(2.0) * math.log(1.0 + math.sqrt(2.0))
+                   - 2.0 / 3.0 - 2.0 / 3.0 * math.log(2.0)),
 }
 
 
@@ -264,21 +268,6 @@ class KernelConstants:
     kappa: float
 
 
-@lru_cache(maxsize=None)
 def kernel_constants(name: str = "epanechnikov") -> KernelConstants:
-    """Moment constants for a base kernel by name.
-
-    scipy is imported here, after the name is checked; the cache pays
-    that import once.
-    """
-    _, _, mu2, rough = _base(name)
-    from scipy.integrate import quad
-
-    kappa, _ = quad(
-        lambda t: partial_moment(1, -t, name) / partial_moment(0, -t, name),
-        0.0,
-        1.0,
-        epsabs=1e-11,
-        epsrel=1e-11,
-    )
-    return KernelConstants(mu2=mu2, roughness=rough, kappa=kappa)
+    """Moment constants for a base kernel by name."""
+    return KernelConstants(*_base(name)[2:])

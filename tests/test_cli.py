@@ -390,3 +390,31 @@ def test_unwritable_output_paths_exit_2(tmp_path, monkeypatch, capsys, argv,
     assert _run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write output {path}: "), err
+
+
+@pytest.mark.parametrize("argv, message, to_out_dir", [
+    (["fit", "--grid-points", "abc"],
+     "argument --grid-points: invalid int value: 'abc'", True),
+    (["study", "--estimator", "xx"],
+     "argument --estimator: invalid choice: 'xx'", True),
+    (["simulate", "--bogus"], "unrecognized arguments: --bogus", False),
+], ids=["fit-bad-int", "study-bad-choice", "simulate-unknown-flag"])
+def test_malformed_command_line_exits_2(tmp_path, monkeypatch, capsys,
+                                        argv, message, to_out_dir):
+    # argparse's own exit 2 left no error.json: the record goes to the
+    # command line's --out-dir, else to the working directory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    argv = argv + (["--out-dir", out] if to_out_dir else [])
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    where = out if to_out_dir else tmp_path
+    err = json.loads((where / "error.json").read_text())
+    assert err["exit_code"] == 2 and message in err["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "--grid-points" in capsys.readouterr().out

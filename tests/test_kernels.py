@@ -125,16 +125,24 @@ def test_row_windows():
 
 
 def test_kernel_constants_reference_values():
+    # kappa to 30 digits, by 50-digit quadrature of mu1(-t) / mu0(-t)
+    kappa = {
+        "epanechnikov": 0.144860385419958982062924091094,
+        "quartic": 0.102083023515777577140318294969,
+        "triangular": 0.117685693240497487176552079529,
+    }
     c = kernels.kernel_constants("epanechnikov")
     assert c.mu2 == pytest.approx(0.2, abs=1e-12)
     assert c.roughness == pytest.approx(0.6, abs=1e-12)
-    assert c.kappa == pytest.approx(0.14486038541995896, abs=1e-9)
     q = kernels.kernel_constants("quartic")
     assert q.mu2 == pytest.approx(1.0 / 7.0, abs=1e-12)
     assert q.roughness == pytest.approx(5.0 / 7.0, abs=1e-12)
     t = kernels.kernel_constants("triangular")
     assert t.mu2 == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert t.roughness == pytest.approx(2.0 / 3.0, abs=1e-12)
+    for name, ref in kappa.items():
+        assert kernels.kernel_constants(name).kappa == \
+            pytest.approx(ref, abs=1e-16)
 
 
 def test_kernel_constants_unknown_name():
@@ -166,7 +174,7 @@ def test_kappa_reproducible_by_direct_quadrature():
             0.0, 1.0, epsabs=1e-12, limit=200,
         )
         assert kernels.kernel_constants(name).kappa == \
-            pytest.approx(val, abs=1e-9)
+            pytest.approx(val, abs=1e-14)
 
 
 def test_validate_bandwidths():

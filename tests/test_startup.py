@@ -1,12 +1,11 @@
-"""Start-up: importing, fitting, studies and the CLI run on numpy alone,
-and fits on the fitting core alone.
+"""Start-up: importing, fitting, studies, the CLI and the limit formulas
+run on numpy alone, and fits on the fitting core alone.
 
-scipy is loaded only by `kernel_constants`, whose kappa is a `quad`
-integral; a worker pool module only by a study with n_jobs > 1; the
-study harness `sbgam.sim` only by a study name or `sbgam.cli`; and the
-limit formulas `sbgam.oracles` only by `sim.asymptotic_inputs`.  All are
-checked in a fresh interpreter, since this test process has long loaded
-them.
+The runtime runs with scipy's import blocked; a worker pool module is
+loaded only by a study with n_jobs > 1; the study harness `sbgam.sim`
+only by a study name or `sbgam.cli`; and the limit formulas
+`sbgam.oracles` only by `sim.asymptotic_inputs`.  All are checked in a
+fresh interpreter, since this test process has long loaded them.
 """
 
 import json
@@ -23,12 +22,16 @@ SCRIPT = r"""
 import json
 import sys
 
+# any import of scipy now raises ImportError
+sys.modules["scipy"] = None
+
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy.")
-                  or m == "concurrent.futures.process"
-                  or m in ("sbgam.sim", "sbgam.oracles"))
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None
+                  and (m == "scipy" or m.startswith("scipy.")
+                       or m == "concurrent.futures.process"
+                       or m in ("sbgam.sim", "sbgam.oracles")))
 
 
 report = {}
@@ -64,32 +67,25 @@ code = sbgam.cli.main(["study", "--model", "2,1", "--n", "60", "--reps", "2",
                        "--out-dir", sys.argv[1]])
 report["cli_study"] = loaded() if code == 0 else f"exit code {code}"
 
-try:
-    sbgam.kernel_constants("gaussian")
-except sbgam.InputError:
-    report["unknown_kernel"] = loaded()
+for name in ("epanechnikov", "quartic", "triangular"):
+    sbgam.kernel_constants(name)
+report["constants"] = loaded()
 
-kappa = {name: sbgam.kernel_constants(name).kappa.hex()
-         for name in ("epanechnikov", "quartic", "triangular")}
-report["after_constants"] = "scipy.integrate" in sys.modules
+from sbgam import oracles
 
-from scipy.integrate import quad
-from sbgam.kernels import partial_moment
-
-
-def direct(name):
-    return quad(lambda t: partial_moment(1, -t, name)
-                / partial_moment(0, -t, name),
-                0.0, 1.0, epsabs=1e-11, epsrel=1e-11)[0].hex()
-
-
-report["kappa"] = kappa
-report["kappa_direct"] = {name: direct(name) for name in kappa}
+inputs = sbgam.sim.asymptotic_inputs(sbgam.SimModel.from_label("2,2"),
+                                     400, 0.3)
+xj = np.array([0.05, 0.5, 0.95])
+values = (oracles.oracle_variance(inputs, 0, xj),
+          oracles.ll_component_bias(inputs, 1, xj),
+          oracles.ll_intercept_bias(inputs))
+finite = all(np.all(np.isfinite(v)) for v in values)
+report["oracles"] = loaded() if finite else "non-finite value"
 print(json.dumps(report))
 """
 
 
-def test_numpy_alone_until_kernel_constants(tmp_path):
+def test_runtime_runs_with_scipy_blocked(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path
                                                       if p))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
@@ -99,13 +95,11 @@ def test_numpy_alone_until_kernel_constants(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     for stage in ("import", "fits"):
         assert report.get(stage) == [], (stage, report.get(stage))
-    for stage in ("study", "cli_import", "cli_study", "unknown_kernel"):
+    for stage in ("study", "cli_import", "cli_study", "constants"):
         assert report.get(stage) == ["sbgam.sim"], (stage, report.get(stage))
+    assert report.get("oracles") == ["sbgam.oracles", "sbgam.sim"], \
+        report.get("oracles")
     assert (tmp_path / "study.json").exists()
-    # the first kernel_constants call imports quad, and kappa is the
-    # value quad gives to the bit
-    assert report["after_constants"]
-    assert report["kappa"] == report["kappa_direct"]
 
 
 def test_study_names_resolve_to_sim_on_first_access():
