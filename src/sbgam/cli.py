@@ -9,8 +9,12 @@ Three subcommands:
 * ``sbgam study``     run a Monte Carlo study cell and write the summary
                       table (CSV) and the full results (JSON).
 
-Options can also be supplied as a flat JSON object via ``--config``;
-explicit flags win over config file values, which win over defaults.
+The parser is the one table of the options, their types, choices and
+defaults; ``sbgam <command> --help`` lists each option with its choices.
+Options can also be supplied as a flat JSON object via ``--config``,
+keyed by the flag names written with ``-`` or ``_``.  Each value is read
+as the flag's value and becomes the command's default, so explicit flags
+win over config values.
 Exit codes: 0 success, 2 invalid input or command line, 3 fit failure
 (diagnostics are still written when available), 4 internal error.  Every
 failure leaves a machine readable ``error.json`` in the output directory.
@@ -24,12 +28,15 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
 from .backfit import FitConfig
 from .errors import FitError, InputError, NonConvergenceError
+from .family import FAMILY_NAMES
 from .grid import Dataset, Grid, default_bandwidths, resolve_bandwidths
+from .kernels import KERNEL_NAMES
 from .ll_fit import fit_ll
 from .nw_fit import fit_nw
 from .sim import SimModel, gen_covariates, gen_response, run_study, \
@@ -46,116 +53,94 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sbgam",
-        description="additive quasi-likelihood smoothing",
-    )
+    """The one table of the options; `sbgam <command> --help` prints it."""
+    parser = _Parser(prog="sbgam",
+                     description="additive quasi-likelihood smoothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # parents share their action objects with every command built on them,
+    # so set_defaults on one command changes the others' defaults too;
+    # harmless, as main builds a fresh parser for every command line
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with default options")
     common.add_argument("--out-dir", help="output directory (default .)")
 
-    p_fit = sub.add_parser("fit", parents=[common],
+    smoothing = argparse.ArgumentParser(add_help=False)
+    smoothing.add_argument("--estimator", choices=("nw", "ll"), default="nw")
+    smoothing.add_argument("--kernel", choices=KERNEL_NAMES,
+                           default="epanechnikov")
+    smoothing.add_argument("--bandwidth", type=_parse_bandwidth,
+                           help="rescaled bandwidth, scalar or comma list")
+    smoothing.add_argument("--bandwidth-scale", type=float, default=1.0)
+    smoothing.add_argument("--grid-points", type=int, default=41)
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", default="1,1",
+                       help="model label such as 1,1 or 2,2")
+    model.add_argument("--n", type=int, default=100)
+    model.add_argument("--seed", type=int, default=0)
+    model.add_argument("--extra-dims", type=int, default=0)
+
+    p_fit = sub.add_parser("fit", parents=[common, smoothing],
                            help="fit an additive model to CSV data")
     p_fit.add_argument("--data", help="input CSV file with a header row")
     p_fit.add_argument("--response", help="name of the response column")
     p_fit.add_argument("--covariates",
                        help="comma separated covariate column names "
                             "(default: all non-response columns)")
-    p_fit.add_argument("--estimator", choices=("nw", "ll"))
-    p_fit.add_argument("--family",
-                       choices=("gaussian", "bernoulli", "poisson"))
-    p_fit.add_argument("--kernel")
-    p_fit.add_argument("--bandwidth",
-                       help="rescaled bandwidth, scalar or comma list")
-    p_fit.add_argument("--bandwidth-scale", type=float)
-    p_fit.add_argument("--grid-points", type=int)
-    p_fit.add_argument("--tol-outer", type=float)
-    p_fit.add_argument("--tol-inner", type=float)
-    p_fit.add_argument("--max-outer", type=int)
-    p_fit.add_argument("--max-inner", type=int)
-    p_fit.add_argument("--damping", type=float)
+    p_fit.add_argument("--family", choices=FAMILY_NAMES, default="gaussian")
+    for f in fields(FitConfig):
+        p_fit.add_argument("--" + f.name.replace("_", "-"),
+                           type=type(f.default))
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, model],
                            help="draw data from a study model")
-    p_sim.add_argument("--model", help="model label such as 1,1 or 2,2")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--extra-dims", type=int)
-    p_sim.add_argument("--out", help="output CSV path (default data.csv)")
+    p_sim.add_argument("--out", default="data.csv", help="output CSV path")
 
-    p_study = sub.add_parser("study", parents=[common],
+    p_study = sub.add_parser("study", parents=[common, smoothing, model],
                              help="run a Monte Carlo study cell")
-    p_study.add_argument("--model")
-    p_study.add_argument("--estimator", choices=("nw", "ll"))
-    p_study.add_argument("--n", type=int)
-    p_study.add_argument("--seed", type=int)
-    p_study.add_argument("--extra-dims", type=int)
-    p_study.add_argument("--reps", type=int)
-    p_study.add_argument("--bandwidth")
-    p_study.add_argument("--bandwidth-scale", type=float)
-    p_study.add_argument("--grid-points", type=int)
-    p_study.add_argument("--kernel")
-    p_study.add_argument("--n-jobs", type=int)
+    p_study.add_argument("--reps", type=int, default=200)
+    p_study.add_argument("--n-jobs", type=int, default=1)
     return parser
 
 
-_DEFAULTS = {
-    "fit": {
-        "data": None, "response": None,
-        "estimator": "nw", "family": "gaussian", "kernel": "epanechnikov",
-        "bandwidth": None, "bandwidth_scale": 1.0, "grid_points": 41,
-        "covariates": None, "tol_outer": None, "tol_inner": None,
-        "max_outer": None, "max_inner": None, "damping": None,
-    },
-    "simulate": {"model": "1,1", "n": 100, "seed": 0, "extra_dims": 0,
-                 "out": "data.csv"},
-    "study": {
-        "model": "1,1", "estimator": "nw", "n": 100, "seed": 0,
-        "extra_dims": 0, "reps": 200, "bandwidth": None,
-        "bandwidth_scale": 1.0, "grid_points": 41,
-        "kernel": "epanechnikov", "n_jobs": 1,
-    },
-}
-
-
-def _merge_options(args: argparse.Namespace, command) -> dict:
-    """Defaults, then config file values, then explicit flags.
+def _apply_config(parser, args, argv) -> argparse.Namespace:
+    """The values of args' --config file become the command's defaults,
+    and argv is parsed again, so explicit flags still win.
 
     The command's parser reads each config value as it reads the value of
-    its flag, with the same type and choices; a null value counts as not
-    given.
+    its flag; a null value counts as not given.
     """
-    opts = dict(_DEFAULTS[args.command])
-    opts["out_dir"] = "."
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise InputError("config file must hold a JSON object")
-        for key, val in loaded.items():
-            k = key.replace("-", "_")
-            if k not in opts:
-                raise InputError(f"unknown config key {key!r}")
-            if val is not None:
-                flag = "--" + k.replace("_", "-")
-                try:
-                    opts[k] = getattr(command.parse_args([f"{flag}={val}"]), k)
-                except InputError as exc:
-                    raise InputError(f"config value {val!r} of {key!r}: "
-                                     f"{exc}") from None
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InputError("config file must hold a JSON object")
+    command = _command_parser(parser, args.command)
+    keys = {a.dest for a in command._actions} - {"help", "config"}
+    spelled = {}
+    for key, val in loaded.items():
+        k = key.replace("-", "_")
+        if k not in keys:
+            raise InputError(f"unknown config key {key!r}")
+        if spelled.setdefault(k, key) != key:
+            raise InputError(f"config keys {spelled[k]!r} and {key!r} "
+                             f"set the same option")
         if val is not None:
-            opts[key] = val
-    return opts
+            flag = "--" + k.replace("_", "-")
+            try:
+                value = getattr(command.parse_args([f"{flag}={val}"]), k)
+            except InputError as exc:
+                raise InputError(f"config value {val!r} of {key!r}: "
+                                 f"{exc}") from None
+            command.set_defaults(**{k: value})
+    return parser.parse_args(argv)
 
 
 def _command_parser(parser, command) -> argparse.ArgumentParser:
@@ -165,9 +150,7 @@ def _command_parser(parser, command) -> argparse.ArgumentParser:
 
 
 def _parse_bandwidth(spec):
-    if spec is None:
-        return None
-    entries = str(spec).split(",")
+    entries = spec.split(",")
     if not all(p.strip() for p in entries):
         # a missing value would shift the ones after it to other covariates
         raise InputError(f"empty entry in bandwidth {spec!r}")
@@ -202,7 +185,7 @@ def _read_csv_dataset(path, response, covariates):
         if covariates is None:
             names = [c for c in header if c != response]
         else:
-            names = [c.strip() for c in str(covariates).split(",")
+            names = [c.strip() for c in covariates.split(",")
                      if c.strip()]
             missing = [c for c in names if c not in header]
             if missing:
@@ -237,42 +220,43 @@ def _read_csv_dataset(path, response, covariates):
     return Dataset.from_raw(x, y), names
 
 
-def _fit_config(opts) -> FitConfig | None:
-    keys = ("tol_outer", "tol_inner", "max_outer", "max_inner", "damping")
-    given = {k: opts[k] for k in keys if opts.get(k) is not None}
+def _fit_config(args) -> FitConfig | None:
+    given = {f.name: getattr(args, f.name) for f in fields(FitConfig)
+             if getattr(args, f.name) is not None}
     return FitConfig(**given) if given else None
 
 
-def _cmd_fit(opts) -> int:
-    ds, names = _read_csv_dataset(opts["data"], opts["response"],
-                                  opts["covariates"])
-    scale = float(opts["bandwidth_scale"])
-    h = resolve_bandwidths(_parse_bandwidth(opts["bandwidth"]), ds.ndim, scale)
+def _model(args) -> SimModel:
+    return SimModel.from_label(args.model, n=args.n, seed=args.seed,
+                               extra_dims=args.extra_dims)
+
+
+def _cmd_fit(args, out_dir) -> int:
+    ds, names = _read_csv_dataset(args.data, args.response, args.covariates)
+    h = resolve_bandwidths(args.bandwidth, ds.ndim, args.bandwidth_scale)
     if h is None:
-        h = default_bandwidths(ds.x, c=scale)
-    grid = Grid.uniform(ds.ndim, int(opts["grid_points"]))
-    config = _fit_config(opts)
-    fitter = fit_nw if opts["estimator"] == "nw" else fit_ll
-    out_dir = opts["out_dir"]
+        h = default_bandwidths(ds.x, c=args.bandwidth_scale)
+    grid = Grid.uniform(ds.ndim, args.grid_points)
+    fitter = fit_nw if args.estimator == "nw" else fit_ll
 
     try:
-        fit = fitter(ds, h, grid=grid, family=opts["family"],
-                     kernel=opts["kernel"], config=config)
+        fit = fitter(ds, h, grid=grid, family=args.family,
+                     kernel=args.kernel, config=_fit_config(args))
     except NonConvergenceError as exc:
         # record the history of the loop that stopped before reraising
         _write_json(os.path.join(out_dir, "fit.json"), {
             "converged": False,
             f"{exc.loop}_changes": [float(v) for v in exc.history],
-            "estimator": opts["estimator"],
-            "family": opts["family"],
-            "kernel": opts["kernel"],
+            "estimator": args.estimator,
+            "family": args.family,
+            "kernel": args.kernel,
             "bandwidths": [float(v) for v in h],
         })
         raise
 
     diag = fit.diagnostics
     comps, derivs = fit.curves, None
-    if opts["estimator"] == "ll":
+    if args.estimator == "ll":
         # slopes with respect to the original covariate scale
         derivs = [fit.derivative_curve(j) / (ds.hi[j] - ds.lo[j])
                   for j in range(ds.ndim)]
@@ -292,14 +276,14 @@ def _cmd_fit(opts) -> int:
             csv.writer(fh).writerows(rows)
 
     _write_json(os.path.join(out_dir, "fit.json"), {
-        "estimator": opts["estimator"],
-        "family": opts["family"],
-        "kernel": opts["kernel"],
+        "estimator": args.estimator,
+        "family": args.family,
+        "kernel": args.kernel,
         "n": ds.n,
         "ndim": ds.ndim,
         "covariates": names,
         "bandwidths": [float(v) for v in h],
-        "grid_points": int(opts["grid_points"]),
+        "grid_points": args.grid_points,
         "intercept": float(fit.intercept),
         "converged": bool(diag.converged),
         "outer_iterations": int(diag.outer_iterations),
@@ -315,16 +299,14 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
-def _cmd_simulate(opts) -> int:
-    model = SimModel.from_label(str(opts["model"]), n=int(opts["n"]),
-                                seed=int(opts["seed"]),
-                                extra_dims=int(opts["extra_dims"]))
+def _cmd_simulate(args, out_dir) -> int:
+    model = _model(args)
     rng = np.random.default_rng(np.random.SeedSequence([model.seed]))
     x = gen_covariates(model, rng)
     y = gen_response(model, x, rng)
-    path = opts["out"]
-    if os.path.dirname(path) == "" and opts["out_dir"] != ".":
-        path = os.path.join(opts["out_dir"], path)
+    path = args.out
+    if os.path.dirname(path) == "" and out_dir != ".":
+        path = os.path.join(out_dir, path)
     with _writing(path), open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow([f"x{j + 1}" for j in range(model.ndim)] + ["y"])
@@ -333,21 +315,17 @@ def _cmd_simulate(opts) -> int:
     return 0
 
 
-def _cmd_study(opts) -> int:
-    model = SimModel.from_label(str(opts["model"]), n=int(opts["n"]),
-                                seed=int(opts["seed"]),
-                                extra_dims=int(opts["extra_dims"]))
+def _cmd_study(args, out_dir) -> int:
     result = run_study(
-        model,
-        estimator=opts["estimator"],
-        reps=int(opts["reps"]),
-        bandwidths=_parse_bandwidth(opts["bandwidth"]),
-        bandwidth_scale=float(opts["bandwidth_scale"]),
-        grid_points=int(opts["grid_points"]),
-        kernel=opts["kernel"],
-        n_jobs=int(opts["n_jobs"]),
+        _model(args),
+        estimator=args.estimator,
+        reps=args.reps,
+        bandwidths=args.bandwidth,
+        bandwidth_scale=args.bandwidth_scale,
+        grid_points=args.grid_points,
+        kernel=args.kernel,
+        n_jobs=args.n_jobs,
     )
-    out_dir = opts["out_dir"]
     with _writing(out_dir):
         write_study_csv([result], os.path.join(out_dir, "study.csv"))
         write_study_json(result, os.path.join(out_dir, "study.json"))
@@ -400,13 +378,13 @@ def main(argv=None) -> int:
             out_dir = _out_dir_flag(argv)
             raise
         out_dir = args.out_dir or "."
-        opts = _merge_options(args, _command_parser(parser, args.command))
-        out_dir = str(opts.get("out_dir") or ".")
+        args = _apply_config(parser, args, argv)
+        out_dir = args.out_dir or "."
         with _writing(out_dir):
             os.makedirs(out_dir, exist_ok=True)
         handler = {"fit": _cmd_fit, "simulate": _cmd_simulate,
                    "study": _cmd_study}[args.command]
-        return handler(opts)
+        return handler(args, out_dir)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _record_error(out_dir, exc, 2)

@@ -272,12 +272,21 @@ class Dataset:
         return (np.asarray(x, dtype=float) - self.lo[j]) / (self.hi[j] - self.lo[j])
 
 
+def _check_scale(scale) -> None:
+    """InputError unless the bandwidth scale is finite and positive."""
+    if not (isfinite(scale) and scale > 0.0):
+        raise InputError(f"bandwidth scale must be finite and positive, "
+                         f"got {scale!r}")
+
+
 def default_bandwidths(x: np.ndarray, c: float = 1.0) -> np.ndarray:
     """Rule-of-thumb bandwidths c * sd(x_j) * n^{-1/5} on the rescaled scale.
 
     Values are clipped into (0, 1/2]; the constant c is the only tuning
-    handle and multiplies every dimension alike.
+    handle and multiplies every dimension alike.  InputError unless c is
+    finite and positive.
     """
+    _check_scale(c)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     sd = x.std(axis=0, ddof=1)
@@ -290,9 +299,7 @@ def resolve_bandwidths(bandwidths, d: int, scale=1.0):
     (d,) array; InputError for any other count, or for a scale that is
     not finite and positive.  None stays None, and the caller takes
     `default_bandwidths` of its data with c = scale."""
-    if not (isfinite(scale) and scale > 0.0):
-        raise InputError(f"bandwidth scale must be finite and positive, "
-                         f"got {scale!r}")
+    _check_scale(scale)
     if bandwidths is None:
         return None
     return per_covariate(as_floats(bandwidths, "bandwidths") * scale, d,

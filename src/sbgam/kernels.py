@@ -48,9 +48,6 @@ __all__ = [
     "KERNEL_NAMES",
 ]
 
-KERNEL_NAMES = ("epanechnikov", "quartic", "triangular")
-
-
 # each base kernel writes K0(t) into out, an array of t's shape that may
 # be t itself, in passes that all work in place; `base_kernel` hands it a
 # new array, `kernel_rows` the array of t
@@ -114,6 +111,7 @@ _BASES = {
                    math.sqrt(2.0) * math.log(1.0 + math.sqrt(2.0))
                    - 2.0 / 3.0 - 2.0 / 3.0 * math.log(2.0)),
 }
+KERNEL_NAMES = tuple(_BASES)
 
 
 def validate_kernel(name: str) -> str:

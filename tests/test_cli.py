@@ -2,14 +2,20 @@
 
 import concurrent.futures
 import csv
+import inspect
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sbgam import sim
-from sbgam.cli import main
+from sbgam.backfit import FitConfig
+from sbgam.cli import build_parser, main
+from sbgam.grid import Grid, default_bandwidths, resolve_bandwidths
+from sbgam.ll_fit import fit_ll
+from sbgam.nw_fit import fit_nw
 
 
 def _run(argv):
@@ -184,6 +190,97 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert info["bandwidths"] == [0.4, 0.4]
     assert info["grid_points"] == 21
     assert info["family"] == "bernoulli"
+
+
+def test_config_key_in_both_spellings_exits_2(tmp_path):
+    # the second spelling used to overwrite the first: 41 points, exit 0
+    _assert_fit_input_error(tmp_path, [],
+                            {"grid-points": 21, "grid_points": 41})
+    err = json.loads((tmp_path / "ctlerr" / "error.json").read_text())
+    assert "'grid-points'" in err["message"]
+    assert "'grid_points'" in err["message"]
+
+
+_STUDY_FLAGS = ["--model", "2,1", "--n", 80, "--grid-points", 21]
+
+
+@pytest.mark.parametrize("bandwidth", ["0.3,0.35", 0.3])
+def test_study_config_matches_flags(tmp_path, bandwidth):
+    flagged = tmp_path / "flags"
+    assert _run(["study", *_STUDY_FLAGS, "--reps", 3,
+                 "--bandwidth", bandwidth, "--out-dir", flagged]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "2,1", "n": 80, "reps": 3, "grid_points": 21,
+        "bandwidth": bandwidth, "out-dir": str(tmp_path / "cfg"),
+    }))
+    assert _run(["study", "--config", cfg]) == 0
+    assert (tmp_path / "cfg" / "study.json").read_bytes() \
+        == (flagged / "study.json").read_bytes()
+
+    # flags beat the config: reps 2 written to the flag's directory
+    assert _run(["study", *_STUDY_FLAGS, "--reps", 2,
+                 "--bandwidth", bandwidth, "--out-dir", flagged]) == 0
+    assert _run(["study", "--config", cfg, "--reps", 2,
+                 "--out-dir", tmp_path / "both"]) == 0
+    assert (tmp_path / "both" / "study.json").read_bytes() \
+        == (flagged / "study.json").read_bytes()
+    assert json.loads((flagged / "study.json").read_text())["reps"] == 2
+
+
+def test_simulate_config_matches_flags(tmp_path):
+    argv = ["simulate", "--model", "2,2", "--n", 70, "--seed", 5,
+            "--extra-dims", 1]
+    assert _run([*argv, "--out-dir", tmp_path / "flags"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "2,2", "n": 90, "seed": 5,
+                               "extra-dims": 1,
+                               "out-dir": str(tmp_path / "cfg")}))
+    # --n beats the config's 90, --out-dir its directory
+    assert _run(["simulate", "--config", cfg, "--n", 70,
+                 "--out-dir", tmp_path / "both"]) == 0
+    assert not (tmp_path / "cfg").exists()
+    assert (tmp_path / "both" / "data.csv").read_bytes() \
+        == (tmp_path / "flags" / "data.csv").read_bytes()
+    assert _run(["simulate", "--config", cfg]) == 0
+    with open(tmp_path / "cfg" / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x1", "x2", "x3", "y"] and len(rows) == 91
+
+
+def _parameter_defaults(fn):
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_cli_defaults_match_the_library():
+    # the parser and the library each hold a copy of these defaults
+    parser = build_parser()
+    study = vars(parser.parse_args(["study"]))
+    run = _parameter_defaults(sim.run_study)
+    for key in ("estimator", "reps", "bandwidth_scale", "grid_points",
+                "kernel", "n_jobs"):
+        assert study[key] == run[key], key
+    assert study["bandwidth"] is run["bandwidths"] is None
+    model = sim.SimModel.from_label(study["model"], n=study["n"],
+                                    seed=study["seed"],
+                                    extra_dims=study["extra_dims"])
+    assert model == sim.SimModel()
+    label = _parameter_defaults(sim.SimModel.from_label)
+    assert {k: study[k] for k in label} == label
+
+    fit = vars(parser.parse_args(["fit"]))
+    for fitter in (fit_nw, fit_ll):
+        lib = _parameter_defaults(fitter)
+        assert (fit["family"], fit["kernel"]) \
+            == (lib["family"], lib["kernel"])
+    assert fit["grid_points"] \
+        == _parameter_defaults(Grid.uniform)["n_points"]
+    assert fit["bandwidth_scale"] \
+        == _parameter_defaults(default_bandwidths)["c"] \
+        == _parameter_defaults(resolve_bandwidths)["scale"]
+    # FitConfig's own defaults apply to every control not given
+    assert all(fit[f.name] is None for f in fields(FitConfig))
 
 
 @pytest.mark.parametrize("command, key", [("fit", "bandwdith"),

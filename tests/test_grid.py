@@ -236,6 +236,20 @@ def test_default_bandwidths():
     assert (default_bandwidths(x, c=100.0) == 0.5).all()
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+def test_bandwidth_scale_must_be_finite_and_positive(c):
+    # 0 and -1 used to give the 1e-4 floor, which the fit then blamed on
+    # the grid; inf silently gave 0.5.  Both entry points share the check
+    x = np.random.default_rng(3).uniform(size=(50, 2))
+    for call in (lambda: default_bandwidths(x, c=c),
+                 lambda: resolve_bandwidths(0.3, 2, c),
+                 lambda: resolve_bandwidths(None, 2, c)):
+        with pytest.raises(InputError,
+                           match="bandwidth scale must be finite and "
+                                 "positive"):
+            call()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_streamed_marginals_match_dense(d):
     rng = np.random.default_rng(10 + d)
