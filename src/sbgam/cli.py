@@ -46,7 +46,12 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise InputError, so `main` exits 2 with error.json."""
+    """Flags count only when spelled in full, as config keys do, and usage
+    errors raise InputError, so `main` exits 2 with error.json.  The
+    command parsers are of this class too."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise InputError(message)
@@ -363,7 +368,7 @@ def _record_error(out_dir, exc, code) -> None:
 
 def _out_dir_flag(argv) -> str:
     """The --out-dir of a command line that fails to parse, else '.'."""
-    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--out-dir", nargs="?")
     return pre.parse_known_args(argv)[0].out_dir or "."
 

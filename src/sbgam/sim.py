@@ -24,8 +24,8 @@ quadrature and the extra dimensions factor out of the integrals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
 from numbers import Real
 
 import numpy as np
@@ -349,47 +349,33 @@ class StudyResult:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        """The deterministic `study.json` payload.
+        """The `study.json` payload, in plain Python lists and numbers:
+        every field but var_curves and the wall time, which keeps it
+        deterministic, with model_label written as "model"."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("var_curves", "elapsed_seconds")}
+        out["model"] = out.pop("model_label")
+        return out
 
-        Wall time is left out, so identical configurations give identical
-        bytes.
-        """
-        return {
-            "model": self.model_label,
-            "estimator": self.estimator,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "bandwidths": [float(v) for v in self.bandwidths],
-            "grid_points": self.grid_points,
-            "kernel": self.kernel,
-            "isb": [float(v) for v in self.isb],
-            "iv": [float(v) for v in self.iv],
-            "mise": [float(v) for v in self.mise],
-            "isb_avg": float(self.isb_avg),
-            "iv_avg": float(self.iv_avg),
-            "mise_avg": float(self.mise_avg),
-            "bad_count": self.bad_count,
-            "bad_indices": list(self.bad_indices),
-            "reps_used": self.reps_used,
-            "eta0_mean": float(self.eta0_mean),
-            "eta0_star": float(self.eta0_star),
-            "mean_curves": [[float(v) for v in c] for c in self.mean_curves],
-            "truth_curves": [[float(v) for v in c]
-                             for c in self.truth_curves],
-            "axes": [[float(v) for v in a] for a in self.axes],
-        }
+
+def _plain(value):
+    """numpy arrays and scalars, in lists and tuples too, as plain Python."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def _study_rep(model: SimModel, estimator: str, bandwidths,
                bandwidth_scale: float, grid: Grid, kernel: str,
-               rep: int, truth_eta0: float, truth_curves: list):
-    """One replication: simulate, fit, compare to truth.
+               truth_eta0: float, truth_curves: list, rep: int):
+    """Replication rep of a study cell: simulate, fit, compare to truth.
 
     bandwidths are `resolve_bandwidths`' (d,) result, or None for the
     default of this replication's data; grid is the study's grid.  Returns
-    (rep, eta0_hat, curves, l2, error_message); curves is None when the
-    fit failed outright.
+    (eta0_hat, curves, l2, error_message); curves is None when the fit
+    failed outright.
     """
     rng = np.random.default_rng(np.random.SeedSequence([model.seed, rep]))
     ds = make_dataset(model, rng)
@@ -400,7 +386,7 @@ def _study_rep(model: SimModel, estimator: str, bandwidths,
     try:
         fit = fitter(ds, h, grid=grid, family=model.response, kernel=kernel)
     except FitError as exc:
-        return rep, np.nan, None, np.inf, str(exc)
+        return np.nan, None, np.inf, str(exc)
 
     # squared L2 distance of the full predictor over the original box,
     # via the exact additive decomposition (unit-cube integrals times 2^d)
@@ -416,7 +402,7 @@ def _study_rep(model: SimModel, estimator: str, bandwidths,
         mu += mj
         spread += vj - mj * mj
     l2 = 2.0 ** d * ((delta0 + mu) ** 2 + spread)
-    return rep, eta0_hat, [np.asarray(c) for c in curves], l2, None
+    return eta0_hat, [np.asarray(c) for c in curves], l2, None
 
 
 def run_study(
@@ -434,15 +420,15 @@ def run_study(
     """Run a Monte Carlo study cell and aggregate bias and variance.
 
     Each replication draws its own data from a per-replication stream, so
-    results do not depend on n_jobs or execution order.  Replications
-    whose fit fails or whose fitted predictor is farther than
-    bad_threshold from the truth in squared L2 norm are counted bad and
-    excluded from the curve summaries, mirroring the usual practice of
-    screening out diverged fits.
+    results do not depend on n_jobs.  Replications whose fit fails or
+    whose fitted predictor is farther than bad_threshold from the truth
+    in squared L2 norm are counted bad, mirroring the usual practice of
+    screening out diverged fits; the summaries average the kept ones.
 
     ISB, IV and MISE are integrals over the central interior_fraction of
-    each axis, in original coordinates; mise = isb + iv holds exactly.
-    The scalar summaries average the first two components.
+    each axis (at least two grid points), in original coordinates;
+    mise = isb + iv holds exactly.  The scalar summaries average the
+    first two components.
     """
     if estimator not in ("nw", "ll"):
         raise InputError(f"unknown estimator {estimator!r}; use 'nw' or 'll'")
@@ -458,47 +444,44 @@ def run_study(
         kernels.validate_bandwidths(h, d)
     kernels.validate_kernel(kernel)
     grid = Grid.uniform(d, grid_points)
+    lo_frac = 0.5 * (1.0 - interior_fraction)
+    u = grid.points[0]
+    mask = (u >= lo_frac - 1e-12) & (u <= 1.0 - lo_frac + 1e-12)
+    if mask.sum() < 2:
+        raise InputError(f"interior_fraction {interior_fraction} keeps "
+                         f"{mask.sum()} grid point(s); ISB needs two")
     truth = true_components(model)
     axes = [2.0 * grid.points[j] - 1.0 for j in range(d)]
     truth_curves = [truth.component(j, axes[j]) for j in range(d)]
 
-    args = [
-        (model, estimator, h, bandwidth_scale, grid, kernel,
-         rep, truth.eta0_star, truth_curves)
-        for rep in range(reps)
-    ]
+    # both maps return results in replication order
+    rep_fn = partial(_study_rep, model, estimator, h, bandwidth_scale, grid,
+                     kernel, truth.eta0_star, truth_curves)
     if n_jobs == 1:
-        raw = [_study_rep(*a) for a in args]
+        raw = list(map(rep_fn, range(reps)))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            raw = list(pool.map(_study_rep, *zip(*args), chunksize=4))
-    raw.sort(key=lambda r: r[0])
+            raw = list(pool.map(rep_fn, range(reps), chunksize=4))
 
-    eta0_hats = np.full(reps, np.nan)
-    all_curves = np.full((reps, d, grid_points), np.nan)
-    bad = []
-    for rep, eta0_hat, curves, l2, err in raw:
+    bad, eta0_kept, curves_kept = [], [], []
+    for rep, (eta0_hat, curves, l2, _) in enumerate(raw):
         if curves is None or l2 > bad_threshold:
             bad.append(rep)
-            continue
-        eta0_hats[rep] = eta0_hat
-        for j in range(d):
-            all_curves[rep, j] = curves[j]
-    good = np.setdiff1d(np.arange(reps), np.asarray(bad, dtype=int))
-    if good.size == 0:
+        else:
+            eta0_kept.append(eta0_hat)
+            curves_kept.append(curves)
+    if not curves_kept:
         raise FitError(
             f"all {reps} replications failed or were screened out for "
             f"model {model.label}, estimator {estimator}"
         )
 
-    mean_curves = [all_curves[good, j].mean(axis=0) for j in range(d)]
-    var_curves = [all_curves[good, j].var(axis=0) for j in range(d)]
+    stack = np.array(curves_kept)  # (kept, d, G)
+    mean_curves = list(stack.mean(axis=0))
+    var_curves = list(stack.var(axis=0))
 
-    lo_frac = 0.5 * (1.0 - interior_fraction)
-    u = grid.points[0]
-    mask = (u >= lo_frac - 1e-12) & (u <= 1.0 - lo_frac + 1e-12)
     isb = np.empty(d)
     iv = np.empty(d)
     for j in range(d):
@@ -526,8 +509,8 @@ def run_study(
         mise_avg=float(mise[:k].mean()),
         bad_count=len(bad),
         bad_indices=tuple(bad),
-        reps_used=int(good.size),
-        eta0_mean=float(eta0_hats[good].mean()),
+        reps_used=len(curves_kept),
+        eta0_mean=float(np.mean(eta0_kept)),
         eta0_star=truth.eta0_star,
         axes=axes,
         mean_curves=mean_curves,
@@ -545,10 +528,7 @@ def write_study_csv(results, path) -> None:
     results = list(results)
     cols = sorted({(r.estimator, r.n) for r in results})
     cells = {(r.model_label, r.estimator, r.n): r for r in results}
-    models = []
-    for r in results:
-        if r.model_label not in models:
-            models.append(r.model_label)
+    models = list(dict.fromkeys(r.model_label for r in results))
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["model", "metric"]

@@ -515,3 +515,16 @@ def test_help_still_exits_0(capsys):
         main(["fit", "--help"])
     assert exc.value.code == 0
     assert "--grid-points" in capsys.readouterr().out
+
+
+def test_flags_are_taken_only_in_full(tmp_path, monkeypatch):
+    # an abbreviated --out-dir was honoured when the command line parsed and
+    # ignored when it did not, so error.json went to the working directory
+    monkeypatch.chdir(tmp_path)
+    assert _run(["simulate", "--n", 30, "--out-d", "Y"]) == 2
+    assert not (tmp_path / "Y").exists()
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert "unrecognized arguments: --out-d Y" in err["message"]
+    assert _run(["fit", "--out-dir", "X", "--grid-points", "abc"]) == 2
+    err = json.loads((tmp_path / "X" / "error.json").read_text())
+    assert err["exit_code"] == 2 and "--grid-points" in err["message"]

@@ -192,15 +192,19 @@ def test_study_rep_deterministic():
     grid = Grid.uniform(2, 21)
     axes = [2.0 * grid.points[j] - 1.0 for j in range(2)]
     curves = [t.component(j, axes[j]) for j in range(2)]
-    a = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", 4, t.eta0_star,
-                   curves)
-    b = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", 4, t.eta0_star,
-                   curves)
-    assert a[0] == b[0] == 4
-    assert a[1] == b[1]
-    for ca, cb in zip(a[2], b[2]):
+    a = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", t.eta0_star,
+                   curves, 4)
+    b = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", t.eta0_star,
+                   curves, 4)
+    assert len(a) == 4 and a[3] is None
+    assert a[0] == b[0]
+    for ca, cb in zip(a[1], b[1]):
         assert np.array_equal(ca, cb)
-    assert a[3] == b[3]
+    assert a[2] == b[2]
+    # the replication index alone selects the data
+    c = _study_rep(m, "nw", 0.3, 1.0, grid, "epanechnikov", t.eta0_star,
+                   curves, 5)
+    assert c[0] != a[0]
 
 
 def test_run_study_smoke_and_identity():
@@ -218,15 +222,28 @@ def test_run_study_smoke_and_identity():
 
 
 def test_run_study_independent_of_n_jobs():
-    m = SimModel.from_label("2,1", n=80, seed=9)
-    a = run_study(m, estimator="nw", reps=6, bandwidths=0.3,
-                  grid_points=21, n_jobs=1)
-    b = run_study(m, estimator="nw", reps=6, bandwidths=0.3,
-                  grid_points=21, n_jobs=2)
-    assert np.array_equal(a.isb, b.isb)
-    assert np.array_equal(a.iv, b.iv)
-    assert a.eta0_mean == b.eta0_mean
-    assert a.bad_indices == b.bad_indices
+    # the default bandwidth screens most replications of this cell, so the
+    # pool's order and screening are both pinned
+    m = SimModel.from_label("1,2", n=100)
+    a = run_study(m, reps=12, grid_points=21, n_jobs=1)
+    b = run_study(m, reps=12, grid_points=21, n_jobs=2)
+    assert 0 < a.bad_count < 12
+    # compared as JSON text, where the default bandwidths' NaN equals NaN
+    assert (json.dumps(a.to_dict(), sort_keys=True)
+            == json.dumps(b.to_dict(), sort_keys=True))
+    for va, vb in zip(a.var_curves, b.var_curves, strict=True):
+        assert np.array_equal(va, vb)
+
+
+def test_run_study_checks_interior_before_any_replication(monkeypatch):
+    def never(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_study_rep", never)
+    m = SimModel.from_label("1,1", n=80)
+    with pytest.raises(InputError, match="interior_fraction 0.01 keeps 1 "):
+        run_study(m, reps=20, bandwidths=0.3, grid_points=21,
+                  interior_fraction=0.01)
 
 
 def test_run_study_screens_bad_replications():
@@ -283,3 +300,27 @@ def test_write_study_outputs(tmp_path):
     assert payload["bandwidths"] == [0.35, 0.35]
     assert "elapsed_seconds" not in payload
     assert len(payload["mean_curves"]) == len(payload["axes"]) == 2
+
+
+
+def test_study_json_keys():
+    m = SimModel.from_label("1,1", n=80, seed=13)
+    res = run_study(m, reps=6, bandwidths=0.3, grid_points=21,
+                    bad_threshold=1.0)
+    payload = res.to_dict()
+    # every field but var_curves and elapsed_seconds; model_label as model
+    assert set(payload) == {
+        "model", "estimator", "n", "reps", "seed", "bandwidths",
+        "grid_points", "kernel", "isb", "iv", "mise", "isb_avg", "iv_avg",
+        "mise_avg", "bad_count", "bad_indices", "reps_used", "eta0_mean",
+        "eta0_star", "axes", "mean_curves", "truth_curves",
+    }
+    assert payload["model"] == res.model_label
+    for name in ("bandwidths", "isb", "iv", "mise"):
+        assert payload[name] == getattr(res, name).tolist()
+    for name in ("axes", "mean_curves", "truth_curves"):
+        assert payload[name] == [c.tolist() for c in getattr(res, name)]
+    assert payload["bad_indices"] == list(res.bad_indices)
+    assert res.bad_count > 0
+    # plain Python values, so json needs no default
+    assert json.loads(json.dumps(payload)) == payload
