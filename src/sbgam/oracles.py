@@ -6,9 +6,10 @@ Three groups live here:
   estimating equations as the fitters but point by point, with no
   backfitting and no outer/inner split;
 * dense least-squares backfitting solves for the Gaussian identity family,
-  which assemble the full linear system on the grid (all component values
-  as unknowns, constraints appended) and solve it directly, brute-force
-  tensors included;
+  local constant and local linear, for up to three covariates: both build
+  their moments as brute-force product-grid tensors and solve one
+  constrained linear system of the local-polynomial order (all curve
+  values as unknowns, constraints appended) directly;
 * the asymptotic bias and variance formulas of the limit theory, evaluated
   by quadrature from user-supplied truth functions.
 
@@ -22,6 +23,7 @@ unit cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -130,47 +132,53 @@ def newton_pointwise(
 # dense least-squares backfitting, gaussian identity
 
 
-def _solve_additive_system(mass, w_curves, w_pairs, rhs_total, rhs_curves,
-                           grid: Grid):
-    """Assemble and solve the constrained additive normal equations.
+def _solve_additive_system(mass, total, weight, rhs, pairs, grid: Grid):
+    """Assemble and solve the constrained additive normal equations of
+    local-polynomial order p.
 
-    Unknowns are a constant plus one value per grid point per component;
-    the equations are the componentwise stationarity conditions, the
-    integrated (constant) condition, and one centering constraint per
-    component.  The stacked system is consistent by construction and is
-    solved by least squares; the residual is checked.
+    With t_j the bandwidth-scaled offset along x_j, weight[j] is the
+    (2p + 1, G_j) stack of weight moments against t_j^c, rhs[j] the
+    (p + 1, G_j) stack of response moments against t_j^a, and pairs[j, l],
+    j < l, the ((p + 1) G_j, (p + 1) G_l) block matrix whose block (a, b)
+    is the weight surface against t_j^a t_l^b: the layout of
+    `backfit.Marginals`.  mass and total are the weight and the response
+    integrated over the whole grid.
+
+    Unknowns are a constant, then per component the curve of each power
+    a <= p.  The equations are the integrated stationarity condition, the
+    componentwise ones, and one centering constraint per component,
+    sum_a integral curve_a weight[j][a] = 0.  The stacked system is
+    consistent by construction and is solved by least squares; the
+    residual is checked.
+
+    Returns (const, curves), curves[a][j] the curve of power a of
+    component j.
     """
+    k = len(rhs[0])
     d = grid.ndim
-    sizes = grid.shape
-    offs = np.concatenate([[1], 1 + np.cumsum(sizes)])[:d + 1]
-    nunk = 1 + int(np.sum(sizes))
-    nrow = nunk + d
-    A = np.zeros((nrow, nunk))
-    b = np.zeros(nrow)
-    tw = grid.weights
-
+    spans, end = [], 1
+    for g in grid.shape:
+        spans.append(slice(end, end + k * g))
+        end += k * g
+    # the trapezoid weight of each unknown, and its weight moment
+    tw = [np.tile(w, k) for w in grid.weights]
+    own = [w[:k].ravel() for w in weight]
+    A = np.zeros((end + d, end))
+    b = np.zeros(end + d)
     A[0, 0] = mass
-    for l in range(d):
-        A[0, offs[l]:offs[l] + sizes[l]] = tw[l] * w_curves[l]
-    b[0] = rhs_total
-
-    r = 1
-    for j in range(d):
-        sl = slice(offs[j], offs[j] + sizes[j])
-        for gidx in range(sizes[j]):
-            A[r, 0] = w_curves[j][gidx]
-            A[r, offs[j] + gidx] += w_curves[j][gidx]
-            for l in range(d):
-                if l == j:
-                    continue
-                if j < l:
-                    row = w_pairs[(j, l)][gidx, :]
-                else:
-                    row = w_pairs[(l, j)][:, gidx]
-                A[r, offs[l]:offs[l] + sizes[l]] += tw[l] * row
-            b[r] = rhs_curves[j][gidx]
-            r += 1
-        A[nunk + j, sl] = tw[j] * w_curves[j]
+    b[0] = total
+    for j, span in enumerate(spans):
+        A[0, span] = tw[j] * own[j]
+        # the stationarity rows of component j share its unknowns' indices
+        A[span, 0] = own[j]
+        A[span, span] = np.block([[np.diag(weight[j][a + c])
+                                   for c in range(k)] for a in range(k)])
+        for l in range(d):
+            if l != j:
+                block = pairs[j, l] if j < l else pairs[l, j].T
+                A[span, spans[l]] = block * tw[l]
+        b[span] = rhs[j].ravel()
+        A[end + j, span] = tw[j] * own[j]
 
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.max(np.abs(A @ sol - b)))
@@ -180,23 +188,45 @@ def _solve_additive_system(mass, w_curves, w_pairs, rhs_total, rhs_curves,
             f"additive system is inconsistent (residual {resid:.3e}); "
             f"the supplied marginals do not come from a single field"
         )
-    const = float(sol[0])
-    curves = [sol[offs[j]:offs[j] + sizes[j]].copy() for j in range(d)]
-    return const, curves
+    blocks = [sol[span].reshape(k, -1) for span in spans]
+    return float(sol[0]), [[blk[a] for blk in blocks] for a in range(k)]
 
 
-def dense_backfit_nw(
-    dataset: Dataset,
-    bandwidths,
-    grid: Grid | None = None,
-    kernel: str = "epanechnikov",
-):
-    """Direct solve of the local constant least-squares backfitting system.
+def _solve_moments(moment, grid: Grid, order: int):
+    """Integrate product-grid moment tensors and solve the additive system.
 
-    Gaussian identity family only.  Builds the kernel density smooth and
-    the response smooth as full product-grid tensors, forms their
-    marginals, and solves the constrained linear system in one shot.
-    Returns (intercept, component curves).
+    moment(powers, response) is the tensor against prod_j t_j^powers[j],
+    weighted by the response when response is True.
+    """
+    d, k = grid.ndim, order + 1
+
+    def marginal(keep, at, response=False):
+        powers = [0] * d
+        for j, a in zip(keep, at):
+            powers[j] = a
+        return integrate_tensor(moment(tuple(powers), response), grid,
+                                keep=keep)
+
+    weight = [np.stack([marginal((j,), (c,)) for c in range(2 * k - 1)])
+              for j in range(d)]
+    rhs = [np.stack([marginal((j,), (a,), True) for a in range(k)])
+           for j in range(d)]
+    pairs = {
+        (j, l): np.block([[marginal((j, l), (a, b)) for b in range(k)]
+                          for a in range(k)])
+        for j in range(d) for l in range(j + 1, d)
+    }
+    return _solve_additive_system(marginal((), ()), marginal((), (), True),
+                                  weight, rhs, pairs, grid)
+
+
+def _dense_backfit(dataset: Dataset, bandwidths, grid, kernel, order):
+    """Direct solve of the least-squares backfitting system of the given
+    local-polynomial order from brute-force tensors.
+
+    Every moment n^-1 sum_i v_i prod_j t_ij^a_j K_ij (v = 1 or the
+    response) is formed on the full product grid by one einsum over the
+    observations.
     """
     d = dataset.ndim
     if d > 3:
@@ -209,23 +239,37 @@ def dense_backfit_nw(
                             grid.weights[j])
         for j in range(d)
     ]
-    n = dataset.n
-    y = dataset.y
+    tvals = [
+        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
+        for j in range(d)
+    ]
     letters = "abc"[:d]
     spec = ",".join(f"i{c}" for c in letters) + "->" + letters
-    phat = np.einsum(spec, *rows) / n
-    rhat = np.einsum("i," + spec, y, *rows) / n
 
-    mass = integrate_tensor(phat, grid)          # exactly 1 by row scaling
-    w_curves = [integrate_tensor(phat, grid, keep=(j,)) for j in range(d)]
-    w_pairs = {
-        (j, l): integrate_tensor(phat, grid, keep=(j, l))
-        for j in range(d) for l in range(d) if j < l
-    }
-    rhs_total = integrate_tensor(rhat, grid)
-    rhs_curves = [integrate_tensor(rhat, grid, keep=(j,)) for j in range(d)]
-    return _solve_additive_system(mass, w_curves, w_pairs, rhs_total,
-                                  rhs_curves, grid)
+    @cache
+    def moment(powers, response):
+        factors = [r * t ** a if a else r
+                   for r, t, a in zip(rows, tvals, powers)]
+        if response:
+            return np.einsum("i," + spec, dataset.y, *factors) / dataset.n
+        return np.einsum(spec, *factors) / dataset.n
+
+    return _solve_moments(moment, grid, order)
+
+
+def dense_backfit_nw(
+    dataset: Dataset,
+    bandwidths,
+    grid: Grid | None = None,
+    kernel: str = "epanechnikov",
+):
+    """Direct solve of the local constant least-squares backfitting system.
+
+    Gaussian identity family only, at most three covariates.  Returns
+    (intercept, component curves).
+    """
+    const, curves = _dense_backfit(dataset, bandwidths, grid, kernel, 0)
+    return const, curves[0]
 
 
 def dense_backfit_ll(
@@ -236,146 +280,11 @@ def dense_backfit_ll(
 ):
     """Direct solve of the local linear least-squares backfitting system.
 
-    Gaussian identity family, at most two covariates.  Returns
+    Gaussian identity family only, at most three covariates.  Returns
     (intercept, component curves, scaled slope curves).
     """
-    d = dataset.ndim
-    if d > 2:
-        raise InputError("dense local linear oracle supports at most two "
-                         "covariates")
-    if grid is None:
-        grid = Grid.uniform(d)
-    h = kernels.validate_bandwidths(bandwidths, d)
-    rows = [
-        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                            grid.weights[j])
-        for j in range(d)
-    ]
-    tvals = [
-        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
-        for j in range(d)
-    ]
-    n, y = dataset.n, dataset.y
-    tw = grid.weights
-
-    if d == 1:
-        k = rows[0]
-        t = tvals[0]
-        v00 = k.sum(axis=0) / n
-        v01 = (t * k).sum(axis=0) / n
-        v11 = (t * t * k).sum(axis=0) / n
-        z0 = (y[:, None] * k).sum(axis=0) / n
-        z1 = (y[:, None] * t * k).sum(axis=0) / n
-        mass = float(tw[0] @ v00)
-        curves = {"v00": [v00], "v01": [v01], "v11": [v11]}
-        pairs = {}
-        zc = {"z0": [z0], "z1": [z1]}
-    else:
-        g1, g2 = grid.shape
-        p00 = np.zeros((g1, g2))
-        pa = np.zeros((g1, g2))
-        pb = np.zeros((g1, g2))
-        pab = np.zeros((g1, g2))
-        paa = np.zeros((g1, g2))
-        pbb = np.zeros((g1, g2))
-        s00 = np.zeros((g1, g2))
-        sa = np.zeros((g1, g2))
-        sb = np.zeros((g1, g2))
-        for i in range(n):
-            kk = np.outer(rows[0][i], rows[1][i])
-            t1 = tvals[0][i][:, None]
-            t2 = tvals[1][i][None, :]
-            p00 += kk
-            pa += t1 * kk
-            pb += t2 * kk
-            pab += t1 * t2 * kk
-            paa += t1 * t1 * kk
-            pbb += t2 * t2 * kk
-            s00 += y[i] * kk
-            sa += y[i] * t1 * kk
-            sb += y[i] * t2 * kk
-        for arr in (p00, pa, pb, pab, paa, pbb, s00, sa, sb):
-            arr /= n
-        mass = float(tw[0] @ (p00 @ tw[1]))
-        curves = {
-            "v00": [p00 @ tw[1], tw[0] @ p00],
-            "v01": [pa @ tw[1], tw[0] @ pb],
-            "v11": [paa @ tw[1], tw[0] @ pbb],
-        }
-        pairs = {"p00": p00, "p0a": pa, "p0b": pb, "p11": pab}
-        zc = {
-            "z0": [s00 @ tw[1], tw[0] @ s00],
-            "z1": [sa @ tw[1], tw[0] @ sb],
-        }
-
-    sizes = grid.shape
-    offs = [1]
-    for j in range(d):
-        offs.append(offs[-1] + 2 * sizes[j])
-    nunk = offs[-1]
-    nrow = nunk + d
-    A = np.zeros((nrow, nunk))
-    b = np.zeros(nrow)
-
-    A[0, 0] = mass
-    for l in range(d):
-        a_sl = slice(offs[l], offs[l] + sizes[l])
-        b_sl = slice(offs[l] + sizes[l], offs[l] + 2 * sizes[l])
-        A[0, a_sl] = tw[l] * curves["v00"][l]
-        A[0, b_sl] = tw[l] * curves["v01"][l]
-    b[0] = float(np.mean(y))
-
-    r = 1
-    for j in range(d):
-        a_sl = slice(offs[j], offs[j] + sizes[j])
-        b_sl = slice(offs[j] + sizes[j], offs[j] + 2 * sizes[j])
-        for gidx in range(sizes[j]):
-            for localrow, (own0, own1, rhs) in enumerate([
-                (curves["v00"][j][gidx], curves["v01"][j][gidx],
-                 zc["z0"][j][gidx]),
-                (curves["v01"][j][gidx], curves["v11"][j][gidx],
-                 zc["z1"][j][gidx]),
-            ]):
-                A[r, 0] = own0
-                A[r, offs[j] + gidx] += own0
-                A[r, offs[j] + sizes[j] + gidx] += own1
-                for l in range(d):
-                    if l == j:
-                        continue
-                    la = slice(offs[l], offs[l] + sizes[l])
-                    lb = slice(offs[l] + sizes[l], offs[l] + 2 * sizes[l])
-                    if localrow == 0:
-                        if j < l:
-                            A[r, la] += tw[l] * pairs["p00"][gidx, :]
-                            A[r, lb] += tw[l] * pairs["p0b"][gidx, :]
-                        else:
-                            A[r, la] += tw[l] * pairs["p00"][:, gidx]
-                            A[r, lb] += tw[l] * pairs["p0a"][:, gidx]
-                    else:
-                        if j < l:
-                            A[r, la] += tw[l] * pairs["p0a"][gidx, :]
-                            A[r, lb] += tw[l] * pairs["p11"][gidx, :]
-                        else:
-                            A[r, la] += tw[l] * pairs["p0b"][:, gidx]
-                            A[r, lb] += tw[l] * pairs["p11"][:, gidx]
-                b[r] = rhs
-                r += 1
-        A[nunk + j, a_sl] = tw[j] * curves["v00"][j]
-        A[nunk + j, b_sl] = tw[j] * curves["v01"][j]
-
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.max(np.abs(A @ sol - b)))
-    if resid > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-        raise RuntimeError(
-            f"local linear system is inconsistent (residual {resid:.3e})"
-        )
-    const = float(sol[0])
-    comp0 = [sol[offs[j]:offs[j] + sizes[j]].copy() for j in range(d)]
-    comp1 = [
-        sol[offs[j] + sizes[j]:offs[j] + 2 * sizes[j]].copy()
-        for j in range(d)
-    ]
-    return const, comp0, comp1
+    const, curves = _dense_backfit(dataset, bandwidths, grid, kernel, 1)
+    return const, curves[0], curves[1]
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +368,19 @@ def _gl_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _mesh_except(d: int, j: int, nodes: int):
-    """Product Gauss-Legendre mesh over all coordinates except j.
+def _gl_mesh(k: int, nodes: int):
+    """Product Gauss-Legendre mesh on [0, 1]^k.
 
-    Returns (points, weights) with points of shape (M, d - 1); for d = 1
-    the mesh is a single empty point with unit weight.
+    Returns (points, weights) with points of shape (M, k); for k = 0 the
+    mesh is a single empty point with unit weight.
     """
-    x, w = _gl_nodes(nodes)
-    if d == 1:
+    if k == 0:
         return np.zeros((1, 0)), np.ones(1)
-    grids = np.meshgrid(*([x] * (d - 1)), indexing="ij")
+    x, w = _gl_nodes(nodes)
+    grids = np.meshgrid(*([x] * k), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wts = np.ones(pts.shape[0])
-    for g in np.meshgrid(*([w] * (d - 1)), indexing="ij"):
+    for g in np.meshgrid(*([w] * k), indexing="ij"):
         wts = wts * g.ravel()
     return pts, wts
 
@@ -514,7 +423,7 @@ def oracle_variance(inputs: AsymptoticInputs, j: int, xj,
         num = inputs.variance_y(X) / (vv * gp) ** 2 * inputs.density(X)
         den = inputs.density(X) / (vv * gp * gp)
         return rough / inputs.deltas[j] * num / den ** 2
-    pts, wts = _mesh_except(d, j, nodes)
+    pts, wts = _gl_mesh(d - 1, nodes)
     X = _insert_coord(pts, np.atleast_1d(xj), j)   # (P, M, d)
     m = inputs.family.mean(inputs.eta_star(X))
     vv = inputs.family.variance(m)
@@ -558,21 +467,13 @@ def project_additive(field, weight, grid: Grid):
 
     Returns (b0, curves).
     """
-    d = grid.ndim
     mesh = np.meshgrid(*grid.points, indexing="ij")
     X = np.stack(mesh, axis=-1)
     W = weight(X)
-    F = field(X)
-    mass = integrate_tensor(W, grid)
-    w_curves = [integrate_tensor(W, grid, keep=(j,)) for j in range(d)]
-    w_pairs = {
-        (j, l): integrate_tensor(W, grid, keep=(j, l))
-        for j in range(d) for l in range(d) if j < l
-    }
-    rhs_total = integrate_tensor(F * W, grid)
-    rhs_curves = [integrate_tensor(F * W, grid, keep=(j,)) for j in range(d)]
-    return _solve_additive_system(mass, w_curves, w_pairs, rhs_total,
-                                  rhs_curves, grid)
+    FW = field(X) * W
+    const, curves = _solve_moments(
+        lambda powers, response: FW if response else W, grid, 0)
+    return const, curves[0]
 
 
 def nw_component_bias(inputs: AsymptoticInputs, grid: Grid):
@@ -600,12 +501,7 @@ def nw_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
     consts = kernels.kernel_constants(inputs.kernel)
     fam = inputs.family
 
-    x, w = _gl_nodes(nodes)
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(X.shape[0])
-    for g in np.meshgrid(*([w] * d), indexing="ij"):
-        wts *= g.ravel()
+    X, wts = _gl_mesh(d, nodes)
 
     eta = inputs.eta_star(X)
     md1 = fam.mean_d1(eta)
@@ -620,7 +516,7 @@ def nw_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
         phi_jj = md2 * f1 * f1 + md1 * f2
         interior = 0.5 * consts.mu2 * float((phi_jj * om) @ wts)
 
-        edge, ewts = _mesh_except(d, j, nodes)
+        edge, ewts = _gl_mesh(d - 1, nodes)
         boundary = 0.0
         for a, sign in ((0.0, 1.0), (1.0, -1.0)):
             Xa = _insert_coord(edge, np.array(a), j)
@@ -658,15 +554,11 @@ def ll_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
     def wstar_marg(j, xj):
         if d == 1:
             return inputs.wstar(np.asarray(xj, dtype=float)[:, None])
-        pts, wts = _mesh_except(d, j, nodes)
+        pts, wts = _gl_mesh(d - 1, nodes)
         X = _insert_coord(pts, np.atleast_1d(xj), j)
         return inputs.wstar(X) @ wts
 
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=-1)
-    wts_full = np.ones(X.shape[0])
-    for g in np.meshgrid(*([w] * d), indexing="ij"):
-        wts_full *= g.ravel()
+    X, wts_full = _gl_mesh(d, nodes)
     mass = float(inputs.wstar(X) @ wts_full)
 
     total = 0.0

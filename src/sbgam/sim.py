@@ -23,6 +23,7 @@ quadrature and the extra dimensions factor out of the integrals.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -351,7 +352,8 @@ class StudyResult:
     def to_dict(self) -> dict:
         """The `study.json` payload, in plain Python lists and numbers:
         every field but var_curves and the wall time, which keeps it
-        deterministic, with model_label written as "model"."""
+        deterministic, with model_label written as "model" and a
+        non-finite number as None."""
         out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
                if f.name not in ("var_curves", "elapsed_seconds")}
         out["model"] = out.pop("model_label")
@@ -359,11 +361,14 @@ class StudyResult:
 
 
 def _plain(value):
-    """numpy arrays and scalars, in lists and tuples too, as plain Python."""
+    """numpy arrays and scalars, in lists and tuples too, as plain Python;
+    a non-finite float, such as a default bandwidth's NaN, as None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -548,5 +553,6 @@ def write_study_json(result, path) -> None:
     import json
 
     with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(result.to_dict(), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

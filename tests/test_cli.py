@@ -373,6 +373,21 @@ def test_study_smoke_and_determinism(tmp_path):
         == (out_b / "study.json").read_bytes()
 
 
+def test_default_bandwidth_study_json_is_strict_json(tmp_path):
+    # each replication picks its own default bandwidths, so the cell's
+    # bandwidths are NaN, which study.json writes as null
+    out = tmp_path / "study"
+    assert _run(["study", "--model", "1,2", "--n", 100, "--reps", 3,
+                 "--grid-points", 21, "--out-dir", out]) == 0
+
+    def reject(token):
+        raise ValueError(f"study.json holds the non-JSON constant {token}")
+
+    payload = json.loads((out / "study.json").read_text(),
+                         parse_constant=reject)
+    assert payload["bandwidths"] == [None, None]
+
+
 def test_fit_wrong_bandwidth_count_exits_2(tmp_path):
     # three bandwidths for two covariates
     _assert_fit_input_error(tmp_path, ["--bandwidth", "0.3,0.3,0.3"], {})

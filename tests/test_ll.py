@@ -701,16 +701,17 @@ def test_zero_slope_smoothed_ql_equals_local_constant():
 
 
 def test_gaussian_single_outer_step_equals_dense_solve():
-    ds = _sim_dataset(3, 100, 2)
-    grid = Grid.uniform(2, 17)
     cfg = FitConfig(tol_inner=1e-13, max_inner=400)
-    fit = fit_ll(ds, [0.25, 0.3], grid=grid, config=cfg)
-    assert fit.diagnostics.outer_iterations == 2
-    c00, c0o, c1o = dense_backfit_ll(ds, [0.25, 0.3], grid=grid)
-    assert fit.eta00 == pytest.approx(c00, abs=1e-9)
-    for j in range(2):
-        assert np.abs(fit.components0[j] - c0o[j]).max() < 1e-9
-        assert np.abs(fit.components1[j] - c1o[j]).max() < 1e-9
+    for d, g, h in ((2, 17, [0.25, 0.3]), (3, 9, [0.25, 0.3, 0.35])):
+        ds = _sim_dataset(3, 100, d)
+        grid = Grid.uniform(d, g)
+        fit = fit_ll(ds, h, grid=grid, config=cfg)
+        assert fit.diagnostics.outer_iterations == 2, d
+        c00, c0o, c1o = dense_backfit_ll(ds, h, grid=grid)
+        assert fit.eta00 == pytest.approx(c00, abs=1e-9), d
+        for j in range(d):
+            assert np.abs(fit.components0[j] - c0o[j]).max() < 1e-9, (d, j)
+            assert np.abs(fit.components1[j] - c1o[j]).max() < 1e-9, (d, j)
 
 
 def test_gaussian_intercept_is_response_mean():

@@ -395,19 +395,43 @@ def _random_consistent_marginals(seed, grid):
     )
 
 
+def _iterate_marginals(smoother, d, g):
+    """Bernoulli marginals of either order at a random iterate: the NW
+    router's, or the LL block engine's."""
+    rng = np.random.default_rng([d, g])
+    ds = _sim_dataset(d, 100, d, "bernoulli")
+    grid = Grid.uniform(d, g)
+    comps = [0.3 * rng.normal(size=g) for _ in range(d)]
+    if smoother == "nw":
+        return nw_marginals(nw_prepare(ds, 0.3, grid, "bernoulli"), 0.1,
+                            comps)
+    slopes = [0.1 * rng.normal(size=g) for _ in range(d)]
+    return ll_marginals(ll_prepare(ds, 0.3, grid, "bernoulli"), 0.1, comps,
+                        slopes)
+
+
 def test_inner_solver_matches_dense_solve():
-    grid = Grid.uniform(2, 11)
-    marg = _random_consistent_marginals(5, grid)
+    # random consistent order-0 marginals, then both orders at an iterate
+    cases = [("random", 2, 11)] + [(s, d, g) for s in ("nw", "ll")
+                                   for d, g in ((2, 11), (3, 7))]
     cfg = FitConfig(tol_inner=1e-14, max_inner=500)
-    xi0, (xi,), changes = nw_inner_solve(marg, cfg)
-    ref0, refs = _solve_additive_system(
-        marg.mass, [w[0] for w in marg.weight], marg.pairs,
-        marg.score_total, [s[0] for s in marg.score], grid,
-    )
-    assert xi0 == pytest.approx(ref0, abs=1e-10)
-    for j in range(2):
-        assert np.abs(xi[j] - refs[j]).max() < 1e-10
-    assert changes[-1] / changes[-2] < 1.0
+    for smoother, d, g in cases:
+        if smoother == "random":
+            marg = _random_consistent_marginals(5, Grid.uniform(d, g))
+        else:
+            marg = _iterate_marginals(smoother, d, g)
+        xi0, xi, changes = inner_solve(marg, cfg)
+        ref0, refs = _solve_additive_system(
+            marg.mass, marg.score_total, marg.weight, marg.score,
+            marg.pairs, marg.grid,
+        )
+        case = (smoother, d, g)
+        assert len(refs) == len(xi) == (2 if smoother == "ll" else 1), case
+        assert xi0 == pytest.approx(ref0, abs=1e-10), case
+        for got, ref in zip(xi, refs):
+            for j in range(d):
+                assert np.abs(got[j] - ref[j]).max() < 1e-10, (case, j)
+        assert changes[-1] / changes[-2] < 1.0, case
 
 
 def test_inner_solver_one_sweep_for_product_weights():

@@ -1,8 +1,12 @@
 """Reference computations: pointwise Newton, dense solves, limit formulas."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+from sbgam import oracles
 from sbgam.family import get_family
 from sbgam.grid import Dataset, Grid
 from sbgam.oracles import (AsymptoticInputs, ComponentTruth,
@@ -23,6 +27,23 @@ COS = ComponentTruth(value=lambda u: np.cos(np.pi * np.asarray(u)),
 
 def _uniform(X):
     return np.ones(np.asarray(X).shape[:-1])
+
+
+def test_oracles_share_no_fitter_code():
+    # the references check the fitters, so they import none of their
+    # machinery: no kernel window, no backfit, nw_fit or ll_fit
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name[6:] for a in node.names
+                            if a.name.startswith("sbgam."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("sbgam")):
+            module = (node.module or "").removeprefix("sbgam").lstrip(".")
+            imported.update([module] if module
+                            else [a.name for a in node.names])
+    assert imported == {"kernels", "errors", "family", "grid"}
 
 
 def test_pointwise_newton_gaussian_closed_form():

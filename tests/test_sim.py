@@ -228,7 +228,7 @@ def test_run_study_independent_of_n_jobs():
     a = run_study(m, reps=12, grid_points=21, n_jobs=1)
     b = run_study(m, reps=12, grid_points=21, n_jobs=2)
     assert 0 < a.bad_count < 12
-    # compared as JSON text, where the default bandwidths' NaN equals NaN
+    # compared as JSON text, as study.json writes them
     assert (json.dumps(a.to_dict(), sort_keys=True)
             == json.dumps(b.to_dict(), sort_keys=True))
     for va, vb in zip(a.var_curves, b.var_curves, strict=True):
