@@ -37,11 +37,16 @@ print(f"LL: converged={ll.diagnostics.converged} in "
       f"{ll.diagnostics.outer_iterations} outer steps, "
       f"intercept {ll.eta00:+.4f}")
 
-# with d = 1 the fit must match the pointwise Newton solver exactly
+# with d = 1 each fit must match the pointwise Newton solver of its order
 grid = nw.grid
 theta, ok = newton_pointwise(ds, h, grid=grid, family="poisson")
 gap = np.abs(nw.eta0 + nw.components[0] - theta).max()
 print(f"sup gap to the pointwise reference: {gap:.2e}")
+t0, t1, ok = newton_pointwise(ds, h, grid=grid, family="poisson", order=1)
+gap0 = np.abs(ll.eta00 + ll.components0[0] - t0).max()
+gap1 = np.abs(ll.components1[0] - t1).max()
+print(f"LL sup gap to the order-1 reference: curve {gap0:.2e}, "
+      f"slope {gap1:.2e}")
 
 # tabulate fitted vs true curve on a few original-scale points
 print(f"\n{'x':>6} {'truth':>9} {'NW fit':>9} {'LL fit':>9} {'LL slope':>9}")

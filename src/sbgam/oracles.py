@@ -2,9 +2,9 @@
 
 Three groups live here:
 
-* pointwise one-dimensional Newton solvers, which for d = 1 solve the same
-  estimating equations as the fitters but point by point, with no
-  backfitting and no outer/inner split;
+* one pointwise Newton loop of local-polynomial order p = 0 or 1, which
+  for d = 1 solves the same estimating equations as the fitters but point
+  by point, with no backfitting and no outer/inner split;
 * dense least-squares backfitting solves for the Gaussian identity family,
   local constant and local linear, for up to three covariates: both build
   their moments as brute-force product-grid tensors and solve one
@@ -13,11 +13,12 @@ Three groups live here:
 * the asymptotic bias and variance formulas of the limit theory, evaluated
   by quadrature from user-supplied truth functions.
 
-Everything is written for small problems and favors directness over speed;
-the point is that these routines share as little machinery as possible
-with the iterative fitters they check.  All coordinates are rescaled, so
-truth functions, densities and bandwidths passed in here must live on the
-unit cube.
+The pointwise and dense references build their kernel rows in one helper,
+which makes the fitters' grid and bandwidth checks.  Everything is written
+for small problems and favors directness over speed; the point is that
+these routines share as little machinery as possible with the iterative
+fitters they check.  All coordinates are rescaled, so truth functions,
+densities and bandwidths passed in here must live on the unit cube.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, require_integer
 from .family import Family, get_family
 from .grid import Dataset, Grid, integrate_tensor
 
@@ -49,7 +50,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# pointwise Newton solvers, d = 1
+# the kernel design, and the pointwise Newton solver for d = 1
+
+
+def _design(dataset: Dataset, bandwidths, grid: Grid | None, kernel: str):
+    """The checked kernel design that every reference starts from.
+
+    Makes the fitters' input checks: the grid defaults to uniform and must
+    have one axis per covariate, and the bandwidths must lie in (0, 1/2].
+    Returns (grid, rows, tvals): per covariate j the (n, G_j) kernel rows
+    and the bandwidth-scaled offsets t_j = (x_ij - g_j) / h_j.
+    """
+    d = dataset.ndim
+    if grid is None:
+        grid = Grid.uniform(d)
+    if grid.ndim != d:
+        raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
+    h = kernels.validate_bandwidths(bandwidths, d)
+    rows = [
+        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
+                            grid.weights[j])
+        for j in range(d)
+    ]
+    tvals = [
+        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
+        for j in range(d)
+    ]
+    return grid, rows, tvals
 
 
 def newton_pointwise(
@@ -64,9 +91,13 @@ def newton_pointwise(
 ):
     """Pointwise quasi-likelihood smoothing for a single covariate.
 
-    Solves, independently at every grid point, the local constant
-    (order 0) or local linear (order 1) kernel-weighted estimating
-    equation by Newton iteration.
+    Solves, independently at every grid point, the local polynomial
+    kernel-weighted estimating equation of order p = 0 (local constant)
+    or p = 1 (local linear) by Newton iteration.  Each step makes one
+    family evaluation at u = sum_a t^a theta_a, forms the weight moments
+    m_c = n^-1 sum_i w t^c K (c <= 2p) and the score moments
+    r_a = n^-1 sum_i s t^a K (a <= p), and solves the (p + 1)-square
+    system [m_(a+b)] step = r at every grid point.
 
     Returns
     -------
@@ -77,55 +108,37 @@ def newton_pointwise(
     """
     if dataset.ndim != 1:
         raise InputError("pointwise oracle handles a single covariate")
-    if order not in (0, 1):
+    require_integer("order", order, 0)
+    if order > 1:
         raise InputError("order must be 0 or 1")
     fam = get_family(family)
-    if grid is None:
-        grid = Grid.uniform(1)
-    g = grid.points[0]
+    grid, (rows,), (t,) = _design(dataset, bandwidth, grid, kernel)
+    k = order + 1
     y = dataset.y[:, None]
     n = dataset.n
-    rows = kernels.kernel_rows(g, dataset.x[:, 0], bandwidth, kernel,
-                               grid.weights[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         start = float(np.asarray(fam.link(np.mean(dataset.y))))
     if not np.isfinite(start):
         start = 0.0
-    theta0 = np.full(g.size, start)
-    if order == 0:
-        last = np.full(g.size, np.inf)
-        for _ in range(max_iter):
-            u = theta0[None, :]
-            score = (fam.q1(u, y) * rows).sum(axis=0) / n
-            weight = (-fam.q2(u, y) * rows).sum(axis=0) / n
-            step = score / weight
-            theta0 += step
-            last = np.abs(step)
-            if last.max() < tol:
-                break
-        return theta0, last < tol
-
-    t = (dataset.x[:, 0][:, None] - g[None, :]) / bandwidth
-    theta1 = np.zeros(g.size)
-    last = np.full(g.size, np.inf)
+    # t^c and t^c K for c <= 2p, and the index a + b of each system entry
+    tpow = t[None] ** np.arange(2 * k - 1)[:, None, None]
+    kt = tpow * rows
+    hankel = np.add.outer(np.arange(k), np.arange(k))
+    theta = np.zeros((k, grid.shape[0]))
+    theta[0] = start
+    last = np.full(grid.shape[0], np.inf)
     for _ in range(max_iter):
-        u = theta0[None, :] + t * theta1[None, :]
-        q1v = fam.q1(u, y)
-        wv = -fam.q2(u, y)
-        r0 = (q1v * rows).sum(axis=0) / n
-        r1 = (q1v * t * rows).sum(axis=0) / n
-        a = (wv * rows).sum(axis=0) / n
-        b = (wv * t * rows).sum(axis=0) / n
-        c = (wv * t * t * rows).sum(axis=0) / n
-        det = a * c - b * b
-        s0 = (c * r0 - b * r1) / det
-        s1 = (a * r1 - b * r0) / det
-        theta0 += s0
-        theta1 += s1
-        last = np.maximum(np.abs(s0), np.abs(s1))
+        u = (tpow[:k] * theta[:, None, :]).sum(axis=0)
+        w, s, _ = fam.fields(u, y)
+        m = (w * kt).sum(axis=1) / n
+        r = (s * kt[:k]).sum(axis=1) / n
+        # (G, k, 1) right-hand sides solve alike on numpy 1.x and 2.x
+        step = np.linalg.solve(m.T[:, hankel], r.T[:, :, None])[..., 0].T
+        theta += step
+        last = np.abs(step).max(axis=0)
         if last.max() < tol:
             break
-    return theta0, theta1, last < tol
+    return (*theta, last < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +244,7 @@ def _dense_backfit(dataset: Dataset, bandwidths, grid, kernel, order):
     d = dataset.ndim
     if d > 3:
         raise InputError("dense oracle supports at most three covariates")
-    if grid is None:
-        grid = Grid.uniform(d)
-    h = kernels.validate_bandwidths(bandwidths, d)
-    rows = [
-        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                            grid.weights[j])
-        for j in range(d)
-    ]
-    tvals = [
-        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
-        for j in range(d)
-    ]
+    grid, rows, tvals = _design(dataset, bandwidths, grid, kernel)
     letters = "abc"[:d]
     spec = ",".join(f"i{c}" for c in letters) + "->" + letters
 
@@ -388,19 +390,16 @@ def _gl_mesh(k: int, nodes: int):
 def _insert_coord(pts_rest: np.ndarray, xj, j: int) -> np.ndarray:
     """Combine a mesh over the other coordinates with values for x_j.
 
-    pts_rest has shape (M, d-1); xj is scalar or shape (P,).  The result
-    has shape (P, M, d) (or (M, d) for scalar xj).
+    pts_rest has shape (M, d-1) and xj shape (P,); the result has shape
+    (P, M, d).
     """
     xj = np.asarray(xj, dtype=float)
-    scalar = xj.ndim == 0
-    P = 1 if scalar else xj.shape[0]
     M, dm1 = pts_rest.shape
-    out = np.empty((P, M, dm1 + 1))
-    rest = np.broadcast_to(pts_rest, (P, M, dm1))
-    out[..., :j] = rest[..., :j]
-    out[..., j] = xj.reshape(-1, 1)
-    out[..., j + 1:] = rest[..., j:]
-    return out[0] if scalar else out
+    out = np.empty((xj.shape[0], M, dm1 + 1))
+    out[..., :j] = pts_rest[:, :j]
+    out[..., j] = xj[:, None]
+    out[..., j + 1:] = pts_rest[:, j:]
+    return out
 
 
 def oracle_variance(inputs: AsymptoticInputs, j: int, xj,
@@ -413,16 +412,6 @@ def oracle_variance(inputs: AsymptoticInputs, j: int, xj,
     """
     d = len(inputs.components)
     rough = kernels.kernel_constants(inputs.kernel).roughness
-    if d == 1:
-        # conditional expectations degenerate to pointwise values and the
-        # density cancels except for one power in the numerator
-        X = np.asarray(xj, dtype=float)[:, None]
-        m = inputs.family.mean(inputs.eta_star(X))
-        vv = inputs.family.variance(m)
-        gp = inputs.family.link_deriv(m)
-        num = inputs.variance_y(X) / (vv * gp) ** 2 * inputs.density(X)
-        den = inputs.density(X) / (vv * gp * gp)
-        return rough / inputs.deltas[j] * num / den ** 2
     pts, wts = _gl_mesh(d - 1, nodes)
     X = _insert_coord(pts, np.atleast_1d(xj), j)   # (P, M, d)
     m = inputs.family.mean(inputs.eta_star(X))
@@ -509,6 +498,7 @@ def nw_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
     om = inputs.omega(X)
     denom = float(om @ wts)          # integral of psi * p = -E q2
 
+    edge, ewts = _gl_mesh(d - 1, nodes)
     total = 0.0
     for j, comp in enumerate(inputs.components):
         f1 = comp.d1(X[..., j])
@@ -516,14 +506,11 @@ def nw_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
         phi_jj = md2 * f1 * f1 + md1 * f2
         interior = 0.5 * consts.mu2 * float((phi_jj * om) @ wts)
 
-        edge, ewts = _gl_mesh(d - 1, nodes)
-        boundary = 0.0
-        for a, sign in ((0.0, 1.0), (1.0, -1.0)):
-            Xa = _insert_coord(edge, np.array(a), j)
-            Xa = np.atleast_2d(Xa)
-            ea = inputs.eta_star(Xa)
-            phi_j = fam.mean_d1(ea) * comp.d1(Xa[..., j])
-            boundary += sign * float((phi_j * inputs.omega(Xa)) @ ewts)
+        # the faces x_j = 0 and x_j = 1, with outward signs + and -
+        Xa = _insert_coord(edge, [0.0, 1.0], j)
+        phi_j = fam.mean_d1(inputs.eta_star(Xa)) * comp.d1(Xa[..., j])
+        face = (phi_j * inputs.omega(Xa)) @ ewts
+        boundary = float(face[0]) - float(face[1])
         total += inputs.deltas[j] ** 2 * (interior + consts.kappa * boundary)
     return -total / denom
 
@@ -550,13 +537,10 @@ def ll_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
     d = len(inputs.components)
     consts = kernels.kernel_constants(inputs.kernel)
     x, w = _gl_nodes(nodes)
+    pts, wts = _gl_mesh(d - 1, nodes)
 
     def wstar_marg(j, xj):
-        if d == 1:
-            return inputs.wstar(np.asarray(xj, dtype=float)[:, None])
-        pts, wts = _gl_mesh(d - 1, nodes)
-        X = _insert_coord(pts, np.atleast_1d(xj), j)
-        return inputs.wstar(X) @ wts
+        return inputs.wstar(_insert_coord(pts, xj, j)) @ wts
 
     X, wts_full = _gl_mesh(d, nodes)
     mass = float(inputs.wstar(X) @ wts_full)
@@ -566,8 +550,7 @@ def ll_intercept_bias(inputs: AsymptoticInputs, nodes: int = 101) -> float:
         wj = wstar_marg(j, x)
         curv = float((comp.d2(x) * wj) @ w)
         interior = 0.5 * inputs.deltas[j] ** 2 * consts.mu2 * curv
-        w0 = float(wstar_marg(j, np.array([0.0]))[0])
-        w1 = float(wstar_marg(j, np.array([1.0]))[0])
+        w0, w1 = wstar_marg(j, [0.0, 1.0])
         boundary = inputs.deltas[j] ** 2 * consts.kappa * (
             float(comp.d1(0.0)) * w0 - float(comp.d1(1.0)) * w1
         )

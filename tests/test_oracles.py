@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sbgam import oracles
+from sbgam.errors import InputError
 from sbgam.family import get_family
 from sbgam.grid import Dataset, Grid
 from sbgam.oracles import (AsymptoticInputs, ComponentTruth,
@@ -76,6 +77,30 @@ def test_pointwise_newton_local_linear_gaussian():
     assert np.abs(t1 - 2.0 * h).max() < 1e-10
 
 
+def _line_data(d):
+    x = np.linspace(0, 1, 40)[:, None] * np.ones(d)
+    return Dataset.with_support(x, x.sum(axis=1), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: newton_pointwise(_line_data(1), float("nan")),
+    lambda: newton_pointwise(_line_data(1), 0.9),
+    lambda: newton_pointwise(_line_data(1), 0.0),
+    lambda: newton_pointwise(_line_data(1), 0.2, grid=Grid.uniform(2, 11)),
+    lambda: dense_backfit_nw(_line_data(2), 0.2, grid=Grid.uniform(1, 11)),
+    lambda: dense_backfit_ll(_line_data(2), 0.2, grid=Grid.uniform(3, 7)),
+    lambda: newton_pointwise(_line_data(1), 0.2, order=True),
+    lambda: newton_pointwise(_line_data(1), 0.2, order=1.0),
+    lambda: newton_pointwise(_line_data(1), 0.2, order=2),
+], ids=["nan-h", "h-above-half", "zero-h", "2d-grid", "nw-1d-grid",
+        "ll-3d-grid", "bool-order", "float-order", "order-2"])
+def test_references_check_their_inputs(call):
+    # the references make the fitters' bandwidth, grid and order checks,
+    # before any kernel row is formed
+    with pytest.raises(InputError):
+        call()
+
+
 def test_dense_backfit_nw_reproduces_additive_data():
     # noiseless additive data: the dense solve recovers the projection of
     # the truth, and refitting its own fitted values is idempotent
@@ -112,13 +137,14 @@ def test_dense_backfit_ll_d1_matches_pointwise():
     assert np.abs(c1[0] - t1).max() < 1e-9
 
 
-def test_oracle_variance_uniform_example():
+@pytest.mark.parametrize("d", [1, 2])
+def test_oracle_variance_uniform_example(d):
     # gaussian family, uniform density, unit deltas: the variance limit
     # is the residual variance times the kernel roughness
     sig2 = 1.3
     inp = AsymptoticInputs(
-        family=get_family("gaussian"), eta0=0.0, components=(ZERO, ZERO),
-        density=_uniform, deltas=np.array([1.0, 1.0]),
+        family=get_family("gaussian"), eta0=0.0, components=(ZERO,) * d,
+        density=_uniform, deltas=np.ones(d),
         cond_var=lambda X: sig2 * np.ones(np.asarray(X).shape[:-1]),
     )
     v = oracle_variance(inp, 0, np.array([0.2, 0.5, 0.9]))
@@ -257,10 +283,11 @@ def test_linear_components_have_zero_ll_bias():
                   ).max() == 0.0
 
 
-def test_intercept_bias_zero_for_constant_truth():
+@pytest.mark.parametrize("d", [1, 2])
+def test_intercept_bias_zero_for_constant_truth(d):
     inp = AsymptoticInputs(
-        family=get_family("poisson"), eta0=0.3, components=(ZERO, ZERO),
-        density=_uniform, deltas=np.array([1.0, 1.0]),
+        family=get_family("poisson"), eta0=0.3, components=(ZERO,) * d,
+        density=_uniform, deltas=np.ones(d),
     )
     assert nw_intercept_bias(inp) == pytest.approx(0.0, abs=1e-12)
     assert ll_intercept_bias(inp) == pytest.approx(0.0, abs=1e-12)
