@@ -51,9 +51,8 @@ result, checked against the positivity floor.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
 from math import isfinite, prod
 
@@ -65,6 +64,7 @@ from .errors import (
     InitializerError,
     InputError,
     NonConvergenceError,
+    is_number,
     require_integer,
 )
 from .family import Family, GaussianIdentity, PoissonLog, get_family
@@ -108,18 +108,13 @@ class FitConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if not (_is(self.damping, numbers.Real) and 0.0 < self.damping <= 1.0):
+        if not (is_number(self.damping) and 0.0 < self.damping <= 1.0):
             raise InputError("damping must lie in (0, 1]")
-        if not all(_is(v, numbers.Real) and isfinite(v) and v > 0.0
+        if not all(is_number(v) and isfinite(v) and v > 0.0
                    for v in (self.tol_outer, self.tol_inner)):
             raise InputError("tolerances must be finite and positive")
         require_integer("max_outer", self.max_outer, 1)
         require_integer("max_inner", self.max_inner, 1)
-
-
-def _is(value, kind) -> bool:
-    """Whether value is an instance of the numeric kind; bools are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -698,12 +693,8 @@ class AdditiveFit:
 
     def predictor_on_grid(self) -> np.ndarray:
         """Full additive predictor on the product grid (small d only)."""
-        out = np.full(self.grid.shape, self.intercept)
-        for j, comp in enumerate(self.curves):
-            shape = [1] * self.grid.ndim
-            shape[j] = comp.size
-            out = out + comp.reshape(shape)
-        return out
+        curves = self.curves
+        return reduce(np.add.outer, curves[1:], self.intercept + curves[0])
 
     def component_at(self, j: int, u: np.ndarray) -> np.ndarray:
         """Linear interpolation of component j at rescaled coordinates."""

@@ -27,11 +27,15 @@ class InputError(SbgamError):
     """Invalid data, grid, bandwidth or configuration."""
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is an instance of the numeric kind; bools are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def require_integer(name: str, value, least: int) -> None:
     """Raise InputError unless value is an integer, not a bool, of at
     least `least`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
+    if not is_number(value, numbers.Integral) or value < least:
         raise InputError(f"{name} must be an integer of at least {least}")
 
 

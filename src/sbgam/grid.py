@@ -8,15 +8,16 @@ as "the integral of a one-dimensional marginal equals the integral of the
 full field" hold exactly, not just up to quadrature error.  The fitting
 code leans on that.
 
-The streaming helpers at the bottom accumulate one-dimensional curves
-and two-dimensional surfaces of per-observation fields without ever
-materializing a full d-dimensional tensor: each observation's kernel
-product vanishes outside a small window per dimension, so only
-window-sized blocks are ever formed.  They serve the local constant
-smoother for d >= 3 with links other than the Gaussian identity and the
-Poisson log, which have closed-form marginals (see `nw_fit` and
-`backfit`); the local linear smoother batches observations on the same
-windows itself (see `ll_fit`).
+`integrate_tensor` is the one trapezoid contraction, on the whole grid
+or on one observation's kernel window.  The streaming helper at the
+bottom accumulates with it one-dimensional curves and two-dimensional
+surfaces of per-observation fields without ever materializing a full
+d-dimensional tensor: each observation's kernel product vanishes
+outside a small window per dimension, so only window-sized blocks are
+ever formed.  It serves the local constant smoother for d >= 3 with
+links other than the Gaussian identity and the Poisson log, which have
+closed-form marginals (see `nw_fit` and `backfit`); the local linear
+smoother batches observations on the same windows itself (see `ll_fit`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "default_bandwidths",
     "resolve_bandwidths",
     "MarginalAccumulator",
-    "window_tensor",
 ]
 
 
@@ -94,32 +94,42 @@ class Grid:
         return len(self.points)
 
 
-def integrate_tensor(tensor: np.ndarray, grid: Grid, keep=()) -> np.ndarray:
-    """Integrate a full product-grid tensor over all dimensions not kept.
+def integrate_tensor(tensor: np.ndarray, grid, keep=()) -> np.ndarray:
+    """Integrate a tensor over all dimensions not kept, by the trapezoid
+    rule on the grid's weights or on given per-axis weights.
 
-    Intended for small problems (tests, oracles); the fitters never form
-    full product-grid tensors beyond d = 2.
+    Serves tests and oracles on the whole grid, and the streamed local
+    constant smoother on one observation's kernel window.
 
     Parameters
     ----------
     tensor : ndarray
-        Values on the product grid, axis j matching grid.points[j].
+        Values on the product grid, axis j matching weight vector j.
+    grid : Grid or sequence of ndarray
+        The grid, or one weight vector per axis, such as a window's.
     keep : sequence of int
         Dimensions to keep, in increasing order; everything else is
-        integrated out with trapezoid weights.
+        integrated out.
 
     Returns
     -------
     float or ndarray
         Scalar when keep is empty, else the marginal on the kept axes.
     """
+    weights = grid.weights if isinstance(grid, Grid) else grid
     keep = tuple(keep)
     out = np.asarray(tensor, dtype=float)
-    # contract from the highest axis down so kept-axis numbering is stable
-    for ax in reversed(range(grid.ndim)):
+    # contract from the highest axis down so kept-axis numbering is stable;
+    # a 1-D left operand of @ contracts the second-to-last axis
+    for ax in reversed(range(len(weights))):
         if ax in keep:
             continue
-        out = np.tensordot(out, grid.weights[ax], axes=([ax], [0]))
+        w = weights[ax]
+        if ax == out.ndim - 1:
+            out = out @ w
+        else:
+            out = (w @ out.reshape(out.shape[:ax + 1] + (-1,))).reshape(
+                out.shape[:ax] + out.shape[ax + 1:])
     if keep == ():
         return float(out)
     return out
@@ -310,22 +320,6 @@ def resolve_bandwidths(bandwidths, d: int, scale=1.0):
 # streaming marginal accumulation
 
 
-_LETTERS = "abcdefgh"
-
-
-def window_tensor(row_slices) -> np.ndarray:
-    """Outer product of per-dimension row segments.
-
-    row_slices is a sequence of one-dimensional arrays; the result has one
-    axis per entry.  Used to form a single observation's kernel product on
-    its support window.
-    """
-    out = np.asarray(row_slices[0], dtype=float)
-    for seg in row_slices[1:]:
-        out = out[..., None] * np.asarray(seg, dtype=float)
-    return out
-
-
 class MarginalAccumulator:
     """Accumulate trapezoid marginals of per-observation window fields.
 
@@ -355,26 +349,9 @@ class MarginalAccumulator:
         field : ndarray
             Values on the window, axis order matching the grid.
         """
-        grid = self.grid
-        d = grid.ndim
-        wseg = [grid.weights[j][lo[j]:hi[j]] for j in range(d)]
-        letters = _LETTERS[:d]
-
+        wseg = [w[a:b] for w, a, b in zip(self.grid.weights, lo, hi)]
         for j in self.curve_dims:
-            spec = f"{letters},{''.join(c for i, c in enumerate(letters) if i != j)}->{letters[j]}"
-            other = window_tensor([wseg[i] for i in range(d) if i != j]) if d > 1 else None
-            if d == 1:
-                contrib = field
-            else:
-                contrib = np.einsum(spec, field, other)
-            self.curves[j][lo[j]:hi[j]] += contrib
-
+            self.curves[j][lo[j]:hi[j]] += integrate_tensor(field, wseg, (j,))
         for (j, l) in self.pair_dims:
-            rest = [i for i in range(d) if i not in (j, l)]
-            if rest:
-                other = window_tensor([wseg[i] for i in rest])
-                spec = f"{letters},{''.join(letters[i] for i in rest)}->{letters[j]}{letters[l]}"
-                contrib = np.einsum(spec, field, other)
-            else:
-                contrib = field
-            self.pairs[(j, l)][lo[j]:hi[j], lo[l]:hi[l]] += contrib
+            self.pairs[(j, l)][lo[j]:hi[j], lo[l]:hi[l]] += integrate_tensor(
+                field, wseg, (j, l))

@@ -84,7 +84,7 @@ order-1 closed forms there, tried first, and then the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -151,13 +151,8 @@ def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
     Meant for small problems (tests, diagnostics); the fitting code forms
     these fields only on kernel windows.
     """
-    grid = ctx.grid
-    out = np.full(grid.shape, float(eta00))
-    for j in range(grid.ndim):
-        shape = [1] * grid.ndim
-        shape[j] = grid.shape[j]
-        out = out + (comps0[j] + ctx.tvals[j][i] * comps1[j]).reshape(shape)
-    return out
+    curves = [c0 + t[i] * c1 for c0, c1, t in zip(comps0, comps1, ctx.tvals)]
+    return reduce(np.add.outer, curves[1:], float(eta00) + curves[0])
 
 
 def _integrate_out(field, wts, keep):

@@ -21,7 +21,7 @@ under this module's name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -39,7 +39,7 @@ from .backfit import (
     poisson_marginals,
 )
 from .family import Family
-from .grid import Dataset, Grid, MarginalAccumulator, window_tensor
+from .grid import Dataset, Grid, MarginalAccumulator, integrate_tensor
 
 __all__ = [
     "NwContext",
@@ -94,31 +94,26 @@ def _nw_marginals_dense(ctx, eta0, components, pairs=True):
 
 def _nw_marginals_streamed(ctx, eta0, components, pairs=True):
     """Marginals at any d, accumulated observation by observation on the
-    product of its kernel windows; pairs=False changes nothing."""
+    product of its kernel windows, each curve, pair surface and SQ term
+    by `integrate_tensor` on the window; pairs=False changes nothing."""
     grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    d = grid.ndim
     n = ctx.dataset.n
-    dims = range(d)
-    pairs = [(j, l) for j in dims for l in dims if j < l]
-    wacc = MarginalAccumulator(grid, curve_dims=dims, pair_dims=pairs)
+    dims = range(grid.ndim)
+    pair_dims = [(j, l) for j in dims for l in dims if j < l]
+    wacc = MarginalAccumulator(grid, curve_dims=dims, pair_dims=pair_dims)
     sacc = MarginalAccumulator(grid, curve_dims=dims)
     sq_acc = 0.0
     for i in range(n):
         lo = [ctx.windows[j][0][i] for j in dims]
         hi = [ctx.windows[j][1][i] for j in dims]
-        kprod = window_tensor([ctx.rows[j][i, lo[j]:hi[j]] for j in dims])
-        u = eta0
-        for j in dims:
-            shape = [1] * d
-            shape[j] = hi[j] - lo[j]
-            u = u + components[j][lo[j]:hi[j]].reshape(shape)
+        kprod = reduce(np.multiply.outer,
+                       [ctx.rows[j][i, lo[j]:hi[j]] for j in dims])
+        segs = [components[j][lo[j]:hi[j]] for j in dims]
+        u = reduce(np.add.outer, segs[1:], eta0 + segs[0])
         wacc.add(lo, hi, -fam.q2(u, y[i]) * kprod)
         sacc.add(lo, hi, fam.q1(u, y[i]) * kprod)
-        qfield = fam.qll(u, y[i]) * kprod
-        for ax in reversed(dims):
-            qfield = np.tensordot(qfield, grid.weights[ax][lo[ax]:hi[ax]],
-                                  axes=([ax], [0]))
-        sq_acc += float(qfield)
+        wseg = [w[a:b] for w, a, b in zip(grid.weights, lo, hi)]
+        sq_acc += integrate_tensor(fam.qll(u, y[i]) * kprod, wseg)
     return Marginals(
         grid=grid,
         weight=[wacc.curves[j][None] / n for j in dims],

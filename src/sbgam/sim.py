@@ -27,12 +27,11 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
-from numbers import Real
 
 import numpy as np
 
 from . import kernels
-from .errors import FitError, InputError, require_integer
+from .errors import FitError, InputError, is_number, require_integer
 from .family import get_family
 from .grid import (Dataset, Grid, default_bandwidths, resolve_bandwidths,
                    trapz_weights)
@@ -79,8 +78,7 @@ class SimModel:
             raise InputError(
                 f"unknown response family {self.response!r} for simulation"
             )
-        if (isinstance(self.rho, bool) or not isinstance(self.rho, Real)
-                or not -1.0 < self.rho < 1.0):
+        if not (is_number(self.rho) and -1.0 < self.rho < 1.0):
             raise InputError("rho must be a number strictly inside (-1, 1)")
         require_integer("extra_dims", self.extra_dims, 0)
         require_integer("n", self.n, 10)
@@ -270,14 +268,18 @@ def asymptotic_inputs(model: SimModel, n: int, bandwidths,
     """Limit-formula inputs for a simulation model, in rescaled coordinates.
 
     bandwidths are on the rescaled [0, 1] scale, matching what the fitters
-    take; deltas are n^{1/5} times those.
+    take; deltas are n^{1/5} times those.  InputError, before the truth is
+    built, unless there are one or d bandwidths in (0, 1/2], n is an
+    integer of at least 1 and kernel names a base kernel.
     """
     # the only use of oracles in this module: fits and studies load
     # neither it nor the limit formulas
     from .oracles import AsymptoticInputs, ComponentTruth
 
     d = model.ndim
-    h = np.broadcast_to(np.asarray(bandwidths, dtype=float), (d,))
+    h = kernels.validate_bandwidths(bandwidths, d)
+    require_integer("n", n, 1)
+    kernels.validate_kernel(kernel)
     truth = true_components(model)
     comps = []
     for j in range(d):
@@ -429,6 +431,7 @@ def run_study(
     whose fitted predictor is farther than bad_threshold from the truth
     in squared L2 norm are counted bad, mirroring the usual practice of
     screening out diverged fits; the summaries average the kept ones.
+    bad_threshold must be positive; inf keeps every converged fit.
 
     ISB, IV and MISE are integrals over the central interior_fraction of
     each axis (at least two grid points), in original coordinates;
@@ -438,8 +441,10 @@ def run_study(
     if estimator not in ("nw", "ll"):
         raise InputError(f"unknown estimator {estimator!r}; use 'nw' or 'll'")
     require_integer("reps", reps, 1)
-    if not 0.0 < interior_fraction <= 1.0:
-        raise InputError("interior_fraction must be in (0, 1]")
+    if not (is_number(interior_fraction) and 0.0 < interior_fraction <= 1.0):
+        raise InputError("interior_fraction must be a number in (0, 1]")
+    if not (is_number(bad_threshold) and bad_threshold > 0.0):
+        raise InputError("bad_threshold must be a positive number")
     require_integer("n_jobs", n_jobs, 1)
     t_start = time.perf_counter()
     d = model.ndim

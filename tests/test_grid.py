@@ -73,6 +73,45 @@ def test_integrate_tensor_matches_iterated_trapz():
                   ).max() < 1e-14
 
 
+def _einsum_marginal(tensor, weights, keep):
+    """Reference marginal: one np.einsum over every axis not kept."""
+    args = [tensor, list(range(tensor.ndim))]
+    for j, w in enumerate(weights):
+        if j not in keep:
+            args += [w, [j]]
+    return np.einsum(*args, list(keep))
+
+
+def test_integrate_tensor_on_window_weights():
+    # random weights are not palindromic, unlike a uniform grid's, so a
+    # reversed weight vector shows
+    rng = np.random.default_rng(4)
+    g = Grid(tuple(np.concatenate([[0.0], np.sort(rng.uniform(size=k)),
+                                   [1.0]]) for k in (7, 5, 8)))
+    lo, hi = (2, 0, 3), (6, 4, 9)
+    window = tuple(slice(a, b) for a, b in zip(lo, hi))
+    field = rng.normal(size=tuple(b - a for a, b in zip(lo, hi)))
+    padded = np.zeros(g.shape)
+    padded[window] = field
+    wseg = [w[s] for w, s in zip(g.weights, window)]
+    assert integrate_tensor(field, wseg) == pytest.approx(
+        integrate_tensor(padded, g), abs=1e-14)
+    for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+        got = integrate_tensor(field, wseg, keep)
+        kept = tuple(window[j] for j in keep)
+        want = integrate_tensor(padded, g, keep)[kept]
+        assert np.abs(got - want).max() < 1e-14, keep
+
+    t = rng.normal(size=(4, 5, 3, 6))
+    weights = [rng.uniform(0.1, 1.0, size=k) for k in t.shape]
+    for keep in ([(j,) for j in range(4)]
+                 + [(j, l) for j in range(4) for l in range(j + 1, 4)]):
+        got = integrate_tensor(t, weights, keep)
+        assert np.abs(got - _einsum_marginal(t, weights, keep)).max() < 1e-14
+    assert integrate_tensor(t, weights) == pytest.approx(
+        float(_einsum_marginal(t, weights, ())), abs=1e-14)
+
+
 def test_fubini_consistency():
     # integrating a marginal curve equals the total integral
     g = Grid.uniform(2, 21)
@@ -250,7 +289,7 @@ def test_bandwidth_scale_must_be_finite_and_positive(c):
             call()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_streamed_marginals_match_dense(d):
     rng = np.random.default_rng(10 + d)
     g = Grid.uniform(d, 11)
@@ -264,9 +303,11 @@ def test_streamed_marginals_match_dense(d):
                                                   for a, b in zip(lo, hi)))
         acc.add(lo, hi, field)
         dense[tuple(slice(a, b) for a, b in zip(lo, hi))] += field
+    # the reference is np.einsum on the dense field, independent of
+    # integrate_tensor, which the accumulator calls
     for j in range(d):
-        assert np.abs(acc.curves[j]
-                      - integrate_tensor(dense, g, keep=(j,))).max() < 1e-12
+        assert np.abs(acc.curves[j] - _einsum_marginal(dense, g.weights, (j,))
+                      ).max() < 1e-12
     for pr in pairs:
-        assert np.abs(acc.pairs[pr]
-                      - integrate_tensor(dense, g, keep=pr)).max() < 1e-12
+        assert np.abs(acc.pairs[pr] - _einsum_marginal(dense, g.weights, pr)
+                      ).max() < 1e-12

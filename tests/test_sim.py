@@ -172,6 +172,24 @@ def test_asymptotic_inputs_rescaled_chain_rule():
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("args", [
+    dict(bandwidths=-0.2), dict(bandwidths=0.0), dict(bandwidths=np.nan),
+    dict(bandwidths=0.9), dict(bandwidths=[0.2, 0.2, 0.2]),
+    dict(n=-5), dict(n=0), dict(n=400.0), dict(n=True),
+    dict(kernel="box"),
+])
+def test_asymptotic_inputs_checks_inputs_before_the_truth(args, monkeypatch):
+    # a negative bandwidth gave a negative oracle variance, 0 gave inf,
+    # NaN passed through, n = -5 gave complex deltas and n = 0 zero ones
+    def never(model):
+        raise AssertionError("the truth was built")
+
+    monkeypatch.setattr(sim, "true_components", never)
+    call = dict(n=400, bandwidths=0.2, kernel="epanechnikov") | args
+    with pytest.raises(InputError):
+        asymptotic_inputs(SimModel.from_label("1,1"), **call)
+
+
 def test_asymptotic_density_grad_matches_fd():
     m = SimModel.from_label("2,2")
     inp = asymptotic_inputs(m, n=400, bandwidths=0.2)
@@ -235,11 +253,12 @@ def test_run_study_independent_of_n_jobs():
         assert np.array_equal(va, vb)
 
 
-def test_run_study_checks_interior_before_any_replication(monkeypatch):
-    def never(*args):
-        raise AssertionError("a replication ran")
+def _never(*args):
+    raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_study_rep", never)
+
+def test_run_study_checks_interior_before_any_replication(monkeypatch):
+    monkeypatch.setattr(sim, "_study_rep", _never)
     m = SimModel.from_label("1,1", n=80)
     with pytest.raises(InputError, match="interior_fraction 0.01 keeps 1 "):
         run_study(m, reps=20, bandwidths=0.3, grid_points=21,
@@ -257,9 +276,15 @@ def test_run_study_screens_bad_replications():
     assert res.bad_count == 3
     assert res.reps_used == 6 - res.bad_count
     assert all(0 <= i < 6 for i in res.bad_indices)
+    # an infinite threshold keeps every converged fit
+    res = run_study(m, reps=6, bandwidths=0.3, grid_points=21,
+                    bad_threshold=np.inf)
+    assert res.bad_count == 0 and res.reps_used == 6
 
 
-def test_run_study_validation():
+def test_run_study_validation(monkeypatch):
+    # every check runs before any replication
+    monkeypatch.setattr(sim, "_study_rep", _never)
     m = SimModel.from_label("1,1", n=80)
     with pytest.raises(InputError):
         run_study(m, estimator="foo")
@@ -274,6 +299,14 @@ def test_run_study_validation():
     for bandwidths in ([0.3, 0.3, 0.3], [[0.3, 0.3]]):
         with pytest.raises(InputError):
             run_study(m, bandwidths=bandwidths)
+    # a string, a bool, NaN (which screened nothing out) and thresholds
+    # that screen every fit out
+    for threshold in ("50", True, np.nan, -1.0, 0.0):
+        with pytest.raises(InputError, match="bad_threshold"):
+            run_study(m, bandwidths=0.3, bad_threshold=threshold)
+    for fraction in ("0.5", True):
+        with pytest.raises(InputError, match="interior_fraction"):
+            run_study(m, bandwidths=0.3, interior_fraction=fraction)
 
 
 def test_write_study_outputs(tmp_path):
