@@ -706,7 +706,8 @@ class AdditiveFit:
 
         For d = 1 a one-dimensional x holds n points, as in
         `Dataset.from_raw`; for d >= 2 it is one point.  Points outside
-        the training support are clamped to its edges.
+        the training support, infinite ones too, are clamped to its
+        edges; a NaN coordinate raises InputError.
         """
         d = self.grid.ndim
         x = as_floats(x, "covariate rows")
@@ -714,6 +715,8 @@ class AdditiveFit:
         if x.ndim != 2 or x.shape[1] != d:
             raise InputError(f"expected covariate rows of width {d}, got "
                              f"shape {x.shape}")
+        if np.isnan(x).any():
+            raise InputError("covariate rows must not contain NaN")
         out = np.full(x.shape[0], self.intercept)
         for j in range(d):
             u = (x[:, j] - self.lo[j]) / (self.hi[j] - self.lo[j])

@@ -84,7 +84,7 @@ order-1 closed forms there, tried first, and then the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from operator import attrgetter
@@ -115,7 +115,6 @@ __all__ = [
     "ll_inner_solve",
     "ll_outer_update",
     "fit_ll",
-    "ll_predictor_field",
 ]
 
 # cap, in scalar cells, on one block of observations times their padded
@@ -142,17 +141,6 @@ def _block_split(widths):
         blocks.append((order[start:start + size], top[size - 1].tolist()))
         start += size
     return blocks
-
-
-def ll_predictor_field(ctx: LlContext, eta00: float, comps0, comps1,
-                       i: int) -> np.ndarray:
-    """The local linear predictor eta(X_i, x) on the full product grid.
-
-    Meant for small problems (tests, diagnostics); the fitting code forms
-    these fields only on kernel windows.
-    """
-    curves = [c0 + t[i] * c1 for c0, c1, t in zip(comps0, comps1, ctx.tvals)]
-    return reduce(np.add.outer, curves[1:], float(eta00) + curves[0])
 
 
 def _integrate_out(field, wts, keep):

@@ -1,15 +1,17 @@
 """Independent reference computations used to validate the fitters.
 
-Three groups live here:
+Four groups live here:
 
 * one pointwise Newton loop of local-polynomial order p = 0 or 1, which
   for d = 1 solves the same estimating equations as the fitters but point
   by point, with no backfitting and no outer/inner split;
+* brute-force marginals of order p, any family, at any iterate: the slow
+  reference for every marginals producer of the fitters;
 * dense least-squares backfitting solves for the Gaussian identity family,
-  local constant and local linear, for up to three covariates: both build
-  their moments as brute-force product-grid tensors and solve one
-  constrained linear system of the local-polynomial order (all curve
-  values as unknowns, constraints appended) directly;
+  local constant and local linear, for up to three covariates: both take
+  the brute-force marginals at the zero iterate and solve one constrained
+  linear system of the local-polynomial order (all curve values as
+  unknowns, constraints appended) directly;
 * the asymptotic bias and variance formulas of the limit theory, evaluated
   by quadrature from user-supplied truth functions.
 
@@ -24,17 +26,18 @@ densities and bandwidths passed in here must live on the unit cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
 
 import numpy as np
 
 from . import kernels
-from .errors import InputError, require_integer
+from .errors import InputError, is_number, require_integer
 from .family import Family, get_family
 from .grid import Dataset, Grid, integrate_tensor
 
 __all__ = [
     "newton_pointwise",
+    "dense_marginals",
     "dense_backfit_nw",
     "dense_backfit_ll",
     "ComponentTruth",
@@ -111,6 +114,9 @@ def newton_pointwise(
     require_integer("order", order, 0)
     if order > 1:
         raise InputError("order must be 0 or 1")
+    require_integer("max_iter", max_iter, 1)
+    if not (is_number(tol) and np.isfinite(tol) and tol > 0):
+        raise InputError("tol must be finite and positive")
     fam = get_family(family)
     grid, (rows,), (t,) = _design(dataset, bandwidth, grid, kernel)
     k = order + 1
@@ -142,7 +148,7 @@ def newton_pointwise(
 
 
 # ---------------------------------------------------------------------------
-# dense least-squares backfitting, gaussian identity
+# brute-force marginals, and dense least-squares backfitting
 
 
 def _solve_additive_system(mass, total, weight, rhs, pairs, grid: Grid):
@@ -205,19 +211,20 @@ def _solve_additive_system(mass, total, weight, rhs, pairs, grid: Grid):
     return float(sol[0]), [[blk[a] for blk in blocks] for a in range(k)]
 
 
-def _solve_moments(moment, grid: Grid, order: int):
-    """Integrate product-grid moment tensors and solve the additive system.
+def _moments(moment, grid: Grid, order: int):
+    """Integrate product-grid moment tensors into the additive system's
+    inputs (mass, total, weight, rhs, pairs) of the given order.
 
-    moment(powers, response) is the tensor against prod_j t_j^powers[j],
-    weighted by the response when response is True.
+    moment(powers, score) is the weight tensor against
+    prod_j t_j^powers[j], or the score tensor when score is True.
     """
     d, k = grid.ndim, order + 1
 
-    def marginal(keep, at, response=False):
+    def marginal(keep, at, score=False):
         powers = [0] * d
         for j, a in zip(keep, at):
             powers[j] = a
-        return integrate_tensor(moment(tuple(powers), response), grid,
+        return integrate_tensor(moment(tuple(powers), score), grid,
                                 keep=keep)
 
     weight = [np.stack([marginal((j,), (c,)) for c in range(2 * k - 1)])
@@ -229,34 +236,61 @@ def _solve_moments(moment, grid: Grid, order: int):
                           for a in range(k)])
         for j in range(d) for l in range(j + 1, d)
     }
-    return _solve_additive_system(marginal((), ()), marginal((), (), True),
-                                  weight, rhs, pairs, grid)
+    return marginal((), ()), marginal((), (), True), weight, rhs, pairs
+
+
+def dense_marginals(dataset: Dataset, bandwidths, grid: Grid | None = None,
+                    family: Family | str = "gaussian",
+                    kernel: str = "epanechnikov", eta0=0.0, curves=None):
+    """Brute-force marginals of local-polynomial order p at one iterate.
+
+    curves holds p + 1 lists of d curves, curves[a][j] the curve of t_j^a
+    (default: one list of zero curves).  Each observation's predictor
+    eta0 + sum_j sum_a t_ij^a curves[a][j], its `fields` and its kernel
+    product are formed on all n prod_j G_j cells, and each moment
+    n^-1 sum_i field_i prod_j t_ij^(a_j) K_ij is integrated by the
+    trapezoid rule.  Returns (mass, score_total, weight, score, pairs, sq)
+    as in `backfit.Marginals`, the first five the additive system's inputs.
+    """
+    fam = get_family(family)
+    grid, rows, tvals = _design(dataset, bandwidths, grid, kernel)
+    n, d = dataset.n, grid.ndim
+    curves = [[np.zeros(g) for g in grid.shape]] if curves is None else curves
+    if len(curves) not in (1, 2) or any(
+            [np.shape(c) for c in block] != [(g,) for g in grid.shape]
+            for block in curves):
+        raise InputError("curves must be 1 or 2 lists of d curves of length G_j")
+
+    def cells(j, values):   # (n, G_j) values on the (n, G_1, ..., G_d) cells
+        return np.expand_dims(values, [1 + l for l in range(d) if l != j])
+
+    u = sum((cells(j, sum(t ** a * c[j] for a, c in enumerate(curves)))
+             for j, t in enumerate(tvals)), float(eta0))
+    kprod = reduce(np.multiply, [cells(j, r) for j, r in enumerate(rows)])
+    w, s, q = fam.fields(u, dataset.y.reshape((n,) + (1,) * d))
+    wk, sk = w * kprod, s * kprod
+
+    def moment(powers, score):
+        tensor = sk if score else wk
+        for j in np.flatnonzero(powers):
+            tensor = tensor * cells(j, tvals[j] ** powers[j])
+        return tensor.sum(axis=0) / n
+
+    sq = integrate_tensor((q * kprod).sum(axis=0) / n, grid)
+    return (*_moments(moment, grid, len(curves) - 1), sq)
 
 
 def _dense_backfit(dataset: Dataset, bandwidths, grid, kernel, order):
     """Direct solve of the least-squares backfitting system of the given
-    local-polynomial order from brute-force tensors.
-
-    Every moment n^-1 sum_i v_i prod_j t_ij^a_j K_ij (v = 1 or the
-    response) is formed on the full product grid by one einsum over the
-    observations.
-    """
-    d = dataset.ndim
-    if d > 3:
+    local-polynomial order: at the zero iterate the Gaussian marginals
+    are the data moments and the score is the response moment."""
+    if dataset.ndim > 3:
         raise InputError("dense oracle supports at most three covariates")
-    grid, rows, tvals = _design(dataset, bandwidths, grid, kernel)
-    letters = "abc"[:d]
-    spec = ",".join(f"i{c}" for c in letters) + "->" + letters
-
-    @cache
-    def moment(powers, response):
-        factors = [r * t ** a if a else r
-                   for r, t, a in zip(rows, tvals, powers)]
-        if response:
-            return np.einsum("i," + spec, dataset.y, *factors) / dataset.n
-        return np.einsum(spec, *factors) / dataset.n
-
-    return _solve_moments(moment, grid, order)
+    grid = Grid.uniform(dataset.ndim) if grid is None else grid
+    zero = [np.zeros(g) for g in grid.shape]
+    *system, _ = dense_marginals(dataset, bandwidths, grid, "gaussian",
+                                 kernel, 0.0, [zero] * (order + 1))
+    return _solve_additive_system(*system, grid)
 
 
 def dense_backfit_nw(
@@ -460,8 +494,8 @@ def project_additive(field, weight, grid: Grid):
     X = np.stack(mesh, axis=-1)
     W = weight(X)
     FW = field(X) * W
-    const, curves = _solve_moments(
-        lambda powers, response: FW if response else W, grid, 0)
+    const, curves = _solve_additive_system(
+        *_moments(lambda powers, score: FW if score else W, grid, 0), grid)
     return const, curves[0]
 
 

@@ -197,3 +197,12 @@ def test_predict_reads_points_by_the_fit_dimension():
                 method(bad)
     with pytest.raises(InputError):
         one.predict(np.zeros((3, 2)))
+    # NaN is no point; an infinite coordinate lies outside the support and
+    # is clamped to its edge
+    for method in (two.predict, two.predict_mean):
+        with pytest.raises(InputError, match="NaN"):
+            method([[np.nan, 0.1]])
+        assert np.array_equal(method([[np.inf, 0.1], [-np.inf, 0.1]]),
+                              method([[1.0, 0.1], [-1.0, 0.1]]))
+    with pytest.raises(InputError, match="NaN"):
+        one.predict(np.array([0.2, np.nan]))

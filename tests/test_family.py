@@ -8,19 +8,9 @@ from scipy.special import expit
 
 from sbgam import family
 from sbgam.errors import InputError
+from helpers import quasi_gamma
 
 FAMILIES = ("gaussian", "bernoulli", "poisson")
-
-
-def _quasi_gamma():
-    """Log link with variance m^2: a non-canonical pair whose weight
-    -q2 = y exp(-u) depends on the response."""
-    return family.QuasiFamily(
-        name="quasi-gamma", link=np.log, mean=np.exp,
-        link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,
-        q2=lambda u, y: -y * np.exp(-u),
-        qll=lambda u, y: -y * np.exp(-u) - u,
-        clamp_lo=-30.0, clamp_hi=30.0)
 
 
 # responses at the boundaries of each family's range and inside it
@@ -28,7 +18,7 @@ FIELD_CASES = {
     "gaussian": (family.get_family("gaussian"), (-2.0, 0.0, 1.7)),
     "bernoulli": (family.get_family("bernoulli"), (0.0, 0.3, 1.0)),
     "poisson": (family.get_family("poisson"), (0.0, 1.0, 4.0)),
-    "quasi-gamma": (_quasi_gamma(), (0.5, 1.0, 3.0)),
+    "quasi-gamma": (quasi_gamma(), (0.5, 1.0, 3.0)),
 }
 
 

@@ -18,9 +18,8 @@ from sbgam.errors import NonConvergenceError
 from sbgam.grid import Grid
 from sbgam.ll_fit import _block_marginals, fit_ll, ll_prepare
 from sbgam.nw_fit import fit_nw, nw_prepare
-from test_ll import (_logit_context, _quasi_gamma, _quasi_logit,
-                     _random_iterate, _refuse, _sim_dataset)
-from test_nw import _poisson_inputs
+from helpers import (logit_context, poisson_inputs, quasi_gamma,
+                     quasi_logit, random_iterate, refuse, sim_dataset)
 
 
 def _assert_same_but_pairs(bare, full):
@@ -37,9 +36,9 @@ def _assert_same_but_pairs(bare, full):
 
 def _engine_case(front, d):
     rng = np.random.default_rng([31, d, len(front)])
-    ctx = _logit_context(rng, d)
+    ctx = logit_context(rng, d)
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
-    eta00, c0, c1 = _random_iterate(rng, ctx)
+    eta00, c0, c1 = random_iterate(rng, ctx)
     if front == "bound":
         # just past the clamp bound: the generic front end runs
         span = sum(float((np.abs(a) + np.abs(b)).max())
@@ -48,11 +47,11 @@ def _engine_case(front, d):
         assert ll_fit._logit_bounds(ctx, eta00, c0, c1) is None
     elif front == "quasi-logit":
         ctx = ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
-                         _quasi_logit())
+                         quasi_logit())
     elif front == "quasi-gamma":
         # a positive response, as the quasi-gamma weight y e^-u needs
         ds = replace(ctx.dataset, y=ctx.dataset.y + 0.5)
-        ctx = ll_prepare(ds, ctx.bandwidths, ctx.grid, _quasi_gamma())
+        ctx = ll_prepare(ds, ctx.bandwidths, ctx.grid, quasi_gamma())
     else:
         assert ll_fit._logit_bounds(ctx, eta00, c0, c1) is not None
     return ctx, cells, (eta00, c0, c1)
@@ -78,7 +77,7 @@ def test_engine_without_pairs_matches_the_full_evaluation(front, d,
         kept.append(tuple(keep))
         return integrate(field, wts, keep)
 
-    monkeypatch.setattr(ll_fit, "_pair_moments", _refuse)
+    monkeypatch.setattr(ll_fit, "_pair_moments", refuse)
     monkeypatch.setattr(ll_fit, "_integrate_out", recording)
     bare = _block_marginals(ctx, *iterate, pairs=False)
     _assert_same_but_pairs(bare, full)
@@ -94,7 +93,7 @@ def test_engine_without_pairs_matches_the_full_evaluation(front, d,
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_poisson_without_pairs_matches_the_full_evaluation(d, order):
     rng = np.random.default_rng([32, d, order])
-    ds, h, grid = _poisson_inputs(rng, d)
+    ds, h, grid = poisson_inputs(rng, d)
     ctx = (nw_prepare if order == 0 else ll_prepare)(ds, h, grid, "poisson")
     iterate = [0.2] + [[0.3 * rng.normal(size=g) for g in grid.shape]
                        for _ in range(order + 1)]
@@ -105,7 +104,7 @@ def test_poisson_without_pairs_matches_the_full_evaluation(d, order):
 
 
 def test_inner_solve_rejects_marginals_without_pairs():
-    ctx = ll_prepare(_sim_dataset(2, 60, 2, "bernoulli"), 0.4,
+    ctx = ll_prepare(sim_dataset(2, 60, 2, "bernoulli"), 0.4,
                      Grid.uniform(2, 11), "bernoulli")
     iterate = (0.1, [np.zeros(11)] * 2, [np.full(11, 0.1)] * 2)
     bare = _block_marginals(ctx, *iterate, pairs=False)
@@ -118,9 +117,9 @@ FAMILIES = ["bernoulli", "poisson", "gaussian", "quasi-gamma"]
 
 
 def _fit_inputs(family, d, seed=4):
-    ds = _sim_dataset(seed, 150, d, family)
+    ds = sim_dataset(seed, 150, d, family)
     grid = Grid.uniform(d, 15 if d < 3 else 9)
-    return ds, grid, _quasi_gamma() if family == "quasi-gamma" else family
+    return ds, grid, quasi_gamma() if family == "quasi-gamma" else family
 
 
 def _fit(est, family, d):

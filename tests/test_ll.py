@@ -1,8 +1,7 @@
-"""Local linear fitter: predictor field, marginals, solver, oracles."""
+"""Local linear fitter: marginals, solver, oracles."""
 
 import tracemalloc
-from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -11,106 +10,20 @@ from scipy.special import expit
 
 from sbgam import ll_fit
 from sbgam.errors import DegenerateWeightError, NonConvergenceError
-from sbgam.family import QuasiFamily, get_family
-from sbgam.grid import Dataset, Grid, integrate_tensor
+from sbgam.family import get_family
+from sbgam.grid import Dataset, Grid
 from sbgam.kernels import KERNEL_NAMES, row_windows
 from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
-                          ll_marginals, ll_outer_update, ll_predictor_field,
-                          ll_prepare)
+                          ll_marginals, ll_outer_update, ll_prepare)
 from sbgam.backfit import (FitConfig, newton_fit, poisson_marginals,
                            start_marginals)
 from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
 from sbgam.oracles import dense_backfit_ll, newton_pointwise
 from sbgam.sim import SimModel, make_dataset
-from test_nw import (_assert_marginals_agree, _assert_same_marginals,
-                     _poisson_inputs, _uncovered_point_inputs)
-
-
-def _sim_dataset(seed, n, d, family="gaussian"):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, size=(n, d))
-    eta = np.sin(np.pi * x[:, 0])
-    if d > 1:
-        eta = eta + 0.5 * x[:, 1]
-    if family == "gaussian":
-        y = eta + rng.normal(scale=0.4, size=n)
-    elif family == "bernoulli":
-        y = (rng.random(n) < get_family("bernoulli").mean(eta)).astype(float)
-    elif family == "quasi-gamma":
-        y = np.exp(eta) * rng.gamma(4.0, 0.25, n)
-    else:
-        y = rng.poisson(np.exp(eta)).astype(float)
-    return Dataset.with_support(x, y, -1.0, 1.0)
-
-
-def test_predictor_field_evaluation():
-    ds = _sim_dataset(0, 15, 2)
-    grid = Grid.uniform(2, 9)
-    ctx = ll_prepare(ds, [0.3, 0.3], grid, "gaussian")
-    c0 = [np.linspace(0, 1, 9), np.linspace(-1, 0, 9)]
-    c1 = [0.5 * np.ones(9), np.zeros(9)]
-    field = ll_predictor_field(ctx, 2.0, c0, c1, i=3)
-    g1, g2 = np.meshgrid(grid.points[0], grid.points[1], indexing="ij")
-    t1 = (ds.x[3, 0] - g1) / 0.3
-    t2 = (ds.x[3, 1] - g2) / 0.3
-    expect = (2.0 + np.interp(g1, grid.points[0], c0[0]) + t1 * 0.5
-              + np.interp(g2, grid.points[1], c0[1]) + t2 * 0.0)
-    assert np.abs(field - expect).max() < 1e-12
-
-
-def _reference_marginals(ctx, eta00, c0, c1):
-    """Marginals fields times n, summed over observations on the full
-    product grid."""
-    grid, fam, y = ctx.grid, ctx.family, ctx.dataset.y
-    d, n = grid.ndim, ctx.dataset.n
-    pairs = list(combinations(range(d), 2))
-    ref = {nm: 0.0 for nm in ("mass", "score_total", "sq")}
-    ref["weight"] = [np.zeros((3, g)) for g in grid.shape]
-    ref["score"] = [np.zeros((2, g)) for g in grid.shape]
-    ref["pairs"] = {(j, l): np.zeros((2 * grid.shape[j], 2 * grid.shape[l]))
-                    for j, l in pairs}
-    for i in range(n):
-        u = ll_predictor_field(ctx, eta00, c0, c1, i)
-        kp = reduce(np.multiply.outer, [ctx.rows[j][i] for j in range(d)])
-        t = []
-        for j in range(d):
-            shape = [1] * d
-            shape[j] = grid.shape[j]
-            t.append(ctx.tvals[j][i].reshape(shape))
-        wk = -fam.q2(u, y[i]) * kp
-        sk = fam.q1(u, y[i]) * kp
-        ref["mass"] += integrate_tensor(wk, grid)
-        ref["score_total"] += integrate_tensor(sk, grid)
-        ref["sq"] += integrate_tensor(fam.qll(u, y[i]) * kp, grid)
-        for j in range(d):
-            for k in range(3):
-                ref["weight"][j][k] += integrate_tensor(t[j] ** k * wk, grid,
-                                                        (j,))
-            for a in range(2):
-                ref["score"][j][a] += integrate_tensor(t[j] ** a * sk, grid,
-                                                       (j,))
-        for j, l in pairs:
-            gj, gl = grid.shape[j], grid.shape[l]
-            for a, b in product(range(2), repeat=2):
-                ref["pairs"][j, l][a * gj:(a + 1) * gj, b * gl:(b + 1) * gl] \
-                    += integrate_tensor(t[j] ** a * t[l] ** b * wk, grid,
-                                        (j, l))
-    return ref
-
-
-def _assert_matches_reference(ctx, eta00, c0, c1, marginals=ll_marginals):
-    marg = marginals(ctx, eta00, c0, c1)
-    n = ctx.dataset.n
-    for nm, want in _reference_marginals(ctx, eta00, c0, c1).items():
-        got = getattr(marg, nm)
-        if isinstance(want, float):
-            assert got == pytest.approx(want / n, abs=1e-13), nm
-            continue
-        keys = range(len(want)) if isinstance(want, list) else want.keys()
-        assert len(got) == len(want), nm
-        for key in keys:
-            assert got[key].shape == want[key].shape, (nm, key)
-            assert np.abs(got[key] - want[key] / n).max() < 1e-13, (nm, key)
+from helpers import (assert_marginals_agree, assert_matches_oracle,
+                     logit_context, oracle_marginals, poisson_inputs,
+                     quasi_gamma, quasi_logit, random_grid, random_iterate,
+                     refuse, sim_dataset, uncovered_point_inputs)
 
 
 MARGINAL_CASES = {
@@ -125,9 +38,9 @@ MARGINAL_CASES = {
 
 def _marginal_case(name):
     d, family, g, h = MARGINAL_CASES[name]
-    ds = _sim_dataset(1, 61, d, family)
+    ds = sim_dataset(1, 61, d, family)
     grid = Grid.uniform(d, g)
-    fam = _quasi_gamma() if family == "quasi-gamma" else family
+    fam = quasi_gamma() if family == "quasi-gamma" else family
     ctx = ll_prepare(ds, h, grid, fam)
     p = grid.points[0]
     c0 = [0.4 * np.sin(2 * np.pi * p), 0.2 * p - 0.1, 0.3 * p ** 2][:d]
@@ -138,7 +51,7 @@ def _marginal_case(name):
 @pytest.mark.parametrize("case", sorted(MARGINAL_CASES))
 def test_marginals_match_full_grid_reference(case):
     ctx, c0, c1 = _marginal_case(case)
-    _assert_matches_reference(ctx, -0.1, c0, c1)
+    assert_matches_oracle(ll_marginals, ctx, -0.1, c0, c1)
 
 
 def _assert_blocks_partition(ctx):
@@ -163,7 +76,7 @@ def test_marginals_match_reference_in_ragged_blocks(case, monkeypatch):
     _assert_blocks_partition(ctx)
     sizes = [len(b) for b, _ in ctx.blocks]
     assert len(sizes) > 1 and min(sizes[:-1]) >= 7
-    _assert_matches_reference(ctx, -0.1, c0, c1, _block_marginals)
+    assert_matches_oracle(_block_marginals, ctx, -0.1, c0, c1)
 
 
 @pytest.mark.parametrize("family", ["bernoulli", "quasi-gamma"])
@@ -175,8 +88,8 @@ def test_marginals_do_not_depend_on_the_block_split(d, family, monkeypatch):
     # directly, at a random iterate
     rng = np.random.default_rng([17, d, len(family)])
     g = 13 if d < 3 else 9
-    fam = _quasi_gamma() if family == "quasi-gamma" else family
-    ds, h = _sim_dataset(2, 61, d, family), rng.uniform(0.25, 0.4, size=d)
+    fam = quasi_gamma() if family == "quasi-gamma" else family
+    ds, h = sim_dataset(2, 61, d, family), rng.uniform(0.25, 0.4, size=d)
     iterate = (float(rng.normal()),
                [0.4 * rng.normal(size=g) for _ in range(d)],
                [0.2 * rng.normal(size=g) for _ in range(d)])
@@ -187,27 +100,7 @@ def test_marginals_do_not_depend_on_the_block_split(d, family, monkeypatch):
     ctx = ll_prepare(ds, h, Grid.uniform(d, g), fam)
     got = _block_marginals(ctx, *iterate)
     assert len(ctx.blocks) == ds.n
-    _assert_marginals_agree(got, want, 1e-14)
-
-
-def _quasi_gamma():
-    """Log link with variance m^2; the weight -q2 = y exp(-u) depends on
-    the response, and the family builds `fields` from its callables."""
-    return QuasiFamily(
-        name="quasi-gamma", link=np.log, mean=np.exp,
-        link_deriv=lambda m: 1.0 / m, variance=lambda m: m * m,
-        q2=lambda u, y: -y * np.exp(-u),
-        qll=lambda u, y: -y * np.exp(-u) - u,
-        clamp_lo=-30.0, clamp_hi=30.0)
-
-
-def _random_grid(rng, d):
-    """Product grid with random interior points, 9 to 14 per axis."""
-    pts = []
-    for _ in range(d):
-        inner = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(7, 13))))
-        pts.append(np.concatenate([[0.0], inner, [1.0]]))
-    return Grid(tuple(pts))
+    assert_marginals_agree(got, want, 1e-14)
 
 
 @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian",
@@ -227,9 +120,9 @@ def test_marginals_match_reference_on_random_grids(d, kernel, family,
          "poisson": rng.poisson(np.exp(eta)).astype(float),
          "gaussian": eta + rng.normal(size=n),
          "quasi-gamma": np.exp(eta) * rng.gamma(4.0, 0.25, n)}[family]
-    fam = _quasi_gamma() if family == "quasi-gamma" else family
+    fam = quasi_gamma() if family == "quasi-gamma" else family
     ds = Dataset.with_support(x, y, -1.0, 1.0)
-    grid = _random_grid(rng, d)
+    grid = random_grid(rng, d, 7)
     h = rng.uniform(0.25, 0.45, size=d)
     ctx = ll_prepare(ds, h, grid, fam, kernel)
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
@@ -241,7 +134,7 @@ def test_marginals_match_reference_on_random_grids(d, kernel, family,
     assert len(widths) > 1
     c0 = [0.3 * rng.normal(size=g) for g in grid.shape]
     c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
-    _assert_matches_reference(ctx, 0.2, c0, c1, _block_marginals)
+    assert_matches_oracle(_block_marginals, ctx, 0.2, c0, c1)
 
 
 def _workspace_case(d):
@@ -273,7 +166,7 @@ def test_workspace_keeps_nothing_between_evaluations(d):
     got = ll_marginals(ctx, *b)
     want = ll_marginals(ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
                                    "bernoulli"), *b)
-    _assert_same_marginals(got, want)
+    assert_marginals_agree(got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -295,7 +188,7 @@ def test_warm_marginals_allocate_less_than_one_block(d):
 
 
 def _poisson_context(rng, d, kernel="epanechnikov", n=40):
-    return ll_prepare(*_poisson_inputs(rng, d, n), "poisson", kernel)
+    return ll_prepare(*poisson_inputs(rng, d, n), "poisson", kernel)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -311,8 +204,10 @@ def test_poisson_marginals_match_block_engine(d, kernel):
         c1 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
         got = poisson_marginals(ctx, eta00, c0, c1)
         assert got is not None
-        _assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
-                                1e-13)
+        assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
+                               1e-13)
+        assert_marginals_agree(got, oracle_marginals(ctx, eta00, c0, c1),
+                               1e-13)
 
 
 def test_poisson_falls_back_where_the_clamp_could_bind():
@@ -325,7 +220,7 @@ def test_poisson_falls_back_where_the_clamp_could_bind():
     c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
     assert poisson_marginals(ctx, 0.1, c0, c1) is not None
     assert poisson_marginals(ctx, 29.5, c0, c1) is None
-    _assert_same_marginals(ll_marginals(ctx, 29.5, c0, c1),
+    assert_marginals_agree(ll_marginals(ctx, 29.5, c0, c1),
                            _block_marginals(ctx, 29.5, c0, c1))
 
 
@@ -343,14 +238,14 @@ def test_poisson_shift_keeps_large_offsetting_terms_finite():
     assert got is not None
     for m in (*got.weight, *got.score, *got.pairs.values()):
         assert np.isfinite(m).all()
-    _assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
+    assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
 
 
 def test_poisson_large_curve_value_outside_every_window():
     # +800 at a grid point of x_1 that lies in no observation's window,
     # but inside the engine's padded windows: both stay finite
     rng = np.random.default_rng(17)
-    ctx = ll_prepare(*_uncovered_point_inputs(rng), "poisson")
+    ctx = ll_prepare(*uncovered_point_inputs(rng), "poisson")
     assert not ctx.rows[0][:, 18].any()
     c0 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
     c1 = [0.1 * rng.normal(size=g) for g in ctx.grid.shape]
@@ -359,7 +254,7 @@ def test_poisson_large_curve_value_outside_every_window():
     assert got is not None
     for m in (*got.weight, *got.score, *got.pairs.values()):
         assert np.isfinite(m).all()
-    _assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
+    assert_marginals_agree(got, _block_marginals(ctx, 0.1, c0, c1), 1e-13)
 
 
 def test_poisson_marginals_match_block_engine_on_narrow_windows():
@@ -377,8 +272,8 @@ def test_poisson_marginals_match_block_engine_on_narrow_windows():
         c1 = [0.3 * rng.normal(size=g) for g in ctx.grid.shape]
         got = poisson_marginals(ctx, eta00, c0, c1)
         assert got is not None
-        _assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
-                                1e-13)
+        assert_marginals_agree(got, _block_marginals(ctx, eta00, c0, c1),
+                               1e-13)
 
 
 def test_poisson_fit_never_builds_the_engine():
@@ -405,7 +300,7 @@ def test_poisson_fit_never_builds_the_engine():
 def test_engine_computes_windows_on_first_use():
     # a Bernoulli fit runs the block engine, which splits the data by the
     # kernel windows; they are computed then, from the kernel rows
-    ctx = ll_prepare(_sim_dataset(18, 60, 2, "bernoulli"), 0.3,
+    ctx = ll_prepare(sim_dataset(18, 60, 2, "bernoulli"), 0.3,
                      Grid.uniform(2, 11), "bernoulli")
     assert "windows" not in vars(ctx)
     fit = newton_fit(ctx, None, LlFit, ll_marginals, ll_inner_solve,
@@ -417,52 +312,19 @@ def test_engine_computes_windows_on_first_use():
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
-def _quasi_logit():
-    """The logit family as a QuasiFamily: the engine evaluates it through
-    `fields` on the predictor, never from per-axis exponentials."""
-    return QuasiFamily(
-        name="quasi-logit", link=lambda m: np.log(m) - np.log1p(-m),
-        mean=expit, link_deriv=lambda m: 1.0 / (m * (1.0 - m)),
-        variance=lambda m: m * (1.0 - m),
-        q2=lambda u, y: -expit(u) * expit(-u),
-        qll=lambda u, y: y * u - np.logaddexp(0.0, u),
-        clamp_lo=-30.0, clamp_hi=30.0)
-
-
-def _refuse(*args):
-    raise AssertionError("this front end must not run")
-
-
 def _assert_logit_factored(ctx, iterate, monkeypatch):
     # the factored front end alone, against the generic engine on the
     # QuasiFamily copy and against the full-grid reference
     assert ll_fit._logit_bounds(ctx, *iterate) is not None
     generic = ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
-                         _quasi_logit(), ctx.kernel)
+                         quasi_logit(), ctx.kernel)
     want = _block_marginals(generic, *iterate)
     with monkeypatch.context() as m:
-        m.setattr(ll_fit, "_family_fields", _refuse)
+        m.setattr(ll_fit, "_family_fields", refuse)
         got = _block_marginals(ctx, *iterate)
-        _assert_matches_reference(ctx, *iterate, _block_marginals)
-    _assert_marginals_agree(got, want, 1e-13)
+        assert_matches_oracle(_block_marginals, ctx, *iterate)
+    assert_marginals_agree(got, want, 1e-13)
     return got
-
-
-def _logit_context(rng, d, n=40, kernel="epanechnikov"):
-    """Bernoulli data with a quarter of the points near the edges, random
-    bandwidths and a random non-uniform grid."""
-    x = rng.uniform(-1, 1, size=(n, d))
-    x[: n // 4] = np.sign(x[: n // 4]) * rng.uniform(0.85, 1.0, (n // 4, d))
-    y = (rng.random(n) < expit(np.sin(np.pi * x[:, 0]))).astype(float)
-    return ll_prepare(Dataset.with_support(x, y, -1.0, 1.0),
-                      rng.uniform(0.25, 0.45, size=d), _random_grid(rng, d),
-                      "bernoulli", kernel)
-
-
-def _random_iterate(rng, ctx, scale=1.0):
-    return (float(rng.normal()),
-            [scale * 0.5 * rng.normal(size=g) for g in ctx.grid.shape],
-            [scale * 0.3 * rng.normal(size=g) for g in ctx.grid.shape])
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -470,15 +332,15 @@ def _random_iterate(rng, ctx, scale=1.0):
 def test_logit_factored_fields_match_generic_engine(d, kernel, monkeypatch):
     # in ragged blocks of differing window widths, at random iterates
     rng = np.random.default_rng([21, d, len(kernel)])
-    ctx = _logit_context(rng, d, kernel=kernel)
+    ctx = logit_context(rng, d, kernel=kernel)
     cells = prod(int((hi - lo).max()) for lo, hi in ctx.windows)
     monkeypatch.setattr(ll_fit, "BLOCK_CELLS", 6 * cells + cells // 2)
-    ctx = _logit_context(np.random.default_rng([21, d, len(kernel)]), d,
-                         kernel=kernel)
+    ctx = logit_context(np.random.default_rng([21, d, len(kernel)]), d,
+                        kernel=kernel)
     _assert_blocks_partition(ctx)
     assert len(ctx.blocks) > 1
     for _ in range(2):
-        _assert_logit_factored(ctx, _random_iterate(rng, ctx), monkeypatch)
+        _assert_logit_factored(ctx, random_iterate(rng, ctx), monkeypatch)
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -488,13 +350,13 @@ def test_logit_factored_fields_at_higher_d(d, monkeypatch):
     # output.  Against the generic engine alone, which the tests above
     # pin to the full-grid reference
     rng = np.random.default_rng([26, d])
-    ctx = _logit_context(rng, d)
-    iterate = _random_iterate(rng, ctx)
+    ctx = logit_context(rng, d)
+    iterate = random_iterate(rng, ctx)
     assert ll_fit._logit_bounds(ctx, *iterate) is not None
     want = _block_marginals(ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
-                                       _quasi_logit()), *iterate)
-    monkeypatch.setattr(ll_fit, "_family_fields", _refuse)
-    _assert_marginals_agree(_block_marginals(ctx, *iterate), want, 1e-13)
+                                       quasi_logit()), *iterate)
+    monkeypatch.setattr(ll_fit, "_family_fields", refuse)
+    assert_marginals_agree(_block_marginals(ctx, *iterate), want, 1e-13)
 
 
 def test_logit_factored_fields_on_narrow_windows(monkeypatch):
@@ -507,7 +369,7 @@ def test_logit_factored_fields_on_narrow_windows(monkeypatch):
     ctx = ll_prepare(Dataset.with_support(x, y, -1.0, 1.0), 0.13,
                      Grid.uniform(2, 41), "bernoulli")
     for _ in range(2):
-        _assert_logit_factored(ctx, _random_iterate(rng, ctx), monkeypatch)
+        _assert_logit_factored(ctx, random_iterate(rng, ctx), monkeypatch)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -516,8 +378,8 @@ def test_logit_path_is_chosen_by_the_bound(d, monkeypatch):
     # inside the clamp at 30, then just outside it: there the evaluation
     # must take the generic front end
     rng = np.random.default_rng([23, d])
-    ctx = _logit_context(rng, d)
-    _, c0, c1 = _random_iterate(rng, ctx)
+    ctx = logit_context(rng, d)
+    _, c0, c1 = random_iterate(rng, ctx)
     span = sum(float((np.abs(a) + np.abs(b)).max()) for a, b in zip(c0, c1))
     inside = (30.0 - span - 1e-9, c0, c1)
     outside = (30.0 - span + 1e-9, c0, c1)
@@ -527,16 +389,16 @@ def test_logit_path_is_chosen_by_the_bound(d, monkeypatch):
     assert ll_fit._logit_bounds(ctx, -outside[0], c0, c1) is None
     _assert_logit_factored(ctx, inside, monkeypatch)
     _assert_logit_factored(ctx, (-inside[0], c0, c1), monkeypatch)
-    monkeypatch.setattr(ll_fit, "_logit_fields", _refuse)
-    _assert_matches_reference(ctx, *outside, _block_marginals)
+    monkeypatch.setattr(ll_fit, "_logit_fields", refuse)
+    assert_matches_oracle(_block_marginals, ctx, *outside)
     # past the bound the generic engine keeps the weights' digits too,
     # against the accurate QuasiFamily copy: with the weight formed as
     # m (1 - m) its curves were off by 5.0e-6 (d = 2) and 8.5e-7 (d = 3)
     generic = ll_prepare(ctx.dataset, ctx.bandwidths, ctx.grid,
-                         _quasi_logit(), ctx.kernel)
+                         quasi_logit(), ctx.kernel)
     for iterate in (outside, (-outside[0], c0, c1)):
-        _assert_marginals_agree(_block_marginals(ctx, *iterate),
-                                _block_marginals(generic, *iterate), 1e-13)
+        assert_marginals_agree(_block_marginals(ctx, *iterate),
+                               _block_marginals(generic, *iterate), 1e-13)
 
 
 def test_logit_large_slope_keeps_padded_cells_finite(monkeypatch):
@@ -569,7 +431,7 @@ def test_logit_large_curve_value_outside_every_window(monkeypatch):
     # +800 at a grid point of x_1 in no observation's window: the bound
     # counts every grid point, so the evaluation takes the generic engine
     rng = np.random.default_rng(25)
-    ds, h, grid = _uncovered_point_inputs(rng)
+    ds, h, grid = uncovered_point_inputs(rng)
     ds = Dataset.with_support(ds.x, (ds.y > 1).astype(float), 0.0, 1.0)
     ctx = ll_prepare(ds, h, grid, "bernoulli")
     assert not ctx.rows[0][:, 18].any()
@@ -577,12 +439,12 @@ def test_logit_large_curve_value_outside_every_window(monkeypatch):
     c1 = [0.1 * rng.normal(size=g) for g in grid.shape]
     c0[0][18] = 800.0
     assert ll_fit._logit_bounds(ctx, 0.1, c0, c1) is None
-    monkeypatch.setattr(ll_fit, "_logit_fields", _refuse)
+    monkeypatch.setattr(ll_fit, "_logit_fields", refuse)
     got = _block_marginals(ctx, 0.1, c0, c1)
     for m in (*got.weight, *got.score, *got.pairs.values()):
         assert np.isfinite(m).all()
-    _assert_marginals_agree(got, _block_marginals(
-        ll_prepare(ds, h, grid, _quasi_logit()), 0.1, c0, c1), 1e-13)
+    assert_marginals_agree(got, _block_marginals(
+        ll_prepare(ds, h, grid, quasi_logit()), 0.1, c0, c1), 1e-13)
 
 
 def test_logit_fit_keeps_its_counts(monkeypatch):
@@ -593,8 +455,8 @@ def test_logit_fit_keeps_its_counts(monkeypatch):
     ds = make_dataset(SimModel.from_label("1,1", n=2000, seed=77),
                       np.random.default_rng(np.random.SeedSequence([77, 0])))
     grid = Grid.uniform(2, 41)
-    want = fit_ll(ds, 0.25, grid=grid, family=_quasi_logit())
-    monkeypatch.setattr(ll_fit, "_family_fields", _refuse)
+    want = fit_ll(ds, 0.25, grid=grid, family=quasi_logit())
+    monkeypatch.setattr(ll_fit, "_family_fields", refuse)
     fit = fit_ll(ds, 0.25, grid=grid, family="bernoulli")
     got_d, want_d = fit.diagnostics, want.diagnostics
     assert got_d.converged and want_d.converged
@@ -618,15 +480,16 @@ def _start_context(family, d):
     y = {"bernoulli": (rng.random(n) < expit(eta)).astype(float),
          "poisson": rng.poisson(np.exp(eta)).astype(float),
          "quasi-gamma": np.exp(eta) * rng.gamma(4.0, 0.25, n)}[family]
-    fam = _quasi_gamma() if family == "quasi-gamma" else get_family(family)
+    fam = quasi_gamma() if family == "quasi-gamma" else get_family(family)
     ctx = ll_prepare(Dataset.with_support(x, y, -1.0, 1.0),
-                     rng.uniform(0.25, 0.45, size=d), _random_grid(rng, d),
+                     rng.uniform(0.25, 0.45, size=d), random_grid(rng, d, 7),
                      fam)
     return ctx, float(fam.link(np.mean(y)))
 
 
 def _zeros(ctx):
-    return [np.zeros(g) for g in ctx.grid.shape]
+    """The zero curves and slopes on ctx's grid, as new arrays."""
+    return [[np.zeros(g) for g in ctx.grid.shape] for _ in range(2)]
 
 
 @pytest.mark.parametrize("family, eta0", [
@@ -641,18 +504,19 @@ def test_start_marginals_match_block_engine(d, family, eta0):
     # quasi-gamma weight depends on the response
     ctx, start = _start_context(family, d)
     eta0 = start if eta0 is None else eta0
-    got = start_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+    zeros = _zeros(ctx)
+    got = start_marginals(ctx, eta0, *zeros)
     assert got is not None
     assert "blocks" not in vars(ctx) and "windows" not in vars(ctx)
-    _assert_marginals_agree(got, _block_marginals(ctx, eta0, _zeros(ctx),
-                                                  _zeros(ctx)), 1e-14)
+    assert_marginals_agree(got, _block_marginals(ctx, eta0, *zeros), 1e-14)
+    assert_marginals_agree(got, oracle_marginals(ctx, eta0, *zeros), 1e-14)
 
 
 def test_start_marginals_need_every_curve_and_slope_zero():
     ctx, eta0 = _start_context("bernoulli", 3)
-    assert start_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx)) is not None
+    assert start_marginals(ctx, eta0, *_zeros(ctx)) is not None
     for which, j in product(range(2), range(3)):
-        comps = [_zeros(ctx), _zeros(ctx)]
+        comps = _zeros(ctx)
         comps[which][j][4] = 1e-9
         assert start_marginals(ctx, eta0, *comps) is None, (which, j)
 
@@ -661,10 +525,9 @@ def test_start_serves_the_first_evaluation_of_a_fit():
     # ll_marginals takes the weighted moments at the start, so a Bernoulli
     # context builds no blocks until the first Newton step
     ctx, eta0 = _start_context("bernoulli", 2)
-    marg = ll_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+    marg = ll_marginals(ctx, eta0, *_zeros(ctx))
     assert "blocks" not in vars(ctx) and "workspace" not in vars(ctx)
-    _assert_same_marginals(marg, start_marginals(ctx, eta0, _zeros(ctx),
-                                                 _zeros(ctx)))
+    assert_marginals_agree(marg, start_marginals(ctx, eta0, *_zeros(ctx)))
 
 
 def test_degenerate_start_weight_raises():
@@ -678,7 +541,7 @@ def test_degenerate_start_weight_raises():
     ctx = ll_prepare(ds, 0.05, Grid.uniform(1, 41), "bernoulli")
     eta0 = float(get_family("bernoulli").link(np.mean(y)))
     with pytest.raises(DegenerateWeightError):
-        ll_marginals(ctx, eta0, _zeros(ctx), _zeros(ctx))
+        ll_marginals(ctx, eta0, *_zeros(ctx))
     assert "blocks" not in vars(ctx)
     with pytest.raises(DegenerateWeightError):
         fit_ll(ds, 0.05, grid=Grid.uniform(1, 41), family="bernoulli")
@@ -687,7 +550,7 @@ def test_degenerate_start_weight_raises():
 def test_zero_slope_smoothed_ql_equals_local_constant():
     # with all slope curves zero the local linear predictor field is the
     # local constant one, so the smoothed quasi-likelihood must agree
-    ds = _sim_dataset(2, 50, 2, "poisson")
+    ds = sim_dataset(2, 50, 2, "poisson")
     grid = Grid.uniform(2, 11)
     llctx = ll_prepare(ds, 0.3, grid, "poisson")
     nwctx = nw_prepare(ds, 0.3, grid, "poisson")
@@ -703,7 +566,7 @@ def test_zero_slope_smoothed_ql_equals_local_constant():
 def test_gaussian_single_outer_step_equals_dense_solve():
     cfg = FitConfig(tol_inner=1e-13, max_inner=400)
     for d, g, h in ((2, 17, [0.25, 0.3]), (3, 9, [0.25, 0.3, 0.35])):
-        ds = _sim_dataset(3, 100, d)
+        ds = sim_dataset(3, 100, d)
         grid = Grid.uniform(d, g)
         fit = fit_ll(ds, h, grid=grid, config=cfg)
         assert fit.diagnostics.outer_iterations == 2, d
@@ -715,14 +578,14 @@ def test_gaussian_single_outer_step_equals_dense_solve():
 
 
 def test_gaussian_intercept_is_response_mean():
-    ds = _sim_dataset(4, 80, 2)
+    ds = sim_dataset(4, 80, 2)
     fit = fit_ll(ds, 0.3)
     assert fit.eta00 == pytest.approx(float(np.mean(ds.y)), abs=1e-12)
 
 
 def test_fit_matches_pointwise_newton_d1():
     for fam in ("gaussian", "bernoulli", "poisson"):
-        ds = _sim_dataset(5, 250, 1, fam)
+        ds = sim_dataset(5, 250, 1, fam)
         cfg = FitConfig(tol_outer=1e-11, tol_inner=1e-13, max_outer=60)
         fit = fit_ll(ds, 0.2, family=fam, config=cfg)
         t0, t1, ok = newton_pointwise(ds, 0.2, family=fam, order=1)
@@ -763,7 +626,7 @@ def test_nw_and_ll_agree_on_linear_truth_interior():
 
 
 def test_constraint_residuals_small_every_iteration():
-    ds = _sim_dataset(8, 120, 2, "poisson")
+    ds = sim_dataset(8, 120, 2, "poisson")
     fit = fit_ll(ds, 0.3, family="poisson")
     diag = fit.diagnostics
     assert len(diag.constraint_residuals) == diag.outer_iterations
@@ -771,7 +634,7 @@ def test_constraint_residuals_small_every_iteration():
 
 
 def test_outer_changes_decrease():
-    ds = _sim_dataset(9, 150, 2, "bernoulli")
+    ds = sim_dataset(9, 150, 2, "bernoulli")
     fit = fit_ll(ds, 0.35, family="bernoulli")
     ch = fit.diagnostics.outer_changes
     assert all(b < a for a, b in zip(ch[1:-1], ch[2:]))
@@ -779,7 +642,7 @@ def test_outer_changes_decrease():
 
 
 def test_inner_contractions_below_one():
-    ds = _sim_dataset(10, 150, 2)
+    ds = sim_dataset(10, 150, 2)
     fit = fit_ll(ds, 0.3)
     for c in fit.diagnostics.inner_contractions:
         assert c < 1.0
@@ -795,7 +658,7 @@ def test_degenerate_moments_raise():
 
 
 def test_nonconvergence_raises_with_history():
-    ds = _sim_dataset(12, 120, 2, "poisson")
+    ds = sim_dataset(12, 120, 2, "poisson")
     with pytest.raises(NonConvergenceError) as info:
         fit_ll(ds, 0.3, family="poisson", config=FitConfig(max_outer=1))
     assert len(info.value.history) == 1

@@ -12,10 +12,11 @@ from sbgam.family import get_family
 from sbgam.grid import Dataset, Grid
 from sbgam.oracles import (AsymptoticInputs, ComponentTruth,
                            dense_backfit_ll, dense_backfit_nw,
-                           ll_component_bias, ll_intercept_bias,
-                           newton_pointwise, nw_bias_field,
+                           dense_marginals, ll_component_bias,
+                           ll_intercept_bias, newton_pointwise, nw_bias_field,
                            nw_component_bias, nw_intercept_bias,
                            oracle_variance, project_additive)
+from helpers import random_grid, sim_dataset
 
 ZERO = ComponentTruth(value=lambda u: 0.0 * np.asarray(u),
                       d1=lambda u: 0.0 * np.asarray(u),
@@ -92,13 +93,53 @@ def _line_data(d):
     lambda: newton_pointwise(_line_data(1), 0.2, order=True),
     lambda: newton_pointwise(_line_data(1), 0.2, order=1.0),
     lambda: newton_pointwise(_line_data(1), 0.2, order=2),
+    lambda: newton_pointwise(_line_data(1), 0.2, max_iter=2.5),
+    lambda: newton_pointwise(_line_data(1), 0.2, max_iter=0),
+    lambda: newton_pointwise(_line_data(1), 0.2, max_iter=True),
+    lambda: newton_pointwise(_line_data(1), 0.2, tol=float("nan")),
+    lambda: newton_pointwise(_line_data(1), 0.2, tol=-1.0),
+    lambda: newton_pointwise(_line_data(1), 0.2, tol=True),
+    lambda: dense_marginals(_line_data(2), 0.2,
+                            curves=[[np.zeros(41)] * 2] * 3),
+    lambda: dense_marginals(_line_data(2), 0.2, curves=[[np.zeros(41)]]),
+    lambda: dense_marginals(_line_data(2), 0.2, curves=[[np.zeros(41)] * 3]),
+    lambda: dense_marginals(_line_data(2), 0.2, curves=[[np.zeros(41),
+                                                         np.zeros(40)]]),
+    lambda: dense_marginals(_line_data(2), 0.2, curves=[]),
 ], ids=["nan-h", "h-above-half", "zero-h", "2d-grid", "nw-1d-grid",
-        "ll-3d-grid", "bool-order", "float-order", "order-2"])
+        "ll-3d-grid", "bool-order", "float-order", "order-2",
+        "float-max-iter", "zero-max-iter", "bool-max-iter", "nan-tol",
+        "negative-tol", "bool-tol", "three-curve-lists", "too-few-curves",
+        "too-many-curves", "short-curve", "no-curve-list"])
 def test_references_check_their_inputs(call):
     # the references make the fitters' bandwidth, grid and order checks,
-    # before any kernel row is formed
+    # and check their iteration controls and iterates, before any kernel
+    # row or field is formed
     with pytest.raises(InputError):
         call()
+
+
+def test_dense_marginals_integrate_to_each_other():
+    # identities of the trapezoid rule that share no code with the
+    # oracle's moments: every curve integrates to the totals, and every
+    # pair block (a, 0) integrated over x_l, or (0, b) over x_j, is a
+    # weight curve.  d = 3, order 1, Bernoulli, at a random iterate
+    rng = np.random.default_rng(34)
+    grid = random_grid(rng, 3, 6)
+    curves = [[s * rng.normal(size=g) for g in grid.shape] for s in (0.5, 0.3)]
+    mass, total, weight, score, pairs, _ = dense_marginals(
+        sim_dataset(34, 60, 3, "bernoulli"), [0.3, 0.4, 0.35], grid,
+        "bernoulli", eta0=0.2, curves=curves)
+    tw, shape = grid.weights, grid.shape
+    for j in range(3):
+        assert abs(tw[j] @ weight[j][0] - mass) < 1e-14, j
+        assert abs(tw[j] @ score[j][0] - total) < 1e-14, j
+    for (j, l), block in pairs.items():
+        for a in range(2):
+            rows = block[a * shape[j]:(a + 1) * shape[j], :shape[l]] @ tw[l]
+            cols = tw[j] @ block[:shape[j], a * shape[l]:(a + 1) * shape[l]]
+            assert np.abs(rows - weight[j][a]).max() < 1e-14, (j, l, a)
+            assert np.abs(cols - weight[l][a]).max() < 1e-14, (j, l, a)
 
 
 def test_dense_backfit_nw_reproduces_additive_data():
