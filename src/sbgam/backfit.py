@@ -192,17 +192,8 @@ class FitContext:
         waits for first use."""
         fam = get_family(family)
         fam.validate_response(dataset.y)
-        d = dataset.ndim
-        if grid is None:
-            grid = Grid.uniform(d)
-        if grid.ndim != d:
-            raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
-        h = kernels.validate_bandwidths(bandwidths, d)
-        rows = [
-            kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                                grid.weights[j])
-            for j in range(d)
-        ]
+        grid, h, rows = kernels.kernel_design(dataset, bandwidths, grid,
+                                              kernel)
         return cls(dataset=dataset, grid=grid, family=fam, bandwidths=h,
                    kernel=kernel, rows=rows)
 
@@ -743,7 +734,9 @@ def newton_fit(ctx: FitContext, config: FitConfig | None, fit_class,
     marginals), which return as `inner_solve` and `damped_step` do.
     Returns fit_class(eta0, *blocks, ...).
     """
-    config = config or FitConfig()
+    config = FitConfig() if config is None else config
+    if not isinstance(config, FitConfig):
+        raise InputError("config must be a FitConfig")
     grid = ctx.grid
     fam = ctx.family
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

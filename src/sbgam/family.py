@@ -434,7 +434,7 @@ def get_family(name) -> Family:
         return name
     try:
         return _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise InputError(
             f"unknown family {name!r}; choose one of {', '.join(FAMILY_NAMES)}"
         ) from None

@@ -17,7 +17,8 @@ normalization cancels them: `kernel_rows` evaluates only the base-kernel
 shape K0((u - v) / h) and divides each row once by its trapezoid mass.
 That discrete normalization is what makes the backfitting identities
 (marginals of marginals, Fubini on the grid) hold to machine precision
-downstream.
+downstream.  `kernel_design` makes a fit's rows, after the grid and
+bandwidth checks that the fitters and the reference oracles share.
 
 Conventions: `v` is the data location, `u` the evaluation point, both in
 [0, 1]; bandwidths satisfy 0 < h <= 1/2 so at most one edge correction is
@@ -32,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import per_covariate
+from .grid import Dataset, Grid, per_covariate
 
 __all__ = [
     "KernelConstants",
     "base_kernel",
     "base_kernel_cdf",
     "boundary_kernel",
+    "kernel_design",
     "kernel_rows",
     "kernel_constants",
     "partial_moment",
@@ -116,7 +118,7 @@ KERNEL_NAMES = tuple(_BASES)
 
 def validate_kernel(name: str) -> str:
     """Return name, or raise InputError unless it names a base kernel."""
-    if name not in _BASES:
+    if name not in KERNEL_NAMES:
         raise InputError(
             f"unknown kernel {name!r}; choose one of {', '.join(KERNEL_NAMES)}"
         )
@@ -222,6 +224,25 @@ def kernel_rows(
         )
     rows /= mass[:, None]
     return rows
+
+
+def kernel_design(dataset: Dataset, bandwidths, grid: Grid | None,
+                  name: str):
+    """The checked kernel design of a fit: (grid, h, rows).
+
+    The grid defaults to the uniform one and must be a Grid with one axis
+    per covariate, and the bandwidths (one, or one per covariate) must lie
+    in (0, 1/2].  rows[j] holds the (n, G_j) kernel rows of covariate j.
+    """
+    d = dataset.ndim
+    grid = Grid.uniform(d) if grid is None else grid
+    if not isinstance(grid, Grid):
+        raise InputError("grid must be a Grid")
+    if grid.ndim != d:
+        raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
+    h = validate_bandwidths(bandwidths, d)
+    return grid, h, [kernel_rows(grid.points[j], dataset.x[:, j], h[j], name,
+                                 grid.weights[j]) for j in range(d)]
 
 
 def row_windows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

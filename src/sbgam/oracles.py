@@ -7,16 +7,16 @@ Four groups live here:
   by point, with no backfitting and no outer/inner split;
 * brute-force marginals of order p, any family, at any iterate: the slow
   reference for every marginals producer of the fitters;
-* dense least-squares backfitting solves for the Gaussian identity family,
-  local constant and local linear, for up to three covariates: both take
-  the brute-force marginals at the zero iterate and solve one constrained
-  linear system of the local-polynomial order (all curve values as
-  unknowns, constraints appended) directly;
+* a full-system Newton oracle of order p, any family, for up to three
+  covariates: each step takes the brute-force marginals at the iterate
+  and solves one constrained linear system (all curve values unknown,
+  constraints appended) directly, with no backfitting sweeps; for the
+  Gaussian identity family one step is the least-squares solution;
 * the asymptotic bias and variance formulas of the limit theory, evaluated
   by quadrature from user-supplied truth functions.
 
-The pointwise and dense references build their kernel rows in one helper,
-which makes the fitters' grid and bandwidth checks.  Everything is written
+The references start from the fitters' own checked kernel design, and
+both Newton loops from their constant g(mean(y)).  Everything is written
 for small problems and favors directness over speed; the point is that
 these routines share as little machinery as possible with the iterative
 fitters they check.  All coordinates are rescaled, so truth functions,
@@ -31,15 +31,15 @@ from functools import reduce
 import numpy as np
 
 from . import kernels
-from .errors import InputError, is_number, require_integer
+from .errors import (InputError, NonConvergenceError, is_number,
+                     require_integer)
 from .family import Family, get_family
 from .grid import Dataset, Grid, integrate_tensor
 
 __all__ = [
     "newton_pointwise",
     "dense_marginals",
-    "dense_backfit_nw",
-    "dense_backfit_ll",
+    "dense_newton",
     "ComponentTruth",
     "AsymptoticInputs",
     "oracle_variance",
@@ -57,29 +57,26 @@ __all__ = [
 
 
 def _design(dataset: Dataset, bandwidths, grid: Grid | None, kernel: str):
-    """The checked kernel design that every reference starts from.
-
-    Makes the fitters' input checks: the grid defaults to uniform and must
-    have one axis per covariate, and the bandwidths must lie in (0, 1/2].
-    Returns (grid, rows, tvals): per covariate j the (n, G_j) kernel rows
-    and the bandwidth-scaled offsets t_j = (x_ij - g_j) / h_j.
-    """
-    d = dataset.ndim
-    if grid is None:
-        grid = Grid.uniform(d)
-    if grid.ndim != d:
-        raise InputError(f"grid has {grid.ndim} dimensions, data has {d}")
-    h = kernels.validate_bandwidths(bandwidths, d)
-    rows = [
-        kernels.kernel_rows(grid.points[j], dataset.x[:, j], h[j], kernel,
-                            grid.weights[j])
-        for j in range(d)
-    ]
-    tvals = [
-        (dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
-        for j in range(d)
-    ]
+    """The fitters' checked kernel design, `kernels.kernel_design`, that
+    every reference starts from: (grid, rows, tvals), tvals[j] the
+    bandwidth-scaled offsets t_j = (x_ij - g_j) / h_j of covariate j."""
+    grid, h, rows = kernels.kernel_design(dataset, bandwidths, grid, kernel)
+    tvals = [(dataset.x[:, j][:, None] - grid.points[j][None, :]) / h[j]
+             for j in range(grid.ndim)]
     return grid, rows, tvals
+
+
+def _check_order(order) -> None:
+    require_integer("order", order, 0)
+    if order > 1:
+        raise InputError("order must be 0 or 1")
+
+
+def _start(fam: Family, y) -> float:
+    """The constant-model start g(mean(y)), or 0 where it is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start = float(np.asarray(fam.link(np.mean(y))))
+    return start if np.isfinite(start) else 0.0
 
 
 def newton_pointwise(
@@ -111,9 +108,7 @@ def newton_pointwise(
     """
     if dataset.ndim != 1:
         raise InputError("pointwise oracle handles a single covariate")
-    require_integer("order", order, 0)
-    if order > 1:
-        raise InputError("order must be 0 or 1")
+    _check_order(order)
     require_integer("max_iter", max_iter, 1)
     if not (is_number(tol) and np.isfinite(tol) and tol > 0):
         raise InputError("tol must be finite and positive")
@@ -122,16 +117,12 @@ def newton_pointwise(
     k = order + 1
     y = dataset.y[:, None]
     n = dataset.n
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = float(np.asarray(fam.link(np.mean(dataset.y))))
-    if not np.isfinite(start):
-        start = 0.0
     # t^c and t^c K for c <= 2p, and the index a + b of each system entry
     tpow = t[None] ** np.arange(2 * k - 1)[:, None, None]
     kt = tpow * rows
     hankel = np.add.outer(np.arange(k), np.arange(k))
     theta = np.zeros((k, grid.shape[0]))
-    theta[0] = start
+    theta[0] = _start(fam, dataset.y)
     last = np.full(grid.shape[0], np.inf)
     for _ in range(max_iter):
         u = (tpow[:k] * theta[:, None, :]).sum(axis=0)
@@ -148,7 +139,7 @@ def newton_pointwise(
 
 
 # ---------------------------------------------------------------------------
-# brute-force marginals, and dense least-squares backfitting
+# brute-force marginals, and the full-system Newton oracle
 
 
 def _solve_additive_system(mass, total, weight, rhs, pairs, grid: Grid):
@@ -280,47 +271,47 @@ def dense_marginals(dataset: Dataset, bandwidths, grid: Grid | None = None,
     return (*_moments(moment, grid, len(curves) - 1), sq)
 
 
-def _dense_backfit(dataset: Dataset, bandwidths, grid, kernel, order):
-    """Direct solve of the least-squares backfitting system of the given
-    local-polynomial order: at the zero iterate the Gaussian marginals
-    are the data moments and the score is the response moment."""
+# an absolute stopping test, as newton_pointwise's, for test data of unit
+# scale: quadratic convergence takes a step below it to rounding level
+_NEWTON_TOL, _NEWTON_STEPS = 1e-10, 50
+
+
+def dense_newton(dataset: Dataset, bandwidths, grid: Grid | None = None,
+                 family: Family | str = "gaussian",
+                 kernel: str = "epanechnikov", order: int = 0):
+    """Newton solve of the smoothed backfitting system of order p = 0 or
+    1, any family, at most three covariates: from eta0 = g(mean(y)) and
+    zero curves, each step solves the additive system of `dense_marginals`
+    at the iterate, the score as right-hand side, until every entry of a
+    step is below _NEWTON_TOL.  Then each component is recentred against
+    the last weight, which moves no predictor value.  Returns (const,
+    curves), curves[a][j] the curve of t_j^a in x_j; raises
+    NonConvergenceError after _NEWTON_STEPS steps."""
     if dataset.ndim > 3:
         raise InputError("dense oracle supports at most three covariates")
-    grid = Grid.uniform(dataset.ndim) if grid is None else grid
-    zero = [np.zeros(g) for g in grid.shape]
-    *system, _ = dense_marginals(dataset, bandwidths, grid, "gaussian",
-                                 kernel, 0.0, [zero] * (order + 1))
-    return _solve_additive_system(*system, grid)
-
-
-def dense_backfit_nw(
-    dataset: Dataset,
-    bandwidths,
-    grid: Grid | None = None,
-    kernel: str = "epanechnikov",
-):
-    """Direct solve of the local constant least-squares backfitting system.
-
-    Gaussian identity family only, at most three covariates.  Returns
-    (intercept, component curves).
-    """
-    const, curves = _dense_backfit(dataset, bandwidths, grid, kernel, 0)
-    return const, curves[0]
-
-
-def dense_backfit_ll(
-    dataset: Dataset,
-    bandwidths,
-    grid: Grid | None = None,
-    kernel: str = "epanechnikov",
-):
-    """Direct solve of the local linear least-squares backfitting system.
-
-    Gaussian identity family only, at most three covariates.  Returns
-    (intercept, component curves, scaled slope curves).
-    """
-    const, curves = _dense_backfit(dataset, bandwidths, grid, kernel, 1)
-    return const, curves[0], curves[1]
+    _check_order(order)
+    grid = _design(dataset, bandwidths, grid, kernel)[0]
+    const = _start(get_family(family), dataset.y)
+    curves = [[np.zeros(g) for g in grid.shape]] * (order + 1)
+    for _ in range(_NEWTON_STEPS):
+        mass, total, weight, score, pairs, _ = dense_marginals(
+            dataset, bandwidths, grid, family, kernel, const, curves)
+        step0, steps = _solve_additive_system(mass, total, weight, score,
+                                              pairs, grid)
+        const += step0
+        curves = [[c + s for c, s in zip(*pair)]
+                  for pair in zip(curves, steps)]
+        if max(abs(step0), *(np.abs(s).max() for step in steps
+                             for s in step)) < _NEWTON_TOL:
+            break
+    else:
+        raise NonConvergenceError(
+            f"dense Newton oracle: no convergence in {_NEWTON_STEPS} steps")
+    shifts = [sum(float(grid.weights[j] @ (c[j] * weight[j][a]))
+                  for a, c in enumerate(curves)) / mass
+              for j in range(grid.ndim)]
+    curves[0] = [c - s for c, s in zip(curves[0], shifts)]
+    return const + sum(shifts), curves
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +375,14 @@ class AsymptoticInputs:
     def grad_density(self, X: np.ndarray, j: int) -> np.ndarray:
         if self.density_grad is not None:
             return self.density_grad(X, j)
-        step = 1e-5
-        Xp = np.array(X, dtype=float, copy=True)
-        Xm = np.array(X, dtype=float, copy=True)
-        Xp[..., j] += step
-        Xm[..., j] -= step
-        return (self.density(Xp) - self.density(Xm)) / (2 * step)
+        step = np.zeros(np.shape(X)[-1])
+        step[j] = 1e-5
+        return (self.density(X + step) - self.density(X - step)) / 2e-5
 
     def variance_y(self, X: np.ndarray) -> np.ndarray:
         if self.cond_var is not None:
             return self.cond_var(X)
-        m, v, _ = self._links(X)
-        return v
+        return self._links(X)[1]
 
 
 def _gl_nodes(n: int):
@@ -415,10 +402,7 @@ def _gl_mesh(k: int, nodes: int):
     x, w = _gl_nodes(nodes)
     grids = np.meshgrid(*([x] * k), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for g in np.meshgrid(*([w] * k), indexing="ij"):
-        wts = wts * g.ravel()
-    return pts, wts
+    return pts, reduce(np.multiply.outer, [w] * k).ravel()
 
 
 def _insert_coord(pts_rest: np.ndarray, xj, j: int) -> np.ndarray:
@@ -448,9 +432,7 @@ def oracle_variance(inputs: AsymptoticInputs, j: int, xj,
     rough = kernels.kernel_constants(inputs.kernel).roughness
     pts, wts = _gl_mesh(d - 1, nodes)
     X = _insert_coord(pts, np.atleast_1d(xj), j)   # (P, M, d)
-    m = inputs.family.mean(inputs.eta_star(X))
-    vv = inputs.family.variance(m)
-    gp = inputs.family.link_deriv(m)
+    _, vv, gp = inputs._links(X)
     p = inputs.density(X)
     integ_num = ((inputs.variance_y(X) / (vv * gp) ** 2) * p) @ wts
     integ_den = ((1.0 / (vv * gp * gp)) * p) @ wts

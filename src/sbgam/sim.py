@@ -87,7 +87,7 @@ class SimModel:
     @classmethod
     def from_label(cls, label: str, n: int = 100, seed: int = 0,
                    extra_dims: int = 0) -> "SimModel":
-        key = label.strip().strip("()").replace(" ", "")
+        key = str(label).strip().strip("()").replace(" ", "")
         if key not in MODEL_LABELS:
             known = ", ".join(sorted(MODEL_LABELS))
             raise InputError(f"unknown model label {label!r}; expected one "

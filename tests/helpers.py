@@ -1,5 +1,6 @@
-"""Data, families and marginals checks shared by the fitter tests; the
-reference for every marginals producer is `oracle_marginals`."""
+"""Data, families and oracle checks shared by the fitter tests: the
+reference for every marginals producer is `oracle_marginals`, and for
+every converged fit `newton_oracle_gap`."""
 
 import numpy as np
 from scipy.special import expit
@@ -7,8 +8,8 @@ from scipy.special import expit
 from sbgam.backfit import Marginals
 from sbgam.family import QuasiFamily, get_family
 from sbgam.grid import Dataset, Grid
-from sbgam.ll_fit import ll_prepare
-from sbgam.oracles import dense_marginals
+from sbgam.ll_fit import LlFit, ll_prepare
+from sbgam.oracles import dense_marginals, dense_newton
 
 
 def sim_dataset(seed, n, d, family="gaussian"):
@@ -111,6 +112,21 @@ def oracle_marginals(ctx, eta0, *curves):
         list(curves))
     return Marginals(grid=ctx.grid, weight=weight, score=score, pairs=pairs,
                      sq=sq)
+
+
+def newton_oracle_gap(fit, dataset):
+    """Largest gap of a fit's intercept, curves and, for a local linear
+    fit, slope curves to `oracles.dense_newton` of its data, bandwidths,
+    grid, family and kernel."""
+    blocks = [fit.curves] + ([fit.components1] if isinstance(fit, LlFit)
+                             else [])
+    const, curves = dense_newton(dataset, fit.bandwidths, fit.grid,
+                                 fit.family, fit.kernel, len(blocks) - 1)
+    assert [len(b) for b in blocks] == [len(c) for c in curves]
+    return max([abs(fit.intercept - const)]
+               + [float(np.abs(a - b).max())
+                  for got, want in zip(blocks, curves)
+                  for a, b in zip(got, want)])
 
 
 def assert_matches_oracle(producer, ctx, *iterate):

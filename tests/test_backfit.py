@@ -1,5 +1,6 @@
-"""The shared backfitting core: iteration controls, module structure, and
-the module-attribute lookups that outside-in tracing relies on."""
+"""The shared backfitting core: iteration controls, module structure, the
+module-attribute lookups that outside-in tracing relies on, and converged
+fits against the full-system Newton oracle."""
 
 import ast
 import importlib.util
@@ -14,6 +15,7 @@ from sbgam import cli, kernels, ll_fit, nw_fit, sim
 from sbgam.backfit import FitConfig
 from sbgam.errors import InputError
 from sbgam.grid import Dataset, Grid
+from helpers import newton_oracle_gap, quasi_gamma, sim_dataset
 
 SRC = pathlib.Path(sbgam.__file__).parent
 
@@ -57,6 +59,11 @@ def test_every_traced_target_resolves():
 def test_fit_config_rejects_invalid_controls(kwargs):
     with pytest.raises(InputError):
         FitConfig(**kwargs)
+    # a fit takes its controls as a FitConfig only; a mapping of them,
+    # valid or not, raised AttributeError
+    for config in (kwargs, {"tol_outer": 1e-6}):
+        with pytest.raises(InputError, match="FitConfig"):
+            nw_fit.fit_nw(_data(), 0.3, config=config)
 
 
 def test_fit_config_accepts_numpy_scalars():
@@ -178,6 +185,34 @@ def test_damped_newton_steps_reach_the_full_step_fit(est):
                  for a, b in zip(fits[0].curves, fits[1].curves)])
     assert gap < 5e-12, gap
     assert max(damped.constraint_residuals) < 1e-15
+
+
+@pytest.mark.parametrize("d, g, n", [(2, 21, 200), (3, 11, 100)],
+                         ids=["d2", "d3"])
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson",
+                                    "quasi-gamma"])
+@pytest.mark.parametrize("est", ["nw", "ll"])
+def test_fit_solves_the_full_system(est, family, d, g, n):
+    # the dense Newton oracle solves the smoothed backfitting equations
+    # with no backfitting sweeps and recentres once, against its last
+    # weight; a fit recentres after every step, against that step's
+    # weight.  At d = 3 the NW Bernoulli and quasi-gamma fits stream their
+    # marginals, and the LL ones run the block engine.  The Gaussian
+    # problem is linear: one step, then a confirmation
+    fitter = getattr(nw_fit if est == "nw" else ll_fit, f"fit_{est}")
+    ds = sim_dataset(10 * d + 1, n, d, family)
+    fit = fitter(ds, [0.3, 0.35, 0.4][:d], grid=Grid.uniform(d, g),
+                 family=quasi_gamma() if family == "quasi-gamma" else family,
+                 config=FitConfig(tol_outer=1e-11, tol_inner=1e-13,
+                                  max_outer=60, max_inner=500))
+    diag = fit.diagnostics
+    assert diag.converged and len(fit.curves) == d
+    assert max(diag.constraint_residuals) < 1e-10
+    if family == "gaussian":
+        assert diag.outer_iterations == 2
+        assert diag.outer_changes[1] < 1e-9
+    gap = newton_oracle_gap(fit, ds)
+    assert gap < 1e-9, gap
 
 
 def test_predict_reads_points_by_the_fit_dimension():

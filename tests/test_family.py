@@ -164,8 +164,10 @@ def test_custom_quasi_family():
 def test_get_family_passthrough_and_errors():
     fam = family.get_family("gaussian")
     assert family.get_family(fam) is fam
-    with pytest.raises(InputError):
-        family.get_family("gamma")
+    # an unhashable name raised TypeError
+    for name in ("gamma", [1]):
+        with pytest.raises(InputError, match="unknown family"):
+            family.get_family(name)
 
 
 @settings(max_examples=50, deadline=None)

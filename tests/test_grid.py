@@ -10,6 +10,7 @@ from sbgam.errors import InputError
 from sbgam.grid import (Dataset, Grid, MarginalAccumulator,
                         default_bandwidths, integrate_tensor,
                         resolve_bandwidths, trapz_weights)
+from sbgam.ll_fit import fit_ll
 from sbgam.nw_fit import fit_nw
 
 
@@ -41,6 +42,13 @@ def test_grid_uniform_and_validation():
             Grid.uniform(*args)
     with pytest.raises(InputError):
         Grid((np.array([0.0, 0.5, 0.4, 0.8, 1.0]),))
+    # a fit takes a Grid with one axis per covariate; a list of point
+    # vectors raised AttributeError
+    ds = Dataset.from_raw(np.arange(16.0).reshape(8, 2), np.arange(8.0))
+    for grid in ([np.linspace(0, 1, 11)] * 2, Grid.uniform(3, 11)):
+        for fitter in (fit_nw, fit_ll):
+            with pytest.raises(InputError, match="grid"):
+                fitter(ds, 0.3, grid=grid)
 
 
 def test_grid_shape_is_set_once():

@@ -219,3 +219,6 @@ def test_validate_kernel_is_the_one_name_check():
         kernels.validate_kernel("gauss")
     with pytest.raises(InputError, match="unknown kernel 'gauss'"):
         kernels.base_kernel(np.zeros(3), "gauss")
+    # an unhashable name raised TypeError
+    with pytest.raises(InputError, match=r"unknown kernel \[1\]"):
+        kernels.validate_kernel([1])

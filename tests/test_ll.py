@@ -18,7 +18,7 @@ from sbgam.ll_fit import (LlFit, _block_marginals, fit_ll, ll_inner_solve,
 from sbgam.backfit import (FitConfig, newton_fit, poisson_marginals,
                            start_marginals)
 from sbgam.nw_fit import _nw_marginals_dense, fit_nw, nw_prepare
-from sbgam.oracles import dense_backfit_ll, newton_pointwise
+from sbgam.oracles import newton_pointwise
 from sbgam.sim import SimModel, make_dataset
 from helpers import (assert_marginals_agree, assert_matches_oracle,
                      logit_context, oracle_marginals, poisson_inputs,
@@ -563,20 +563,6 @@ def test_zero_slope_smoothed_ql_equals_local_constant():
     assert mll.mass == pytest.approx(mnw.mass, abs=1e-13)
 
 
-def test_gaussian_single_outer_step_equals_dense_solve():
-    cfg = FitConfig(tol_inner=1e-13, max_inner=400)
-    for d, g, h in ((2, 17, [0.25, 0.3]), (3, 9, [0.25, 0.3, 0.35])):
-        ds = sim_dataset(3, 100, d)
-        grid = Grid.uniform(d, g)
-        fit = fit_ll(ds, h, grid=grid, config=cfg)
-        assert fit.diagnostics.outer_iterations == 2, d
-        c00, c0o, c1o = dense_backfit_ll(ds, h, grid=grid)
-        assert fit.eta00 == pytest.approx(c00, abs=1e-9), d
-        for j in range(d):
-            assert np.abs(fit.components0[j] - c0o[j]).max() < 1e-9, (d, j)
-            assert np.abs(fit.components1[j] - c1o[j]).max() < 1e-9, (d, j)
-
-
 def test_gaussian_intercept_is_response_mean():
     ds = sim_dataset(4, 80, 2)
     fit = fit_ll(ds, 0.3)
@@ -662,17 +648,3 @@ def test_nonconvergence_raises_with_history():
     with pytest.raises(NonConvergenceError) as info:
         fit_ll(ds, 0.3, family="poisson", config=FitConfig(max_outer=1))
     assert len(info.value.history) == 1
-
-
-def test_streamed_path_used_for_three_dims():
-    # d = 3 fields are only ever formed on kernel windows; the fit must
-    # still satisfy its constraints and converge
-    rng = np.random.default_rng(13)
-    x = rng.uniform(-1, 1, size=(120, 3))
-    y = (np.sin(np.pi * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * x[:, 2]
-         + rng.normal(scale=0.3, size=120))
-    ds = Dataset.with_support(x, y, -1, 1)
-    fit = fit_ll(ds, 0.3, grid=Grid.uniform(3, 15))
-    assert fit.diagnostics.converged
-    assert max(fit.diagnostics.constraint_residuals) < 1e-10
-    assert len(fit.components0) == 3 and len(fit.components1) == 3

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sbgam import Dataset, FitConfig, Grid, fit_ll, fit_nw
 from sbgam.errors import FitError
+from sbgam.nw_fit import NwContext, _nw_marginals_streamed
 
 FITTERS = {"nw": fit_nw, "ll": fit_ll}
 FAMILIES = ("gaussian", "bernoulli", "poisson")
@@ -68,9 +69,13 @@ def _check_same(a, b, tol):
 
 
 def _permuted_rows(estimator, x, y, h, grid, family, seed):
+    """Check the permuted fit against the fit of the data as given, and
+    return the latter."""
     perm = np.random.default_rng(seed + 1).permutation(len(y))
-    _check_same(_fit(estimator, x, y, h, grid, family),
-                _fit(estimator, x[perm], y[perm], h, grid, family), 1e-10)
+    fit = _fit(estimator, x, y, h, grid, family)
+    _check_same(fit, _fit(estimator, x[perm], y[perm], h, grid, family),
+                1e-10)
+    return fit
 
 
 def _permuted_columns(estimator, x, y, h, grid, family, seed):
@@ -141,13 +146,27 @@ def test_gaussian_shift_moves_only_intercept(estimator, seed, n, g, h, d,
 
 
 @pytest.mark.parametrize("estimator", sorted(FITTERS))
-def test_streamed_d3_metamorphic(estimator):
-    # d = 3 takes the streamed marginal path of the NW smoother
-    x, y = _data(3, 60, 3, "poisson")
+def test_streamed_d3_metamorphic(estimator, monkeypatch):
+    # at d = 3 the NW smoother streams the Bernoulli marginals over
+    # kernel windows, where Poisson takes its closed form and the Gaussian
+    # case the identity one; the LL smoother runs its block engine
+    streamed = []
+
+    def counted(*args, **kwargs):
+        streamed.append(1)
+        return _nw_marginals_streamed(*args, **kwargs)
+
+    monkeypatch.setattr(NwContext, "producers", tuple(
+        counted if p is _nw_marginals_streamed else p
+        for p in NwContext.producers))
     h = np.array([0.3, 0.35, 0.4])
     grid = Grid.uniform(3, 11)
-    _permuted_rows(estimator, x, y, h, grid, "poisson", 3)
-    _permuted_columns(estimator, x, y, h, grid, "poisson", 3)
+    for seed, family in ((3, "poisson"), (6, "bernoulli")):
+        x, y = _data(seed, 60, 3, family)
+        fit = _permuted_rows(estimator, x, y, h, grid, family, seed)
+        assert not isinstance(fit, type), (family, fit)
+        _permuted_columns(estimator, x, y, h, grid, family, seed)
+    assert bool(streamed) == (estimator == "nw")
     xg, yg = _data(4, 60, 3, "gaussian")
     _shifted_response(estimator, xg, yg, h, grid, 2.5)
 

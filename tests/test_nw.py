@@ -19,8 +19,7 @@ from sbgam.ll_fit import (LlContext, LlFit, fit_ll, ll_inner_solve,
 from sbgam.nw_fit import (NwContext, NwFit, _nw_marginals_dense,
                           _nw_marginals_streamed, fit_nw, nw_inner_solve,
                           nw_marginals, nw_outer_update, nw_prepare)
-from sbgam.oracles import _solve_additive_system, dense_backfit_nw, \
-    newton_pointwise
+from sbgam.oracles import _solve_additive_system, newton_pointwise
 from helpers import (assert_marginals_agree, assert_matches_oracle,
                      oracle_marginals, poisson_inputs, quasi_gamma,
                      random_grid, sim_dataset, uncovered_point_inputs)
@@ -248,18 +247,6 @@ def test_dense_smooths_are_built_once_and_only_when_read(monkeypatch, d,
     assert len(calls) == builds
 
 
-def test_gaussian_fit_d3_matches_dense_oracle():
-    ds = sim_dataset(16, 200, 3)
-    grid = Grid.uniform(3, 11)
-    fit = fit_nw(ds, 0.3, grid=grid)
-    c0, curves = dense_backfit_nw(ds, 0.3, grid=grid)
-    gap = max(abs(fit.eta0 - c0),
-              max(np.abs(fit.components[j] - curves[j]).max()
-                  for j in range(3)))
-    assert gap < 1e-8, gap
-    assert fit.diagnostics.outer_changes[1] < 1e-9
-
-
 def test_gaussian_weight_total_is_one():
     # gaussian weights are the kernel density smooth, whose rows are
     # normalized, so the integrated weight is exactly 1
@@ -456,20 +443,6 @@ def test_fit_matches_pointwise_newton_d1():
         assert ok.all()
         pred = fit.eta0 + fit.components[0]
         assert np.abs(pred - theta).max() < 1e-8
-
-
-def test_gaussian_single_outer_step_equals_dense_solve():
-    # the gaussian problem is linear, so one Newton step from any start
-    # lands on the dense least-squares backfitting solution
-    ds = sim_dataset(4, 120, 2)
-    grid = Grid.uniform(2, 21)
-    cfg = FitConfig(tol_inner=1e-13, max_inner=300)
-    fit = fit_nw(ds, [0.2, 0.22], grid=grid, config=cfg)
-    assert fit.diagnostics.outer_iterations == 2   # step, then confirmation
-    c0, curves = dense_backfit_nw(ds, [0.2, 0.22], grid=grid)
-    assert fit.eta0 == pytest.approx(c0, abs=1e-9)
-    for j in range(2):
-        assert np.abs(fit.components[j] - curves[j]).max() < 1e-9
 
 
 def test_constant_response_gives_flat_fit():

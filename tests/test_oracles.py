@@ -1,4 +1,5 @@
-"""Reference computations: pointwise Newton, dense solves, limit formulas."""
+"""Reference computations: pointwise Newton, brute-force marginals, the
+full-system Newton oracle, limit formulas."""
 
 import ast
 import pathlib
@@ -11,12 +12,11 @@ from sbgam.errors import InputError
 from sbgam.family import get_family
 from sbgam.grid import Dataset, Grid
 from sbgam.oracles import (AsymptoticInputs, ComponentTruth,
-                           dense_backfit_ll, dense_backfit_nw,
-                           dense_marginals, ll_component_bias,
+                           dense_marginals, dense_newton, ll_component_bias,
                            ll_intercept_bias, newton_pointwise, nw_bias_field,
                            nw_component_bias, nw_intercept_bias,
                            oracle_variance, project_additive)
-from helpers import random_grid, sim_dataset
+from helpers import quasi_gamma, random_grid, sim_dataset
 
 ZERO = ComponentTruth(value=lambda u: 0.0 * np.asarray(u),
                       d1=lambda u: 0.0 * np.asarray(u),
@@ -88,8 +88,9 @@ def _line_data(d):
     lambda: newton_pointwise(_line_data(1), 0.9),
     lambda: newton_pointwise(_line_data(1), 0.0),
     lambda: newton_pointwise(_line_data(1), 0.2, grid=Grid.uniform(2, 11)),
-    lambda: dense_backfit_nw(_line_data(2), 0.2, grid=Grid.uniform(1, 11)),
-    lambda: dense_backfit_ll(_line_data(2), 0.2, grid=Grid.uniform(3, 7)),
+    lambda: dense_newton(_line_data(2), 0.2, grid=Grid.uniform(1, 11)),
+    lambda: dense_newton(_line_data(2), 0.2, grid=Grid.uniform(3, 7),
+                         order=1),
     lambda: newton_pointwise(_line_data(1), 0.2, order=True),
     lambda: newton_pointwise(_line_data(1), 0.2, order=1.0),
     lambda: newton_pointwise(_line_data(1), 0.2, order=2),
@@ -106,15 +107,26 @@ def _line_data(d):
     lambda: dense_marginals(_line_data(2), 0.2, curves=[[np.zeros(41),
                                                          np.zeros(40)]]),
     lambda: dense_marginals(_line_data(2), 0.2, curves=[]),
+    lambda: newton_pointwise(_line_data(1), 0.2,
+                             grid=[np.linspace(0, 1, 11)]),
+    lambda: dense_marginals(_line_data(2), 0.2,
+                            grid=[np.linspace(0, 1, 11)] * 2),
+    lambda: dense_newton(_line_data(2), 0.2,
+                         grid=[np.linspace(0, 1, 11)] * 2),
+    lambda: dense_newton(_line_data(2), 0.2, order=2),
+    lambda: dense_newton(_line_data(4), 0.2, grid=Grid.uniform(4, 5)),
 ], ids=["nan-h", "h-above-half", "zero-h", "2d-grid", "nw-1d-grid",
         "ll-3d-grid", "bool-order", "float-order", "order-2",
         "float-max-iter", "zero-max-iter", "bool-max-iter", "nan-tol",
         "negative-tol", "bool-tol", "three-curve-lists", "too-few-curves",
-        "too-many-curves", "short-curve", "no-curve-list"])
+        "too-many-curves", "short-curve", "no-curve-list",
+        "pointwise-list-grid", "marginals-list-grid", "newton-list-grid",
+        "newton-order-2", "newton-4-covariates"])
 def test_references_check_their_inputs(call):
     # the references make the fitters' bandwidth, grid and order checks,
     # and check their iteration controls and iterates, before any kernel
-    # row or field is formed
+    # row or field is formed; a grid that is no Grid raised
+    # AttributeError
     with pytest.raises(InputError):
         call()
 
@@ -150,7 +162,7 @@ def test_dense_backfit_nw_reproduces_additive_data():
     y = 0.7 + np.sin(2 * np.pi * x[:, 0]) * 0.3 + x[:, 1]
     ds = Dataset.with_support(x, y, 0.0, 1.0)
     grid = Grid.uniform(2, 15)
-    c0, curves = dense_backfit_nw(ds, 0.25, grid=grid)
+    c0, (curves,) = dense_newton(ds, 0.25, grid=grid)
     for j in range(2):
         assert abs(float(grid.weights[j] @ curves[j])) < 1.0
     # constraint: weighted integral of each curve vanishes
@@ -163,19 +175,29 @@ def test_dense_backfit_nw_reproduces_additive_data():
         assert abs(resid) < 1e-10
 
 
-def test_dense_backfit_ll_d1_matches_pointwise():
+def test_dense_newton_d1_matches_pointwise():
     # with a single covariate the backfitting system decouples into the
-    # pointwise local linear problems
+    # pointwise problems, which newton_pointwise solves grid point by grid
+    # point: two Newton loops that share only the kernel design
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, size=(120, 1))
-    y = np.sin(2 * np.pi * x[:, 0]) + rng.normal(scale=0.2, size=120)
-    ds = Dataset.with_support(x, y, 0.0, 1.0)
+    s = np.sin(2 * np.pi * x[:, 0])
+    ys = {"gaussian": s + rng.normal(scale=0.2, size=120),
+          "bernoulli": (rng.random(120) < 1 / (1 + np.exp(-s))) * 1.0,
+          "poisson": rng.poisson(np.exp(0.5 * s)) * 1.0,
+          "quasi-gamma": np.exp(0.5 * s) * rng.gamma(4.0, 0.25, 120)}
     grid = Grid.uniform(1, 21)
-    c00, c0, c1 = dense_backfit_ll(ds, 0.2, grid=grid)
-    t0, t1, ok = newton_pointwise(ds, 0.2, grid=grid, order=1)
-    assert ok.all()
-    assert np.abs(c00 + c0[0] - t0).max() < 1e-9
-    assert np.abs(c1[0] - t1).max() < 1e-9
+    for name, y in ys.items():
+        ds = Dataset.with_support(x, y, 0.0, 1.0)
+        fam = quasi_gamma() if name == "quasi-gamma" else name
+        for order in (0, 1):
+            c00, curves = dense_newton(ds, 0.2, grid, fam, order=order)
+            *theta, ok = newton_pointwise(ds, 0.2, grid, fam, order=order)
+            assert ok.all(), (name, order)
+            assert np.abs(c00 + curves[0][0] - theta[0]).max() < 1e-9, \
+                (name, order)
+            if order:
+                assert np.abs(curves[1][0] - theta[1]).max() < 1e-9, name
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -25,8 +25,10 @@ def test_model_label_roundtrip():
 
 
 def test_model_validation():
-    with pytest.raises(InputError):
-        SimModel.from_label("3,1")
+    # a label that is no string raised AttributeError
+    for label in ("3,1", 11):
+        with pytest.raises(InputError, match="unknown model label"):
+            SimModel.from_label(label)
     with pytest.raises(InputError):
         SimModel(response="gamma")
     # a string or None ended in TypeError from the range check
